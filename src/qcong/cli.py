@@ -15,18 +15,9 @@ import sys
 import time
 
 from . import identities, partitions, theorems
+from .partitions import FAMILIES
 from .products import FQuotientSpec, cubic_theta_alpha, fquotient, h_level12
 from .series import SeriesError
-
-NAMED_GFS = {
-    "B": identities.GF_B,
-    "b": identities.GF_B_LIN,
-    "p": identities.GF_P,
-    "a": identities.GF_A,
-    "abar": identities.GF_ABAR,
-}
-
-ORACLE_FAMILIES = ("B", "b", "p", "a", "abar")
 
 DEFAULTS_TABLE = """\
 defaults
@@ -39,7 +30,7 @@ defaults
                               hexweight-49n-mod7: 150, hexweight-343n-mod7: 25
   sampled primes              7, 11, 19, 23
   scan caps                   stride <= 60, n_max >= 50
-  QCONG_THREADS               thread cap for verify-all (default 1)
+  QCONG_THREADS               validated, no effect (verification is serial)
 """
 
 
@@ -161,8 +152,8 @@ def _series_for(args, order):
         s = fquotient(spec, max(order, spec.qshift), args.mod)
         return s.scale(scalar) if scalar != 1 else s
     name = args.name
-    if name in NAMED_GFS:
-        return fquotient(NAMED_GFS[name], order, args.mod)
+    if name in FAMILIES:
+        return fquotient(FAMILIES[name].gf, order, args.mod)
     if name == "alpha":
         return cubic_theta_alpha(order, args.mod)
     if name == "h":
@@ -207,11 +198,8 @@ def cmd_verify_identity(args):
             entries = [identities.get(args.name)]
         except KeyError:
             return _name_error(args.name, identities.names())
-    threads = _thread_cap()
-    if args.all and threads > 1:
-        reports = identities.verify_all(args.order, threads=threads)
-    else:
-        reports = [identities.verify(e, args.order) for e in entries]
+    _check_threads_env()
+    reports = [identities.verify(e, args.order) for e in entries]
     if args.json:
         print(json.dumps([vars(r) for r in reports], indent=2))
     else:
@@ -228,15 +216,14 @@ SIMPLE_CHECKS = {
 }
 
 
+def theorem_names():
+    return list(SIMPLE_CHECKS) + theorems.claim_names()
+
+
 def cmd_verify_theorem(args):
-    claim_list = theorems.default_claims()
-    catalog = list(SIMPLE_CHECKS) + [c.name for c in claim_list]
-    if args.all:
-        selected = catalog
-    else:
-        if args.name not in catalog:
-            return _name_error(args.name, catalog)
-        selected = [args.name]
+    catalog = theorem_names()
+    if not args.all and args.name not in catalog:
+        return _name_error(args.name, catalog)
 
     primes = None
     if args.primes:
@@ -252,20 +239,23 @@ def cmd_verify_theorem(args):
             print(f"--primes entries must be primes >= 5, got {bad}",
                   file=sys.stderr)
             return 2
+    _check_threads_env()
+    return verify_theorems(catalog if args.all else [args.name], args.nmax,
+                           primes, args.json)
 
-    reports = []
-    simple = [s for s in selected if s in SIMPLE_CHECKS]
-    weighted = [c for c in claim_list if c.name in selected]
+
+def verify_theorems(selected, n_max=None, primes=None, as_json=False):
+    """Check the named congruence families and print their reports; the
+    exit code is 0 if all pass, else 1."""
+    reports = [theorems.verify_simple(A, r, m, n_max or nmax)
+               for s, (A, r, m, nmax) in SIMPLE_CHECKS.items() if s in selected]
+    weighted = [c for c in theorems.default_claims() if c.name in selected]
     if primes:
         weighted = [_with_primes(c, primes) for c in weighted]
-    for s in simple:
-        A, r, m, nmax = SIMPLE_CHECKS[s]
-        reports.append(theorems.verify_simple(A, r, m, args.nmax or nmax))
     if weighted:
         reports.extend(theorems.run_claims(
-            weighted, n_max=args.nmax, threads=_thread_cap(),
-            out=(lambda msg: print(msg)) if not args.json else None))
-    if args.json:
+            weighted, n_max=n_max, out=None if as_json else print))
+    if as_json:
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
     else:
         for r in reports:
@@ -299,15 +289,13 @@ def _report_dict(r):
 
 
 def cmd_verify_all(args):
-    threads = _thread_cap()
-    id_reports = identities.verify_all(threads=threads)
-    thm_args = argparse.Namespace(all=True, name=None, nmax=None, primes=None,
-                                  json=False)
+    _check_threads_env()
+    id_reports = identities.verify_all()
     for r in id_reports:
         print(r)
     npass = sum(r.passed for r in id_reports)
     print(f"{npass}/{len(id_reports)} identities verified")
-    thm_rc = cmd_verify_theorem(thm_args)
+    thm_rc = verify_theorems(theorem_names())
     return 1 if (npass < len(id_reports) or thm_rc) else 0
 
 
@@ -323,9 +311,9 @@ def cmd_scan(args):
         if args.spec:
             scalar, spec = parse_quotient(args.spec)
         else:
-            if args.name not in NAMED_GFS:
-                return _name_error(args.name, list(NAMED_GFS))
-            spec = FQuotientSpec.of(NAMED_GFS[args.name])
+            if args.name not in FAMILIES:
+                return _name_error(args.name, list(FAMILIES))
+            spec = FQuotientSpec.of(FAMILIES[args.name].gf)
         stride_max = args.amax
         moduli = {int(m) for m in args.moduli.split(",")}
         n_max = args.nmax
@@ -361,7 +349,7 @@ def build_parser():
     def series_flags(p, order_flag=True):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--spec", help="quotient such as 'f2^4/(f1^2*f4^3)'")
-        g.add_argument("--name", help=f"named series: {', '.join(NAMED_GFS)}, alpha, h")
+        g.add_argument("--name", help=f"named series: {', '.join(FAMILIES)}, alpha, h")
         p.add_argument("--mod", type=int, default=None,
                        help="expand over Z/mZ instead of Z")
 
@@ -377,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="combinatorial counting oracle")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=ORACLE_FAMILIES, default="B")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="B")
     p.add_argument("--table", action="store_true", help="print the whole table")
     p.set_defaults(func=cmd_oracle)
 
@@ -419,15 +407,16 @@ def build_parser():
     return ap
 
 
-def _thread_cap():
+def _check_threads_env():
+    """QCONG_THREADS must be a positive integer if set; verification is
+    serial, so its value changes nothing."""
     raw = os.environ.get("QCONG_THREADS", "1")
     try:
         v = int(raw)
     except ValueError:
-        raise SystemExit(f"QCONG_THREADS must be a positive integer, got {raw!r}")
+        v = 0
     if v < 1:
         raise SystemExit(f"QCONG_THREADS must be a positive integer, got {raw!r}")
-    return v
 
 
 def main(argv=None):

@@ -14,12 +14,12 @@ mutation-testing the verifier itself.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .expr import (Add, Dissect, Literal, Named, Pow, Scale, SeriesExpr,
                    Shift, Subst, add, alpha_q, evaluate, expr_from_dict,
                    expr_to_dict, fq, mul, poly_in, predicted_valuation)
+from .partitions import FAMILIES
 
 EXACT_ORDER = 300
 MOD_ORDER = 1000
@@ -53,15 +53,8 @@ class VerificationReport:
                 f"(lhs {self.lhs_coeff}, rhs {self.rhs_coeff})")
 
 
-# Generating functions of the counting families, as f-quotient specs.
-GF_B = {2: 4, 1: -2, 4: -3}        # two distinct-odd lists + one multiples-of-4 list
-GF_B_LIN = {2: 2, 1: -1, 4: -3}    # one distinct-odd list + two multiples-of-4 lists
-GF_P = {1: -1}                     # unrestricted partitions
-GF_A = {1: -1, 2: -1}              # cubic partitions
-GF_ABAR = {4: 1, 1: -2, 2: -1}     # overcubic partitions
-
-B = fq(GF_B)
-B_LIN = fq(GF_B_LIN)
+B = fq(FAMILIES["B"].gf)
+B_LIN = fq(FAMILIES["b"].gf)
 
 # Basis data for the Gamma0(28) decomposition of the B(7n+2) series: three
 # eta quotients of orders -3, -4, -5 at infinity and the integer polynomials
@@ -86,20 +79,20 @@ def _entries():
     # ---- classical single-family dissections ------------------------------
 
     exact("p_5n4",
-          Dissect(fq(GF_P), 5, 4),
+          Dissect(fq(FAMILIES["p"].gf), 5, 4),
           Scale(5, fq({5: 5, 1: -6})),
           "Ramanujan: the p(5n+4) generating function")
     exact("p_7n5",
-          Dissect(fq(GF_P), 7, 5),
+          Dissect(fq(FAMILIES["p"].gf), 7, 5),
           add(Scale(7, fq({7: 3, 1: -4})),
               Scale(49, Shift(1, fq({7: 7, 1: -8})))),
           "Ramanujan: the p(7n+5) generating function")
     exact("cubic_3n2",
-          Dissect(fq(GF_A), 3, 2),
+          Dissect(fq(FAMILIES["a"].gf), 3, 2),
           Scale(3, fq({3: 3, 6: 3, 1: -4, 2: -4})),
           "Chan: the cubic-partition a(3n+2) generating function")
     exact("overcubic_3n2",
-          Dissect(fq(GF_ABAR), 3, 2),
+          Dissect(fq(FAMILIES["abar"].gf), 3, 2),
           Scale(6, fq({3: 6, 4: 3, 1: -8, 2: -3})),
           "Kim: the overcubic a(3n+2) generating function")
     exact("lin_b_3n2",
@@ -399,7 +392,8 @@ def registry():
     if _REGISTRY is None:
         entries = _entries()
         names = [e.name for e in entries]
-        assert len(names) == len(set(names)), "duplicate registry names"
+        if len(names) != len(set(names)):
+            raise ValueError("duplicate registry names")
         _REGISTRY = tuple(entries)
     return _REGISTRY
 
@@ -430,13 +424,9 @@ def verify(entry, order=None):
                               lhs_coeff=lhs.coeff(e), rhs_coeff=rhs.coeff(e))
 
 
-def verify_all(order=None, threads=1):
+def verify_all(order=None):
     """Verify every entry; results in catalog order."""
-    entries = registry()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda e: verify(e, order), entries))
-    return [verify(e, order) for e in entries]
+    return [verify(e, order) for e in registry()]
 
 
 def perturbed(entry, exponent=None):

@@ -1,6 +1,7 @@
 """Combinatorial counting of restricted partitions, independent of the
 series engine.  These tables are the ground truth the generating-function
-expansions are checked against.
+expansions are checked against.  ``FAMILIES`` is the one table of the
+named counting families.
 """
 
 from __future__ import annotations
@@ -92,39 +93,53 @@ def count_triples(N):
     This is the counting function the whole toolkit revolves around; its
     generating function is f_2^4/(f_1^2 f_4^3).
     """
-    oo = count_table(DistinctOdd(), N)
-    m4 = count_table(MultiplesOf(4), N)
-    return convolve_tables(convolve_tables(oo, oo, N), m4, N)
+    return count_family("B", N)
 
 
-FAMILY_CONSTRAINTS = {
-    # name -> list of constraints whose tables are convolved
-    "p": [Unrestricted()],
-    "a": [EvenTwoColors()],
-    "b": [DistinctOdd(), MultiplesOf(4), MultiplesOf(4)],
-    "B": [DistinctOdd(), DistinctOdd(), MultiplesOf(4)],
+@dataclass(frozen=True)
+class Family:
+    """A counting family: its generating function prod f_d^(r_d) as
+    ``{d: r_d}``, the constraints whose oracle tables are convolved (None:
+    no oracle, counted from the series) and the literature congruences
+    ``(A, r, m)``, coefficient(An + r) = 0 (mod m)."""
+
+    gf: dict
+    constraints: tuple | None
+    known: frozenset = frozenset()
+
+
+#: the named counting families, in the order the CLI lists them
+FAMILIES = {
+    # two distinct-odd lists and one multiples-of-4 list
+    "B": Family({2: 4, 1: -2, 4: -3},
+                (DistinctOdd(), DistinctOdd(), MultiplesOf(4)),
+                frozenset({(2, 1, 2), (5, 4, 5), (27, 16, 3)})),
+    # one distinct-odd list and two multiples-of-4 lists
+    "b": Family({2: 2, 1: -1, 4: -3},
+                (DistinctOdd(), MultiplesOf(4), MultiplesOf(4)),
+                frozenset({(3, 2, 3)})),
+    # unrestricted partitions
+    "p": Family({1: -1}, (Unrestricted(),), frozenset({(5, 4, 5), (7, 5, 7)})),
+    # cubic partitions: even parts in two colors
+    "a": Family({1: -1, 2: -1}, (EvenTwoColors(),)),
+    # overcubic partitions; see OvercubicMarking for why there is no oracle
+    "abar": Family({4: 1, 1: -2, 2: -1}, None),
 }
 
 
 def count_family(name, N):
-    """Table of a named counting function.
-
-    p: unrestricted partitions (1/f_1)
-    a: cubic partitions, evens two-colored (1/(f_1 f_2))
-    abar: overcubic partitions (f_4/(f_1^2 f_2)); series-backed, no oracle
-    b: one distinct-odd list and two multiples-of-4 lists (f_2^2/(f_1 f_4^3))
-    B: two distinct-odd lists and one multiples-of-4 list (f_2^4/(f_1^2 f_4^3))
-    """
-    if name == "abar":
-        from .products import fquotient
-        s = fquotient({4: 1, 1: -2, 2: -1}, N)
-        return [s.coeff(n) for n in range(N + 1)]
+    """table[n] for 0 <= n <= N of a family in FAMILIES, from its oracle,
+    or from its series when it has none (abar)."""
     try:
-        constraints = FAMILY_CONSTRAINTS[name]
+        family = FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown counting family {name!r}; "
-                         f"known: {sorted(FAMILY_CONSTRAINTS) + ['abar']}") from None
-    table = count_table(constraints[0], N)
-    for c in constraints[1:]:
+                         f"known: {list(FAMILIES)}") from None
+    if family.constraints is None:
+        from .products import fquotient
+        s = fquotient(family.gf, N)
+        return [s.coeff(n) for n in range(N + 1)]
+    table = count_table(family.constraints[0], N)
+    for c in family.constraints[1:]:
         table = convolve_tables(table, count_table(c, N), N)
     return table

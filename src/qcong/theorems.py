@@ -8,12 +8,13 @@ the identity catalog, so a bug in one route cannot hide in the other.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .products import CUBE, TRIANGULAR, FQuotientSpec, bilateral, fquotient
-from .series import LaurentSeries
+from .partitions import FAMILIES
+from .products import (CUBE, TRIANGULAR, WEIGHT_RULES, FQuotientSpec,
+                       bilateral, fquotient)
+from .series import LaurentSeries, SeriesError
 
 _b_oracle_checked = False
 
@@ -23,32 +24,27 @@ def b_table(N, modulus=None):
 
     Expands (f_2^2/f_1)^2 / f_4^3 with both numerator and denominator in
     sparse theta form, so the table costs O(N^1.5) coefficient operations.
-    The first exact call cross-checks the prefix [0, 400] against the
-    combinatorial triple-counting oracle.
+    Exact calls cross-check the prefix [0, 400] against the combinatorial
+    triple-counting oracle until one check has passed; while it is pending
+    the table is expanded through at least q^400.
     """
     global _b_oracle_checked
     if N < 0:
         raise ValueError("table size must be >= 0")
-    tri = bilateral(TRIANGULAR, N, modulus)
-    f4cubed = bilateral(CUBE, N // 4, modulus).substitute(4) if N >= 4 \
-        else LaurentSeries.one(N, modulus)
+    check = modulus is None and not _b_oracle_checked
+    T = max(N, 400) if check else N
+    tri = bilateral(TRIANGULAR, T, modulus)
+    f4cubed = bilateral(CUBE, T // 4, modulus).substitute(4) if T >= 4 \
+        else LaurentSeries.one(T, modulus)
     ser = tri.mul(tri).divide(f4cubed)
-    table = [ser.coeff(n) for n in range(N + 1)]
-    if modulus is None and not _b_oracle_checked:
-        _b_oracle_checked = True
+    table = [ser.coeff(n) for n in range(T + 1)]
+    if check:
         from .partitions import count_triples
-        probe = table if N >= 400 else b_table_raw(400)
-        assert probe[:401] == count_triples(400), \
-            "series engine disagrees with the combinatorial B oracle"
-    return table
-
-
-def b_table_raw(N):
-    """Exact B table without the one-time oracle cross-check (internal)."""
-    tri = bilateral(TRIANGULAR, N)
-    f4cubed = bilateral(CUBE, N // 4).substitute(4)
-    ser = tri.mul(tri).divide(f4cubed)
-    return [ser.coeff(n) for n in range(N + 1)]
+        if table[:401] != count_triples(400):
+            raise SeriesError("series engine disagrees with the "
+                              "combinatorial B oracle")
+        _b_oracle_checked = True
+    return table[:N + 1]
 
 
 # -- simple congruences B(An + r) = 0 (mod m) ---------------------------------
@@ -90,14 +86,6 @@ def verify_simple(stride, residue, modulus, n_max, table=None):
 
 
 # -- weighted bilateral sums over pentagonal-type arguments -------------------
-
-WEIGHTS = {
-    "1": lambda k: 1,
-    "(-1)^k": lambda k: -1 if k & 1 else 1,
-    "(-1)^k(3k+1)": lambda k: -(3 * k + 1) if k & 1 else 3 * k + 1,
-    "6k+1": lambda k: 6 * k + 1,
-}
-
 
 @dataclass(frozen=True)
 class CongruenceClaim:
@@ -163,7 +151,7 @@ class ClaimReport:
 def verify_weighted(claim, table=None, n_max=None):
     """Evaluate every sum of the claim family from the B table alone."""
     n_max = claim.n_max if n_max is None else n_max
-    weight = WEIGHTS[claim.weight]
+    weight = WEIGHT_RULES[claim.weight]
     max_base = max(claim.base(p) + claim.stride(p) * n_max
                    for p in claim.param_space)
     if table is None:
@@ -199,7 +187,9 @@ def verify_weighted(claim, table=None, n_max=None):
 
 def _int_quarter(x):
     q, r = divmod(x, 4)
-    assert r == 0, f"{x} is not divisible by 4: argument would not be an integer"
+    if r:
+        raise ValueError(f"{x} is not divisible by 4: argument would not be "
+                         f"an integer")
     return q
 
 
@@ -208,10 +198,12 @@ def default_claims():
     p_mod3 = (7, 11, 19, 23)   # primes = 3 (mod 4), sampled
     p_mod9 = (7, 11, 19, 23)   # primes = 7 or 11 (mod 12), sampled
     for p in p_mod3:
-        assert p % 4 == 3 and p >= 5
+        if p % 4 != 3 or p < 5:
+            raise ValueError(f"sampled prime {p} is not = 3 (mod 4) and >= 5")
         _int_quarter(9 * (p * p - 1))
     for p in p_mod9:
-        assert p % 12 in (7, 11)
+        if p % 12 not in (7, 11):
+            raise ValueError(f"sampled prime {p} is not = 7 or 11 (mod 12)")
         _int_quarter(5 * (p * p - 1))
 
     return (
@@ -269,7 +261,7 @@ def get_claim(name):
     raise KeyError(f"no claim family named {name!r}")
 
 
-def run_claims(claims=None, n_max=None, threads=1, out=None):
+def run_claims(claims=None, n_max=None, out=None):
     """Verify claim families against one shared B table.
 
     The largest required B-argument is computed and announced before any
@@ -283,24 +275,10 @@ def run_claims(claims=None, n_max=None, threads=1, out=None):
     if out is not None:
         out(f"largest B-argument required: {need}")
     table = b_table(need)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda c: verify_weighted(c, table=table, n_max=n_max), claims))
-    else:
-        reports = [verify_weighted(c, table=table, n_max=n_max) for c in claims]
-    return reports
+    return [verify_weighted(c, table=table, n_max=n_max) for c in claims]
 
 
 # -- affine congruence scanner ------------------------------------------------
-
-#: congruences stated in the literature for these generating functions
-KNOWN_CONGRUENCES = {
-    FQuotientSpec.of({2: 4, 1: -2, 4: -3}): {(2, 1, 2), (5, 4, 5), (27, 16, 3)},
-    FQuotientSpec.of({2: 2, 1: -1, 4: -3}): {(3, 2, 3)},
-    FQuotientSpec.of({1: -1}): {(5, 4, 5), (7, 5, 7)},
-}
-
 
 @dataclass(frozen=True)
 class ScanHit:
@@ -327,7 +305,8 @@ def scan(gf, stride_max, moduli, n_max):
     T = stride_max * (n_max + 1) - 1
     ser = fquotient(spec, T)
     exact = [ser.coeff(n) for n in range(T + 1)]
-    known = KNOWN_CONGRUENCES.get(spec, set())
+    known = next((f.known for f in FAMILIES.values()
+                  if FQuotientSpec.of(f.gf) == spec), frozenset())
     hits = []
     for m in sorted(moduli):
         residues = [c % m for c in exact]

@@ -9,7 +9,9 @@ import time
 
 from qcong import (b_table, count_triples, default_claims, euler_f, fquotient,
                    get, perturbed, run_claims, scan, verify, verify_simple)
-from qcong.identities import GF_B, GF_B_LIN, GF_P
+from qcong.partitions import FAMILIES
+
+GF_B, GF_B_LIN, GF_P = (FAMILIES[name].gf for name in ("B", "b", "p"))
 
 
 def _criterion(num, desc, passed, elapsed=None, budget=None):

@@ -10,9 +10,9 @@ from qcong import (Add, Dissect, InsufficientPrecision, Literal, Mul, Named,
                    expr_from_dict, expr_to_dict, fq, get, perturbed, registry,
                    registry_from_json, registry_to_json, verify, verify_all)
 from qcong.expr import predicted_valuation
-from qcong.identities import GF_B
+from qcong.partitions import FAMILIES
 
-B = fq(GF_B)
+B = fq(FAMILIES["B"].gf)
 
 
 # -- evaluator ----------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_verify_all_at_reduced_orders():
 
 
 def test_verify_all_helper_and_threads():
-    reports = verify_all(order=25, threads=2)
+    reports = verify_all(order=25)
     assert len(reports) == len(registry())
     assert [r.name for r in reports] == [e.name for e in registry()]
     assert all(r.passed for r in reports)

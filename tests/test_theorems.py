@@ -1,11 +1,17 @@
 """Congruence families: hand-enumerated term sets, sum/series agreement,
 prime-parameter integrality, scanner behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from qcong import (b_table, claim_names, count_triples, default_claims,
-                   fquotient, get_claim, run_claims, scan, verify_simple,
-                   verify_weighted)
+import qcong
+from qcong import (SeriesError, b_table, claim_names, count_triples,
+                   default_claims, fquotient, get_claim, partitions,
+                   run_claims, scan, theorems, verify_simple, verify_weighted)
 
 
 def test_b_table_small():
@@ -20,6 +26,32 @@ def test_b_table_modular():
     t = b_table(300)
     tm = b_table(300, modulus=63)
     assert tm == [v % 63 for v in t]
+
+
+def test_b_table_oracle_check(monkeypatch):
+    monkeypatch.setattr(theorems, "_b_oracle_checked", False)
+    assert b_table(5) == [1, 2, 1, 2, 5, 6]  # checked through 400, cut to 5
+    assert theorems._b_oracle_checked
+    corrupted = count_triples(400)
+    corrupted[7] += 1
+    monkeypatch.setattr(partitions, "count_triples", lambda N: corrupted)
+    monkeypatch.setattr(theorems, "_b_oracle_checked", False)
+    with pytest.raises(SeriesError, match="oracle"):
+        b_table(10)
+    assert not theorems._b_oracle_checked  # a failed check is run again
+    with pytest.raises(SeriesError, match="oracle"):
+        b_table(10)
+
+
+def test_int_quarter_checks_under_python_O():
+    src = Path(qcong.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from qcong.theorems import _int_quarter; print(_int_quarter(7))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ValueError: 7 is not divisible by 4" in proc.stderr
 
 
 # -- simple congruences ---------------------------------------------------------
