@@ -2,7 +2,7 @@
 
 Subcommands: expand, coeff, oracle, verify-identity, verify-theorem,
 verify-all, scan, bench.  Exit codes: 0 all requested checks passed,
-1 at least one FAIL, 2 usage or parse error.  Output on stdout is
+1 at least one FAIL, 2 usage error or bad input.  Output on stdout is
 byte-deterministic for fixed inputs; timings go to stderr.
 """
 
@@ -151,14 +151,20 @@ def _series_for(args, order):
         scalar, spec = parse_quotient(args.spec)
         s = fquotient(spec, max(order, spec.qshift), args.mod)
         return s.scale(scalar) if scalar != 1 else s
-    name = args.name
-    if name in FAMILIES:
-        return fquotient(FAMILIES[name].gf, order, args.mod)
-    if name == "alpha":
+    if args.name == "alpha":
         return cubic_theta_alpha(order, args.mod)
-    if name == "h":
+    if args.name == "h":
         return h_level12(max(order, 1), args.mod)
-    raise KeyError(name)
+    return fquotient(FAMILIES[args.name].gf, order, args.mod)
+
+
+def _int_list(text):
+    """argparse type of --primes and --moduli: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _name_error(name, available):
@@ -192,15 +198,21 @@ def cmd_oracle(args):
 
 def cmd_verify_identity(args):
     if args.all:
-        entries = list(identities.registry())
+        entries = identities.registry()
     else:
         try:
             entries = [identities.get(args.name)]
         except KeyError:
             return _name_error(args.name, identities.names())
     _check_threads_env()
-    reports = [identities.verify(e, args.order) for e in entries]
-    if args.json:
+    return verify_identities(entries, args.order, args.json)
+
+
+def verify_identities(entries, order=None, as_json=False):
+    """Verify catalog entries and print their reports; the exit code is 0
+    if all pass, else 1."""
+    reports = [identities.verify(e, order) for e in entries]
+    if as_json:
         print(json.dumps([vars(r) for r in reports], indent=2))
     else:
         for r in reports:
@@ -210,75 +222,27 @@ def cmd_verify_identity(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-SIMPLE_CHECKS = {
-    "b-2n1-mod2": (2, 1, 2, 2000),
-    "b-5n4-mod5": (5, 4, 5, 2000),
-}
-
-
-def theorem_names():
-    return list(SIMPLE_CHECKS) + theorems.claim_names()
-
-
 def cmd_verify_theorem(args):
-    catalog = theorem_names()
+    catalog = theorems.theorem_names()
     if not args.all and args.name not in catalog:
         return _name_error(args.name, catalog)
-
-    primes = None
-    if args.primes:
-        try:
-            primes = tuple(int(p) for p in args.primes.split(","))
-        except ValueError:
-            print(f"--primes must be a comma-separated integer list, "
-                  f"got {args.primes!r}", file=sys.stderr)
-            return 2
-        bad = [p for p in primes
-               if any(p % d == 0 for d in range(2, p)) or p < 5]
-        if bad:
-            print(f"--primes entries must be primes >= 5, got {bad}",
-                  file=sys.stderr)
-            return 2
     _check_threads_env()
     return verify_theorems(catalog if args.all else [args.name], args.nmax,
-                           primes, args.json)
+                           args.primes, args.json)
 
 
-def verify_theorems(selected, n_max=None, primes=None, as_json=False):
+def verify_theorems(selected, n_max=None, primes=theorems.SAMPLED_PRIMES,
+                    as_json=False):
     """Check the named congruence families and print their reports; the
     exit code is 0 if all pass, else 1."""
-    reports = [theorems.verify_simple(A, r, m, n_max or nmax)
-               for s, (A, r, m, nmax) in SIMPLE_CHECKS.items() if s in selected]
-    weighted = [c for c in theorems.default_claims() if c.name in selected]
-    if primes:
-        weighted = [_with_primes(c, primes) for c in weighted]
-    if weighted:
-        reports.extend(theorems.run_claims(
-            weighted, n_max=n_max, out=None if as_json else print))
+    reports = theorems.verify_families(selected, n_max, primes,
+                                       out=None if as_json else print)
     if as_json:
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
     else:
         for r in reports:
             print(r)
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _with_primes(claim, primes):
-    if claim.name == "altsum-prime-mod3":
-        for p in primes:
-            if p % 4 != 3:
-                raise ValueError(f"prime {p} is not = 3 (mod 4)")
-        space = tuple((p, r) for p in primes for r in range(1, p))
-    elif claim.name == "altsum-prime-mod9":
-        for p in primes:
-            if p % 12 not in (7, 11):
-                raise ValueError(f"prime {p} is not = 7 or 11 (mod 12)")
-        space = tuple((p, r) for p in primes for r in range(1, p))
-    else:
-        return claim
-    return theorems.CongruenceClaim(
-        claim.name, claim.description, claim.modulus, claim.weight,
-        claim.k_quad, space, claim.n_max, stride=claim.stride, base=claim.base)
 
 
 def _report_dict(r):
@@ -290,34 +254,38 @@ def _report_dict(r):
 
 def cmd_verify_all(args):
     _check_threads_env()
-    id_reports = identities.verify_all()
-    for r in id_reports:
-        print(r)
-    npass = sum(r.passed for r in id_reports)
-    print(f"{npass}/{len(id_reports)} identities verified")
-    thm_rc = verify_theorems(theorem_names())
-    return 1 if (npass < len(id_reports) or thm_rc) else 0
+    id_rc = verify_identities(identities.registry())
+    thm_rc = verify_theorems(theorems.theorem_names())
+    return id_rc or thm_rc
+
+
+def _scan_config_flags(path):
+    """The scan flags that a config file {spec, A_max, moduli, n_max}
+    stands for, so its values are parsed and checked as the flags are."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        return [f"--spec={cfg['spec']}", f"--amax={cfg['A_max']}",
+                f"--moduli={','.join(map(str, cfg['moduli']))}",
+                f"--nmax={cfg['n_max']}"]
+    except (OSError, ValueError) as ex:
+        raise ValueError(f"cannot read scan config: {ex}") from None
+    except KeyError as ex:
+        raise ValueError(f"scan config {path} has no key {ex}") from None
+    except TypeError:
+        raise ValueError(f"scan config {path} must be a JSON object "
+                         f"{{spec, A_max, moduli: [...], n_max}}") from None
 
 
 def cmd_scan(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        scalar, spec = parse_quotient(cfg["spec"])
-        stride_max = cfg["A_max"]
-        moduli = set(cfg["moduli"])
-        n_max = cfg["n_max"]
+        args = args.parser.parse_args(_scan_config_flags(args.config)
+                                      + (["--json"] if args.json else []))
+    if args.spec:
+        scalar, spec = parse_quotient(args.spec)
     else:
-        if args.spec:
-            scalar, spec = parse_quotient(args.spec)
-        else:
-            if args.name not in FAMILIES:
-                return _name_error(args.name, list(FAMILIES))
-            spec = FQuotientSpec.of(FAMILIES[args.name].gf)
-        stride_max = args.amax
-        moduli = {int(m) for m in args.moduli.split(",")}
-        n_max = args.nmax
-    hits = theorems.scan(spec, stride_max, moduli, n_max)
+        spec = FQuotientSpec.of(FAMILIES[args.name].gf)
+    hits = theorems.scan(spec, args.amax, set(args.moduli), args.nmax)
     if args.json:
         print(json.dumps([vars(h) for h in hits], indent=2))
     else:
@@ -349,7 +317,8 @@ def build_parser():
     def series_flags(p, order_flag=True):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--spec", help="quotient such as 'f2^4/(f1^2*f4^3)'")
-        g.add_argument("--name", help=f"named series: {', '.join(FAMILIES)}, alpha, h")
+        g.add_argument("--name", choices=(*FAMILIES, "alpha", "h"), metavar="NAME",
+                       help=f"named series: {', '.join(FAMILIES)}, alpha, h")
         p.add_argument("--mod", type=int, default=None,
                        help="expand over Z/mZ instead of Z")
 
@@ -382,7 +351,8 @@ def build_parser():
     g.add_argument("--name")
     g.add_argument("--all", action="store_true")
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--primes", help="comma-separated sample primes")
+    p.add_argument("--primes", type=_int_list, default=theorems.SAMPLED_PRIMES,
+                   help="comma-separated sample primes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_theorem)
 
@@ -392,13 +362,13 @@ def build_parser():
     p = sub.add_parser("scan", help="search for affine congruences")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--spec")
-    g.add_argument("--name")
+    g.add_argument("--name", choices=tuple(FAMILIES), metavar="NAME")
     g.add_argument("--config", help="JSON file {spec, A_max, moduli, n_max}")
     p.add_argument("--amax", type=int, default=30)
-    p.add_argument("--moduli", default="2,3,5,7")
+    p.add_argument("--moduli", type=_int_list, default="2,3,5,7")
     p.add_argument("--nmax", type=int, default=500)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, parser=p)
 
     p = sub.add_parser("bench", help="series multiplication throughput check")
     p.add_argument("--order", type=int, default=20000)
@@ -416,7 +386,7 @@ def _check_threads_env():
     except ValueError:
         v = 0
     if v < 1:
-        raise SystemExit(f"QCONG_THREADS must be a positive integer, got {raw!r}")
+        raise ValueError(f"QCONG_THREADS must be a positive integer, got {raw!r}")
 
 
 def main(argv=None):
@@ -427,10 +397,6 @@ def main(argv=None):
         return 0
     if args.command is None:
         ap.print_usage(sys.stderr)
-        return 2
-    mod = getattr(args, "mod", None)
-    if mod is not None and not 2 <= mod < (1 << 31):
-        print(f"--mod must be in [2, 2^31), got {mod}", file=sys.stderr)
         return 2
     if args.command == "oracle" and args.n < 0:
         print("--n must be >= 0", file=sys.stderr)
@@ -447,7 +413,10 @@ def main(argv=None):
             print(f"  {spec_text}", file=sys.stderr)
             print(f"  {' ' * ex.pos}^", file=sys.stderr)
         return 2
-    except (SeriesError, ValueError) as ex:
+    except ValueError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except SeriesError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

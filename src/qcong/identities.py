@@ -414,6 +414,8 @@ def verify(entry, order=None):
     if isinstance(entry, str):
         entry = get(entry)
     T = entry.default_order if order is None else order
+    if T < 0:
+        raise ValueError(f"order must be >= 0, got {T}")
     lhs = evaluate(entry.lhs, T, entry.modulus)
     rhs = evaluate(entry.rhs, T, entry.modulus)
     e = lhs.first_mismatch(rhs, T)

@@ -92,20 +92,16 @@ def _divide_block(uc, dc, n, m):
             dval.append(dc[j])
     c = []
     lu = len(uc)
-    if m is None:
-        for k in range(n):
-            s = uc[k] if k < lu else 0
-            stop = bisect_left(didx, k + 1)
-            for t in range(stop):
-                s -= dval[t] * c[k - didx[t]]
-            c.append(s if inv0 == 1 else -s)
-    else:
-        for k in range(n):
-            s = uc[k] if k < lu else 0
-            stop = bisect_left(didx, k + 1)
-            for t in range(stop):
-                s -= dval[t] * c[k - didx[t]]
-            c.append(s * inv0 % m)
+    for k in range(n):
+        s = uc[k] if k < lu else 0
+        stop = bisect_left(didx, k + 1)
+        for t in range(stop):
+            s -= dval[t] * c[k - didx[t]]
+        if m is not None:
+            s = s * inv0 % m
+        elif inv0 != 1:
+            s = -s  # over Z the unit inv0 is -1; s * 1 would copy a big s
+        c.append(s)
     return c
 
 
@@ -364,35 +360,3 @@ class LaurentSeries:
             if self.coeff(e) != other.coeff(e):
                 return e
         return None
-
-    # -- operators -----------------------------------------------------------
-
-    def __add__(self, other):
-        return self.add(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __rsub__(self, other):
-        return self.neg().add(other)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.mul(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        return self.divide(other)
-
-    def __pow__(self, e):
-        return self.pow(e)

@@ -49,6 +49,13 @@ def b_table(N, modulus=None):
 
 # -- simple congruences B(An + r) = 0 (mod m) ---------------------------------
 
+#: name -> (stride, residue, modulus, n_max) of the plain congruences
+SIMPLE_CHECKS = {
+    "b-2n1-mod2": (2, 1, 2, 2000),
+    "b-5n4-mod5": (5, 4, 5, 2000),
+}
+
+
 @dataclass
 class SimpleReport:
     stride: int
@@ -69,8 +76,9 @@ class SimpleReport:
 
 def verify_simple(stride, residue, modulus, n_max, table=None):
     """Check B(stride*n + residue) = 0 (mod modulus) for 0 <= n <= n_max."""
-    if stride < 1 or not 0 <= residue < stride or modulus < 2:
-        raise ValueError("need stride >= 1, 0 <= residue < stride, modulus >= 2")
+    if stride < 1 or not 0 <= residue < stride or modulus < 2 or n_max < 0:
+        raise ValueError("need stride >= 1, 0 <= residue < stride, modulus >= 2, "
+                         "n_max >= 0")
     need = stride * n_max + residue
     if table is None:
         table = b_table(need)
@@ -108,24 +116,22 @@ class CongruenceClaim:
     stride: object = field(repr=False, default=None)
     base: object = field(repr=False, default=None)
 
-    def k_range(self, max_base):
-        if self.k_quad is None:
-            return (0,)
-        c2, _ = self.k_quad
-        K = isqrt(max(max_base, 0) // c2) + 2
-        return range(-K, K + 1)
-
     def term_offsets(self, max_base):
+        """k -> offset for every k whose term can have an argument in
+        [0, max_base]; terms outside this range have negative arguments."""
         if self.k_quad is None:
             return {0: 0}
         c2, c1 = self.k_quad
-        return {k: c2 * k * k + c1 * k for k in self.k_range(max_base)}
+        K = isqrt(max(max_base, 0) // c2) + 2
+        return {k: c2 * k * k + c1 * k for k in range(-K, K + 1)}
 
-    def max_argument(self):
-        out = 0
-        for params in self.param_space:
-            out = max(out, self.base(params) + self.stride(params) * self.n_max)
-        return out
+    def max_argument(self, n_max=None):
+        """Largest affine B-argument base + stride*n over the parameter grid
+        for n <= n_max (default: the claim's own n_max)."""
+        n_max = self.n_max if n_max is None else n_max
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        return max(self.base(p) + self.stride(p) * n_max for p in self.param_space)
 
 
 @dataclass
@@ -152,8 +158,7 @@ def verify_weighted(claim, table=None, n_max=None):
     """Evaluate every sum of the claim family from the B table alone."""
     n_max = claim.n_max if n_max is None else n_max
     weight = WEIGHT_RULES[claim.weight]
-    max_base = max(claim.base(p) + claim.stride(p) * n_max
-                   for p in claim.param_space)
+    max_base = claim.max_argument(n_max)
     if table is None:
         table = b_table(max_base)
     elif len(table) <= max_base:
@@ -193,18 +198,24 @@ def _int_quarter(x):
     return q
 
 
-def default_claims():
-    """The seven built-in congruence-claim families."""
-    p_mod3 = (7, 11, 19, 23)   # primes = 3 (mod 4), sampled
-    p_mod9 = (7, 11, 19, 23)   # primes = 7 or 11 (mod 12), sampled
-    for p in p_mod3:
-        if p % 4 != 3 or p < 5:
-            raise ValueError(f"sampled prime {p} is not = 3 (mod 4) and >= 5")
-        _int_quarter(9 * (p * p - 1))
-    for p in p_mod9:
-        if p % 12 not in (7, 11):
-            raise ValueError(f"sampled prime {p} is not = 7 or 11 (mod 12)")
-        _int_quarter(5 * (p * p - 1))
+#: the primes the two prime families are checked at by default
+SAMPLED_PRIMES = (7, 11, 19, 23)
+
+
+def is_sampled_prime(p):
+    """Whether p can parametrize the prime families: a prime p >= 5 with
+    p = 3 (mod 4), which for such primes is the same as p = 7 or 11 (mod 12)."""
+    return (p >= 5 and p % 4 == 3
+            and all(p % d for d in range(3, isqrt(p) + 1, 2)))
+
+
+def default_claims(primes=SAMPLED_PRIMES):
+    """The seven built-in congruence-claim families, with the two prime
+    families over the parameters (p, r), p in ``primes``, 1 <= r < p."""
+    if not primes or not all(is_sampled_prime(p) for p in primes):
+        raise ValueError(f"sampled primes must be primes p >= 5 with "
+                         f"p = 3 (mod 4), got {list(primes)}")
+    prime_grid = tuple((p, r) for p in primes for r in range(1, p))
 
     return (
         CongruenceClaim(
@@ -220,16 +231,14 @@ def default_claims():
             "altsum-prime-mod3",
             "sum (-1)^k B(9p^2 n + 9pr + 9(p^2-1)/4 + 2 - 6k(3k+1)) = 0 (mod 3), "
             "p = 3 (mod 4) prime (sampled), r in 1..p-1",
-            3, "(-1)^k", (18, 6),
-            tuple((p, r) for p in p_mod3 for r in range(1, p)), 1,
+            3, "(-1)^k", (18, 6), prime_grid, 1,
             stride=lambda pr: 9 * pr[0] * pr[0],
             base=lambda pr: 9 * pr[0] * pr[1] + _int_quarter(9 * (pr[0] ** 2 - 1)) + 2),
         CongruenceClaim(
             "altsum-prime-mod9",
             "sum (-1)^k B(3p^2 n + 3pr + 5(p^2-1)/4 + 1 - 6k(3k+1)) = 0 (mod 9), "
             "p = 7 or 11 (mod 12) prime (sampled), r in 1..p-1",
-            9, "(-1)^k", (18, 6),
-            tuple((p, r) for p in p_mod9 for r in range(1, p)), 2,
+            9, "(-1)^k", (18, 6), prime_grid, 2,
             stride=lambda pr: 3 * pr[0] * pr[0],
             base=lambda pr: 3 * pr[0] * pr[1] + _int_quarter(5 * (pr[0] ** 2 - 1)) + 1),
         CongruenceClaim(
@@ -254,6 +263,11 @@ def claim_names():
     return [c.name for c in default_claims()]
 
 
+def theorem_names():
+    """Every congruence family: the plain ones, then the claim families."""
+    return list(SIMPLE_CHECKS) + claim_names()
+
+
 def get_claim(name):
     for c in default_claims():
         if c.name == name:
@@ -269,13 +283,24 @@ def run_claims(claims=None, n_max=None, out=None):
     """
     if claims is None:
         claims = default_claims()
-    need = max(c.max_argument() if n_max is None
-               else max(c.base(p) + c.stride(p) * n_max for p in c.param_space)
-               for c in claims)
+    need = max(c.max_argument(n_max) for c in claims)
     if out is not None:
         out(f"largest B-argument required: {need}")
     table = b_table(need)
     return [verify_weighted(c, table=table, n_max=n_max) for c in claims]
+
+
+def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
+    """Reports for the named families of ``theorem_names()``: the plain
+    congruences first, then the claim families through ``run_claims``.
+    ``n_max`` overrides every family's own range."""
+    claims = [c for c in default_claims(primes) if c.name in names]
+    reports = [verify_simple(A, r, m, nmax if n_max is None else n_max)
+               for name, (A, r, m, nmax) in SIMPLE_CHECKS.items()
+               if name in names]
+    if claims:
+        reports.extend(run_claims(claims, n_max=n_max, out=out))
+    return reports
 
 
 # -- affine congruence scanner ------------------------------------------------
@@ -298,10 +323,12 @@ def scan(gf, stride_max, moduli, n_max):
     """All (A <= stride_max, r < A, m in moduli) with coefficient(An+r) = 0
     (mod m) for every n <= n_max; literature-stated triples are marked."""
     spec = FQuotientSpec.of(gf)
-    if stride_max > 60:
-        raise ValueError("stride bound capped at 60")
+    if not 1 <= stride_max <= 60:
+        raise ValueError(f"stride bound must be in [1, 60], got {stride_max}")
     if n_max < 50:
         raise ValueError("need n_max >= 50 for meaningful evidence")
+    if min(moduli) < 2:
+        raise ValueError(f"moduli must be >= 2, got {min(moduli)}")
     T = stride_max * (n_max + 1) - 1
     ser = fquotient(spec, T)
     exact = [ser.coeff(n) for n in range(T + 1)]

@@ -1,11 +1,13 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
 from qcong.cli import main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
+from qcong.theorems import SAMPLED_PRIMES, default_claims
 
 
 def run(capsys, *argv):
@@ -200,6 +202,11 @@ def test_show_defaults(capsys):
     rc, out, _ = run(capsys, "--show-defaults")
     assert rc == 0
     assert "QCONG_THREADS" in out
+    claims = out[out.index("claim n_max"):out.index("sampled primes")]
+    n_max = {name: int(n) for name, n in re.findall(r"([\w-]+): (\d+)", claims)}
+    assert n_max == {c.name: c.n_max for c in default_claims()}
+    primes = re.search(r"sampled primes +(.*)", out).group(1)
+    assert tuple(int(p) for p in primes.split(",")) == SAMPLED_PRIMES
 
 
 def test_no_command_is_usage_error(capsys):
@@ -212,5 +219,45 @@ def test_threads_env(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify-identity", "--all", "--order", "20")
     assert rc == 0
     monkeypatch.setenv("QCONG_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        run(capsys, "verify-identity", "--all", "--order", "20")
+    rc, out, err = run(capsys, "verify-identity", "--all", "--order", "20")
+    assert (rc, out) == (2, "") and "QCONG_THREADS" in err
+
+
+# -- bad input ---------------------------------------------------------------------------
+
+BAD_INPUTS = {
+    "prime-wrong-class": ["verify-theorem", "--all", "--primes", "13"],
+    "prime-unused-by-family": ["verify-theorem", "--name", "hexweight-49n-mod7",
+                               "--primes", "5"],
+    "primes-not-integers": ["verify-theorem", "--all", "--primes", "7,x"],
+    "expand-unknown-name": ["expand", "--name", "X", "--order", "5"],
+    "coeff-unknown-name": ["coeff", "--name", "X", "--n", "5"],
+    "expand-modulus-1": ["expand", "--name", "B", "--order", "5", "--mod", "1"],
+    "coeff-negative-n": ["coeff", "--name", "B", "--n", "-3"],
+    "identity-order-negative": ["verify-identity", "--all", "--order", "-1"],
+    "nmax-negative": ["verify-theorem", "--all", "--nmax", "-1"],
+    "nmax-negative-claim": ["verify-theorem", "--name", "altsum-9n-mod3",
+                            "--nmax", "-1"],
+    "scan-stride-over-cap": ["scan", "--name", "B", "--amax", "61"],
+    "scan-modulus-not-integer": ["scan", "--name", "B", "--moduli", "2,x"],
+    "scan-modulus-zero": ["scan", "--name", "B", "--moduli", "0"],
+    "scan-unknown-name": ["scan", "--name", "X"],
+    "config-missing-file": ["scan", "--config", "{dir}/missing.json"],
+    "config-missing-key": ["scan", "--config", "{dir}/no-moduli.json"],
+    "config-non-integer-modulus": ["scan", "--config", "{dir}/modulus-x.json"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_with_message(capsys, tmp_path, argv):
+    (tmp_path / "no-moduli.json").write_text(json.dumps(
+        {"spec": "1/f1", "A_max": 8, "n_max": 60}))
+    (tmp_path / "modulus-x.json").write_text(json.dumps(
+        {"spec": "1/f1", "A_max": 8, "moduli": ["x"], "n_max": 60}))
+    try:
+        rc = main([a.format(dir=tmp_path) for a in argv])
+    except SystemExit as ex:  # argparse rejects the value itself
+        rc = ex.code
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.strip() and "Traceback" not in err

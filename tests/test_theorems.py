@@ -12,6 +12,7 @@ import qcong
 from qcong import (SeriesError, b_table, claim_names, count_triples,
                    default_claims, fquotient, get_claim, partitions,
                    run_claims, scan, theorems, verify_simple, verify_weighted)
+from qcong.theorems import is_sampled_prime
 
 
 def test_b_table_small():
@@ -146,6 +147,19 @@ def test_k_range_enlargement_is_invariant():
     assert base.passed
 
 
+def test_sampled_prime_rule():
+    # 2^31 - 1 is prime and = 3 (mod 4); trial division stops at its isqrt
+    assert all(is_sampled_prime(p) for p in (7, 11, 19, 23, 71, 2**31 - 1))
+    assert not any(is_sampled_prime(p) for p in (1, 3, 5, 9, 13, 15, 35))
+    families = {c.name: c for c in default_claims((7, 11))}
+    grid = tuple((p, r) for p in (7, 11) for r in range(1, p))
+    assert families["altsum-prime-mod3"].param_space == grid
+    assert families["altsum-prime-mod9"].param_space == grid
+    for primes in ((13,), (7, 9), ()):
+        with pytest.raises(ValueError, match="sampled primes"):
+            default_claims(primes)
+
+
 def test_prime_arguments_are_integers():
     for c in default_claims():
         for params in c.param_space:
@@ -211,4 +225,8 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         scan({1: -1}, 61, {5}, 100)
     with pytest.raises(ValueError):
+        scan({1: -1}, 0, {5}, 100)
+    with pytest.raises(ValueError):
         scan({1: -1}, 10, {5}, 10)
+    with pytest.raises(ValueError, match="moduli"):
+        scan({1: -1}, 10, {0, 5}, 100)

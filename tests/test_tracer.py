@@ -1,0 +1,40 @@
+"""The benchmark's per-layer tracer still finds the names it wraps.
+
+``perfbench/tracer.py`` rebinds qcong functions by name; a renamed or
+deleted name would otherwise only show up in a traced benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from qcong import cli
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+codes = []
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify-theorem", "--name", "altsum-9n-mod3",
+                           "--nmax", "3", "--json"]))
+    codes.append(cli.main(["verify-identity", "--name", "gf_b_3n2",
+                           "--order", "30"]))
+print(json.dumps({"codes": codes, "layers": tracer.report(t0, time.perf_counter())}))
+"""
+
+
+def test_tracer_installs_on_the_package():
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["layers"]["theorems.b_table.calls"] > 0
+    assert result["layers"]["expr.evaluate.calls"] > 0
