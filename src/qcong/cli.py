@@ -29,6 +29,7 @@ defaults
                               pentweight-81n70-mod9: 150,
                               hexweight-49n-mod7: 150, hexweight-343n-mod7: 25
   sampled primes              7, 11, 19, 23
+  sampled prime cap           100
   scan caps                   stride <= 60, n_max >= 50
   QCONG_THREADS               validated, no effect (verification is serial)
 """
@@ -284,8 +285,8 @@ def cmd_scan(args):
     if args.spec:
         scalar, spec = parse_quotient(args.spec)
     else:
-        spec = FQuotientSpec.of(FAMILIES[args.name].gf)
-    hits = theorems.scan(spec, args.amax, set(args.moduli), args.nmax)
+        scalar, spec = 1, FQuotientSpec.of(FAMILIES[args.name].gf)
+    hits = theorems.scan(spec, args.amax, set(args.moduli), args.nmax, scalar)
     if args.json:
         print(json.dumps([vars(h) for h in hits], indent=2))
     else:

@@ -105,29 +105,6 @@ def euler_f_product(m, T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
-@lru_cache(maxsize=128)
-def _expand_factors(factors, W, modulus):
-    # Multiply in the sparse Euler factors one at a time and divide out the
-    # denominator factors with the fused quotient recurrence: every pass is
-    # O(W * nnz(f_d)) instead of a dense O(W^2) inversion.
-    r = LaurentSeries.one(W, modulus)
-    for d, e in factors:
-        f = euler_f(d, W, modulus)
-        for _ in range(e):
-            r = r.mul(f)
-        for _ in range(-e):
-            r = r.divide(f)
-    return r
-
-
-def fquotient(spec, T, modulus=None):
-    """Exact expansion of an f-quotient through q^T."""
-    spec = FQuotientSpec.of(spec) if not isinstance(spec, FQuotientSpec) else spec
-    if T < spec.qshift:
-        raise ValueError(f"order {T} is below the q-power shift {spec.qshift}")
-    return _expand_factors(spec.factors, T - spec.qshift, modulus).shift(spec.qshift)
-
-
 # -- bilateral theta-type sums ------------------------------------------------
 
 WEIGHT_RULES = {
@@ -146,7 +123,8 @@ class BilateralSum:
     """sum_k weight(k) q^(a2 k^2 + a1 k + a0), over all of Z or over k >= 0.
 
     The exponent polynomial must be integer-valued on integers and grow on
-    every admitted branch, so truncation at any order is finite.
+    every admitted branch, so truncation at any order is finite.  ``product``
+    is the sum's product form: (d, r_d) pairs with sum = prod f_d^(r_d).
     """
 
     name: str
@@ -154,6 +132,7 @@ class BilateralSum:
     a1: Fraction
     a0: Fraction
     weight: str
+    product: tuple[tuple[int, int], ...]
     two_sided: bool = True
 
     def exponent(self, k):
@@ -176,23 +155,28 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _bsum(name, a2, a1, a0, weight, two_sided=True):
-    return BilateralSum(name, _frac(a2), _frac(a1), _frac(a0), weight, two_sided)
+def _bsum(name, a2, a1, a0, weight, product, two_sided=True):
+    return BilateralSum(name, _frac(a2), _frac(a1), _frac(a0), weight,
+                        tuple(sorted(product.items())), two_sided)
 
 
 #: f_1 = sum (-1)^k q^(k(3k+1)/2)           (Euler)
-PENTAGONAL = _bsum("pentagonal", Fraction(3, 2), Fraction(1, 2), 0, "(-1)^k")
+PENTAGONAL = _bsum("pentagonal", Fraction(3, 2), Fraction(1, 2), 0, "(-1)^k",
+                   {1: 1})
 #: f_1^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)   (Jacobi)
-CUBE = _bsum("cube", Fraction(1, 2), Fraction(1, 2), 0, "(-1)^k(2k+1)", two_sided=False)
+CUBE = _bsum("cube", Fraction(1, 2), Fraction(1, 2), 0, "(-1)^k(2k+1)", {1: 3},
+             two_sided=False)
 #: f_2^2/f_1 = sum_{k>=0} q^(k(k+1)/2)      (Gauss)
-TRIANGULAR = _bsum("triangular", Fraction(1, 2), Fraction(1, 2), 0, "1", two_sided=False)
+TRIANGULAR = _bsum("triangular", Fraction(1, 2), Fraction(1, 2), 0, "1",
+                   {2: 2, 1: -1}, two_sided=False)
 #: f_2^5/f_1^2 = sum (-1)^k (3k+1) q^(k(3k+2))
-SLOPE_3K1 = _bsum("slope_3k1", 3, 2, 0, "(-1)^k(3k+1)")
+SLOPE_3K1 = _bsum("slope_3k1", 3, 2, 0, "(-1)^k(3k+1)", {2: 5, 1: -2})
 #: f_1^5/f_2^2 = sum (6k+1) q^(k(3k+1)/2)
-SLOPE_6K1 = _bsum("slope_6k1", Fraction(3, 2), Fraction(1, 2), 0, "6k+1")
+SLOPE_6K1 = _bsum("slope_6k1", Fraction(3, 2), Fraction(1, 2), 0, "6k+1",
+                  {1: 5, 2: -2})
 #: f_2^3/(f_1 f_4) = sum (-1)^(k(k+1)/2) q^(k(3k+1)/2)
 SIGNED_PENTAGONAL = _bsum("signed_pentagonal", Fraction(3, 2), Fraction(1, 2), 0,
-                          "(-1)^(k(k+1)/2)")
+                          "(-1)^(k(k+1)/2)", {2: 3, 1: -1, 4: -1})
 
 BILATERAL_SUMS = {s.name: s for s in
                   (PENTAGONAL, CUBE, TRIANGULAR, SLOPE_3K1, SLOPE_6K1,
@@ -214,6 +198,84 @@ def bilateral(spec, T, modulus=None):
         if e <= T:
             cs[e] += w(k)
     return LaurentSeries(cs, 0, modulus)
+
+
+# -- f-quotients through theta blocks -----------------------------------------
+
+#: the theta blocks f-quotients are rewritten into, tried in this order at
+#: each scale d: Gauss f_2^2/f_1 and Jacobi f_1^3, each one sparse pass in
+#: place of three Euler passes.  Adding the slopes and the signed pentagonal
+#: saves 0.3 % of the multiply-adds over the catalog's and scan's specs.
+THETA_BLOCKS = (TRIANGULAR, CUBE)
+
+
+def plan_factors(factors):
+    """Greedy rewrite of prod f_d^(r_d) into theta blocks under q -> q^d.
+
+    Returns the (numerator, denominator) lists of (block, d, n) entries, each
+    standing for a factor raised to the n-th power: block is a BilateralSum
+    for its product form under q -> q^d, or None for the Euler factor f_d.
+    For d ascending, each block of THETA_BLOCKS is taken as often as every
+    exponent of its product form fits inside the remaining r_(d*a) with the
+    same sign; what is left becomes Euler factors.
+    """
+    r = dict(factors)
+    num, den = [], []
+    for d in sorted(r):
+        for block in THETA_BLOCKS:
+            for sign, out in ((1, num), (-1, den)):
+                n = min(sign * r.get(d * a, 0) // e for a, e in block.product)
+                if n > 0:
+                    for a, e in block.product:
+                        r[d * a] -= sign * n * e
+                    out.append((block, d, n))
+    for d, e in sorted(r.items()):
+        if e:
+            (num if e > 0 else den).append((None, d, abs(e)))
+    return num, den
+
+
+def _plan_series(block, d, W, modulus):
+    """One entry of a plan through q^W: f_d, or a theta block under q -> q^d."""
+    if block is None:
+        return euler_f(d, W, modulus)
+    s = bilateral(block, W // d, modulus)
+    return s if d == 1 else s.substitute(d).truncate(W)
+
+
+def expand_factors(factors, W, modulus=None):
+    """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
+
+    Follows ``plan_factors``: starts from the first block, multiplies in the
+    other numerator blocks, then divides by the denominator blocks one at a
+    time, so every pass is O(W * nnz(block)).  Each block is built once,
+    when it is first used, and dropped after its last pass: a big series
+    built and freed more often than that raises the peak memory of the
+    exact B tables.
+    """
+    num, den = plan_factors(factors)
+    r = None
+    for block, d, n in num:
+        s = _plan_series(block, d, W, modulus)
+        for _ in range(n):
+            r = s if r is None else r.mul(s)
+    for block, d, n in den:
+        s = _plan_series(block, d, W, modulus)
+        for _ in range(n):
+            r = s.invert() if r is None else r.divide(s)
+    return LaurentSeries.one(W, modulus) if r is None else r
+
+
+_expand_factors = lru_cache(maxsize=128)(expand_factors)
+
+
+def fquotient(spec, T, modulus=None):
+    """Exact expansion of an f-quotient through q^T."""
+    spec = FQuotientSpec.of(spec) if not isinstance(spec, FQuotientSpec) else spec
+    if T < spec.qshift:
+        raise ValueError(f"order {T} is below the q-power shift {spec.qshift}")
+    r = _expand_factors(spec.factors, T - spec.qshift, modulus)
+    return r.shift(spec.qshift) if spec.qshift else r
 
 
 # -- cubic theta and the level-12 product -------------------------------------

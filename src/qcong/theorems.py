@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .partitions import FAMILIES
-from .products import (CUBE, TRIANGULAR, WEIGHT_RULES, FQuotientSpec,
-                       bilateral, fquotient)
-from .series import LaurentSeries, SeriesError
+from .products import WEIGHT_RULES, FQuotientSpec, expand_factors, fquotient
+from .series import SeriesError
 
 _b_oracle_checked = False
 
@@ -22,8 +21,11 @@ _b_oracle_checked = False
 def b_table(N, modulus=None):
     """B(0..N) from the series engine.
 
-    Expands (f_2^2/f_1)^2 / f_4^3 with both numerator and denominator in
-    sparse theta form, so the table costs O(N^1.5) coefficient operations.
+    Expands B's f-quotient through the theta planner: the plan is
+    (f_2^2/f_1)^2 / f_4^3 with both numerator and denominator in sparse
+    theta form, so the table costs O(N^1.5) coefficient operations.  The
+    uncached ``expand_factors`` is used so that no cache keeps the big
+    exact series alive after the table is read.
     Exact calls cross-check the prefix [0, 400] against the combinatorial
     triple-counting oracle until one check has passed; while it is pending
     the table is expanded through at least q^400.
@@ -33,10 +35,7 @@ def b_table(N, modulus=None):
         raise ValueError("table size must be >= 0")
     check = modulus is None and not _b_oracle_checked
     T = max(N, 400) if check else N
-    tri = bilateral(TRIANGULAR, T, modulus)
-    f4cubed = bilateral(CUBE, T // 4, modulus).substitute(4) if T >= 4 \
-        else LaurentSeries.one(T, modulus)
-    ser = tri.mul(tri).divide(f4cubed)
+    ser = expand_factors(FQuotientSpec.of(FAMILIES["B"].gf).factors, T, modulus)
     table = [ser.coeff(n) for n in range(T + 1)]
     if check:
         from .partitions import count_triples
@@ -201,6 +200,10 @@ def _int_quarter(x):
 #: the primes the two prime families are checked at by default
 SAMPLED_PRIMES = (7, 11, 19, 23)
 
+#: the largest prime ``default_claims`` accepts: a prime p needs B through
+#: about 20.25 p^2 (101441 at p = 71), and the exact table grows like p^3
+MAX_SAMPLED_PRIME = 100
+
 
 def is_sampled_prime(p):
     """Whether p can parametrize the prime families: a prime p >= 5 with
@@ -212,6 +215,9 @@ def is_sampled_prime(p):
 def default_claims(primes=SAMPLED_PRIMES):
     """The seven built-in congruence-claim families, with the two prime
     families over the parameters (p, r), p in ``primes``, 1 <= r < p."""
+    if any(p > MAX_SAMPLED_PRIME for p in primes):
+        raise ValueError(f"sampled primes must be at most {MAX_SAMPLED_PRIME}, "
+                         f"got {list(primes)}")
     if not primes or not all(is_sampled_prime(p) for p in primes):
         raise ValueError(f"sampled primes must be primes p >= 5 with "
                          f"p = 3 (mod 4), got {list(primes)}")
@@ -319,9 +325,10 @@ class ScanHit:
                 f"[{self.evidence} values]{mark}")
 
 
-def scan(gf, stride_max, moduli, n_max):
+def scan(gf, stride_max, moduli, n_max, scalar=1):
     """All (A <= stride_max, r < A, m in moduli) with coefficient(An+r) = 0
-    (mod m) for every n <= n_max; literature-stated triples are marked."""
+    (mod m) for every n <= n_max, in the series scalar * gf; literature-stated
+    triples are marked when the scalar is +-1."""
     spec = FQuotientSpec.of(gf)
     if not 1 <= stride_max <= 60:
         raise ValueError(f"stride bound must be in [1, 60], got {stride_max}")
@@ -331,9 +338,12 @@ def scan(gf, stride_max, moduli, n_max):
         raise ValueError(f"moduli must be >= 2, got {min(moduli)}")
     T = stride_max * (n_max + 1) - 1
     ser = fquotient(spec, T)
+    if scalar != 1:
+        ser = ser.scale(scalar)
     exact = [ser.coeff(n) for n in range(T + 1)]
     known = next((f.known for f in FAMILIES.values()
-                  if FQuotientSpec.of(f.gf) == spec), frozenset())
+                  if scalar in (1, -1) and FQuotientSpec.of(f.gf) == spec),
+                 frozenset())
     hits = []
     for m in sorted(moduli):
         residues = [c % m for c in exact]

@@ -7,7 +7,7 @@ import pytest
 
 from qcong.cli import main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
-from qcong.theorems import SAMPLED_PRIMES, default_claims
+from qcong.theorems import MAX_SAMPLED_PRIME, SAMPLED_PRIMES, default_claims
 
 
 def run(capsys, *argv):
@@ -186,6 +186,21 @@ def test_scan_config_file(capsys, tmp_path):
             for h in hits if h["known"]} == {(5, 4, 5), (7, 5, 7)}
 
 
+def test_scan_spec_scalar(capsys):
+    # every coefficient of 5/f1 is 0 (mod 5)
+    rc, out, _ = run(capsys, "scan", "--spec", "5/f1", "--amax", "2",
+                     "--moduli", "5", "--nmax", "50")
+    assert rc == 0
+    assert out.splitlines()[-1] == "3 congruence candidates (0 known)"
+    # the literature marks of B are kept under the scalar -1 only
+    marks = []
+    for spec in ("-1*f2^4/(f1^2*f4^3)", "3*f2^4/(f1^2*f4^3)"):
+        rc, out, _ = run(capsys, "scan", f"--spec={spec}", "--amax", "5",
+                         "--moduli", "2,5", "--nmax", "50")
+        marks.append("(5n+4) = 0 mod 5 [51 values]  [known]" in out.splitlines())
+    assert marks == [True, False]
+
+
 def test_scan_requires_target(capsys):
     rc, out, err = run(capsys, "scan")
     assert rc == 2
@@ -207,6 +222,8 @@ def test_show_defaults(capsys):
     assert n_max == {c.name: c.n_max for c in default_claims()}
     primes = re.search(r"sampled primes +(.*)", out).group(1)
     assert tuple(int(p) for p in primes.split(",")) == SAMPLED_PRIMES
+    cap = re.search(r"sampled prime cap +(.*)", out).group(1)
+    assert int(cap) == MAX_SAMPLED_PRIME
 
 
 def test_no_command_is_usage_error(capsys):
@@ -230,6 +247,7 @@ BAD_INPUTS = {
     "prime-unused-by-family": ["verify-theorem", "--name", "hexweight-49n-mod7",
                                "--primes", "5"],
     "primes-not-integers": ["verify-theorem", "--all", "--primes", "7,x"],
+    "prime-over-cap": ["verify-theorem", "--all", "--primes", str(2**31 - 1)],
     "expand-unknown-name": ["expand", "--name", "X", "--order", "5"],
     "coeff-unknown-name": ["coeff", "--name", "X", "--n", "5"],
     "expand-modulus-1": ["expand", "--name", "B", "--order", "5", "--mod", "1"],

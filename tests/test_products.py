@@ -1,11 +1,31 @@
 """Named-series builders: Euler products, quotients, theta sums, alpha, h."""
 
-import pytest
+from functools import lru_cache
 
-from qcong import (CUBE, PENTAGONAL, SIGNED_PENTAGONAL, SLOPE_3K1, SLOPE_6K1,
-                   TRIANGULAR, FQuotientSpec, bilateral, count_table,
-                   cubic_theta_alpha, euler_f, euler_f_product, fquotient,
-                   h_level12, Unrestricted)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
+                   SLOPE_3K1, SLOPE_6K1, TRIANGULAR, FQuotientSpec,
+                   LaurentSeries, bilateral, count_table, cubic_theta_alpha,
+                   euler_f, euler_f_product, fquotient, h_level12, Unrestricted)
+from qcong.products import plan_factors
+
+
+@lru_cache(maxsize=None)
+def _product_f(m, T, modulus=None):
+    return euler_f_product(m, T, modulus)
+
+
+def one_factor_at_a_time(factors, T, modulus=None):
+    """prod f_d^(r_d) through q^T from the literal product builder, one
+    factor f_d per pass: the route the theta planner replaces."""
+    r = LaurentSeries.one(T, modulus)
+    for d, e in factors:
+        f = _product_f(d, T, modulus)
+        for _ in range(abs(e)):
+            r = r.mul(f) if e > 0 else r.divide(f)
+    return r
 
 
 def test_euler_f_first_terms():
@@ -71,6 +91,41 @@ def test_triangular_first_terms():
 ])
 def test_bilateral_matches_quotient(spec, quot):
     assert bilateral(spec, 300).eq_through(fquotient(quot, 300), 300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(BILATERAL_SUMS))
+def test_theta_block_equals_its_product_form(name, d):
+    spec = BILATERAL_SUMS[name]
+    block = bilateral(spec, 2000 // d).substitute(d).truncate(2000)
+    scaled = tuple((d * a, e) for a, e in spec.product)
+    assert block.coeffs == one_factor_at_a_time(scaled, 2000).coeffs
+
+
+def test_b_plan_is_two_gauss_blocks_over_one_jacobi_cube():
+    num, den = plan_factors(FQuotientSpec.of({2: 4, 1: -2, 4: -3}).factors)
+    assert num == [(TRIANGULAR, 1, 2)]
+    assert den == [(CUBE, 4, 1)]
+
+
+def test_plan_leaves_euler_factors():
+    num, den = plan_factors(((1, -1), (2, 3), (4, -1), (7, 2)))
+    assert num == [(TRIANGULAR, 1, 1), (None, 2, 1), (None, 7, 2)]
+    assert den == [(None, 4, 1)]
+    assert plan_factors(((4, -7), (8, 1))) == ([(None, 8, 1)],
+                                               [(CUBE, 4, 2), (None, 4, 1)])
+    assert plan_factors(((1, 2), (2, -5))) == ([],
+                                               [(TRIANGULAR, 1, 2), (None, 2, 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=st.dictionaries(st.integers(1, 12), st.integers(-6, 6),
+                               min_size=0, max_size=4),
+       W=st.integers(0, 300),
+       modulus=st.none() | st.integers(2, 100))
+def test_fquotient_matches_one_factor_at_a_time(factors, W, modulus):
+    spec = FQuotientSpec.of(factors)
+    assert fquotient(spec, W, modulus) == one_factor_at_a_time(spec.factors, W, modulus)
 
 
 def test_alpha_first_coefficients():

@@ -14,9 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import contextlib, io, json, sys, time
 sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
-from qcong import cli
+from qcong import cli, products
 from tracer import Tracer
 
+# the tracer reads the hit ratios of these caches
+caches = [callable(getattr(getattr(products, name), "cache_info", None))
+          for name in ("_expand_factors", "euler_f")]
 tracer = Tracer()
 tracer.install()
 codes = []
@@ -26,7 +29,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                            "--nmax", "3", "--json"]))
     codes.append(cli.main(["verify-identity", "--name", "gf_b_3n2",
                            "--order", "30"]))
-print(json.dumps({"codes": codes, "layers": tracer.report(t0, time.perf_counter())}))
+    codes.append(cli.main(["scan", "--name", "B", "--amax", "2",
+                           "--moduli", "2", "--nmax", "50"]))
+print(json.dumps({"codes": codes, "caches": caches,
+                  "layers": tracer.report(t0, time.perf_counter())}))
 """
 
 
@@ -35,6 +41,8 @@ def test_tracer_installs_on_the_package():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
+    assert result["caches"] == [True, True]
     assert result["layers"]["theorems.b_table.calls"] > 0
     assert result["layers"]["expr.evaluate.calls"] > 0
+    assert result["layers"]["products.fquotient.calls"] > 0
