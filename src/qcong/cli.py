@@ -10,29 +10,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import identities, partitions, theorems
+from .expr import predicted_valuation
 from .partitions import FAMILIES
 from .products import FQuotientSpec, cubic_theta_alpha, fquotient, h_level12
 from .series import SeriesError
 
-DEFAULTS_TABLE = """\
-defaults
-  exact identity order        300
-  modular identity order      1000
-  gamma0_28_decomposition     through q^130 (150 coefficients above valuation -20)
-  claim n_max                 b-27n16-mod3: 400, altsum-9n-mod3: 300,
-                              altsum-prime-mod3: 1, altsum-prime-mod9: 2,
-                              pentweight-81n70-mod9: 150,
-                              hexweight-49n-mod7: 150, hexweight-343n-mod7: 25
-  sampled primes              7, 11, 19, 23
-  sampled prime cap           100
-  scan caps                   stride <= 60, n_max >= 50
-  QCONG_THREADS               validated, no effect (verification is serial)
-"""
+
+def defaults_table():
+    """The built-in orders and ranges, read from the constants that set them."""
+    gamma = identities.get("gamma0_28_decomposition")
+    T, v = gamma.default_order, predicted_valuation(gamma.lhs)
+    rows = {
+        "exact identity order": identities.EXACT_ORDER,
+        "modular identity order": identities.MOD_ORDER,
+        gamma.name: f"through q^{T} ({T - v} coefficients above valuation {v})",
+        "claim n_max": (",\n" + " " * 30).join(
+            f"{c.name}: {c.n_max}" for c in theorems.default_claims()),
+        "sampled primes": ", ".join(map(str, theorems.SAMPLED_PRIMES)),
+        "sampled prime cap": theorems.MAX_SAMPLED_PRIME,
+        "scan caps": f"stride <= {theorems.MAX_SCAN_STRIDE}, "
+                     f"n_max >= {theorems.MIN_SCAN_NMAX}",
+    }
+    return "defaults\n" + "".join(f"  {k:<28}{v}\n" for k, v in rows.items())
 
 
 class SpecParseError(Exception):
@@ -205,7 +208,6 @@ def cmd_verify_identity(args):
             entries = [identities.get(args.name)]
         except KeyError:
             return _name_error(args.name, identities.names())
-    _check_threads_env()
     return verify_identities(entries, args.order, args.json)
 
 
@@ -227,7 +229,6 @@ def cmd_verify_theorem(args):
     catalog = theorems.theorem_names()
     if not args.all and args.name not in catalog:
         return _name_error(args.name, catalog)
-    _check_threads_env()
     return verify_theorems(catalog if args.all else [args.name], args.nmax,
                            args.primes, args.json)
 
@@ -254,7 +255,6 @@ def _report_dict(r):
 
 
 def cmd_verify_all(args):
-    _check_threads_env()
     id_rc = verify_identities(identities.registry())
     thm_rc = verify_theorems(theorems.theorem_names())
     return id_rc or thm_rc
@@ -361,7 +361,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("scan", help="search for affine congruences")
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--spec")
     g.add_argument("--name", choices=tuple(FAMILIES), metavar="NAME")
     g.add_argument("--config", help="JSON file {spec, A_max, moduli, n_max}")
@@ -378,32 +378,14 @@ def build_parser():
     return ap
 
 
-def _check_threads_env():
-    """QCONG_THREADS must be a positive integer if set; verification is
-    serial, so its value changes nothing."""
-    raw = os.environ.get("QCONG_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v < 1:
-        raise ValueError(f"QCONG_THREADS must be a positive integer, got {raw!r}")
-
-
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.show_defaults:
-        print(DEFAULTS_TABLE, end="")
+        print(defaults_table(), end="")
         return 0
     if args.command is None:
         ap.print_usage(sys.stderr)
-        return 2
-    if args.command == "oracle" and args.n < 0:
-        print("--n must be >= 0", file=sys.stderr)
-        return 2
-    if args.command == "scan" and not args.config and not args.spec and not args.name:
-        print("scan needs --spec, --name or --config", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -11,7 +11,7 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .series import InsufficientPrecision, LaurentSeries
 from .products import (BILATERAL_SUMS, FQuotientSpec, bilateral,
@@ -31,12 +31,12 @@ class FQuot(SeriesExpr):
 
 @dataclass(frozen=True)
 class Named(SeriesExpr):
-    name: str  # "alpha", "h", "h_inv", or a bilateral sum name
+    name: str  # "alpha", "h", or a bilateral sum name
 
 
 @dataclass(frozen=True)
 class Literal(SeriesExpr):
-    c: int
+    value: int
 
 
 @dataclass(frozen=True)
@@ -52,32 +52,32 @@ class Mul(SeriesExpr):
 @dataclass(frozen=True)
 class Pow(SeriesExpr):
     base: SeriesExpr
-    e: int
+    exponent: int
 
 
 @dataclass(frozen=True)
 class Scale(SeriesExpr):
-    c: int
+    by: int
     child: SeriesExpr
 
 
 @dataclass(frozen=True)
 class Shift(SeriesExpr):
-    e: int
+    by: int
     child: SeriesExpr
 
 
 @dataclass(frozen=True)
 class Subst(SeriesExpr):
-    k: int
+    power: int
     child: SeriesExpr
 
 
 @dataclass(frozen=True)
 class Dissect(SeriesExpr):
     child: SeriesExpr
-    m: int
-    j: int
+    mod: int
+    residue: int
 
 
 def fq(factors, qshift=0):
@@ -111,9 +111,6 @@ def poly_in(base, coeffs):
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-_NAMED_VALUATION = {"alpha": 0, "h": 1, "h_inv": -1}
-
-
 def predicted_valuation(e):
     """Valuation prediction used for precision planning.
 
@@ -123,11 +120,9 @@ def predicted_valuation(e):
     if isinstance(e, FQuot):
         return e.spec.qshift
     if isinstance(e, Named):
-        if e.name in _NAMED_VALUATION:
-            return _NAMED_VALUATION[e.name]
-        spec = BILATERAL_SUMS[e.name]
-        lo = 0 if not spec.two_sided else -4
-        return min(spec.exponent(k) for k in range(lo, 5))
+        # h starts at q^1; alpha and every bilateral sum (a product of f's)
+        # start at q^0
+        return 1 if e.name == "h" else 0
     if isinstance(e, Literal):
         return 0
     if isinstance(e, Add):
@@ -135,13 +130,13 @@ def predicted_valuation(e):
     if isinstance(e, Mul):
         return sum(predicted_valuation(f) for f in e.factors)
     if isinstance(e, Pow):
-        return e.e * predicted_valuation(e.base)
+        return e.exponent * predicted_valuation(e.base)
     if isinstance(e, Scale):
         return predicted_valuation(e.child)
     if isinstance(e, Shift):
-        return e.e + predicted_valuation(e.child)
+        return e.by + predicted_valuation(e.child)
     if isinstance(e, Subst):
-        return e.k * predicted_valuation(e.child)
+        return e.power * predicted_valuation(e.child)
     if isinstance(e, Dissect):
         return 0
     raise TypeError(f"not a series expression: {e!r}")
@@ -155,11 +150,9 @@ def _eval(e, T, m):
             return cubic_theta_alpha(max(T, 0), m)
         if e.name == "h":
             return h_level12(max(T, 1), m)
-        if e.name == "h_inv":
-            return h_level12(max(T + 2, 3), m).invert()
         return bilateral(BILATERAL_SUMS[e.name], max(T, 0), m)
     if isinstance(e, Literal):
-        return LaurentSeries.constant(e.c, max(T, 0), m)
+        return LaurentSeries.constant(e.value, max(T, 0), m)
     if isinstance(e, Add):
         parts = [_eval(t, T, m) for t in e.terms]
         r = parts[0]
@@ -176,20 +169,20 @@ def _eval(e, T, m):
         return r
     if isinstance(e, Pow):
         vb = predicted_valuation(e.base)
-        if e.e == 0:
+        if e.exponent == 0:
             return LaurentSeries.one(max(T, 0), m)
-        if e.e > 0:
-            return _eval(e.base, T - (e.e - 1) * vb, m).pow(e.e)
-        n = -e.e
+        if e.exponent > 0:
+            return _eval(e.base, T - (e.exponent - 1) * vb, m).pow(e.exponent)
+        n = -e.exponent
         return _eval(e.base, (T + 2 * n * vb) - (n - 1) * vb, m).pow(n).invert()
     if isinstance(e, Scale):
-        return _eval(e.child, T, m).scale(e.c)
+        return _eval(e.child, T, m).scale(e.by)
     if isinstance(e, Shift):
-        return _eval(e.child, T - e.e, m).shift(e.e)
+        return _eval(e.child, T - e.by, m).shift(e.by)
     if isinstance(e, Subst):
-        return _eval(e.child, max(T // e.k, 0), m).substitute(e.k)
+        return _eval(e.child, max(T // e.power, 0), m).substitute(e.power)
     if isinstance(e, Dissect):
-        return _eval(e.child, max(e.m * T + e.j, 0), m).dissect(e.m, e.j)
+        return _eval(e.child, max(e.mod * T + e.residue, 0), m).dissect(e.mod, e.residue)
     raise TypeError(f"not a series expression: {e!r}")
 
 
@@ -205,55 +198,35 @@ def evaluate(e, T, modulus=None):
 
 # -- JSON form ----------------------------------------------------------------
 
+#: op -> node class; a node's op is its class name in lower case
+_NODES = {cls.__name__.lower(): cls for cls in SeriesExpr.__subclasses__()}
+
+
 def expr_to_dict(e):
-    """Documented JSON schema for expression trees (see README)."""
+    """Documented JSON schema for expression trees (see README): ``op`` and
+    the node's fields, except that ``fquot`` spells out its spec."""
     if isinstance(e, FQuot):
         d = {"op": "fquot", "factors": {str(k): v for k, v in e.spec.factors}}
         if e.spec.qshift:
             d["qshift"] = e.spec.qshift
         return d
-    if isinstance(e, Named):
-        return {"op": "named", "name": e.name}
-    if isinstance(e, Literal):
-        return {"op": "literal", "value": e.c}
-    if isinstance(e, Add):
-        return {"op": "add", "terms": [expr_to_dict(t) for t in e.terms]}
-    if isinstance(e, Mul):
-        return {"op": "mul", "factors": [expr_to_dict(f) for f in e.factors]}
-    if isinstance(e, Pow):
-        return {"op": "pow", "exponent": e.e, "base": expr_to_dict(e.base)}
-    if isinstance(e, Scale):
-        return {"op": "scale", "by": e.c, "child": expr_to_dict(e.child)}
-    if isinstance(e, Shift):
-        return {"op": "shift", "by": e.e, "child": expr_to_dict(e.child)}
-    if isinstance(e, Subst):
-        return {"op": "subst", "power": e.k, "child": expr_to_dict(e.child)}
-    if isinstance(e, Dissect):
-        return {"op": "dissect", "mod": e.m, "residue": e.j,
-                "child": expr_to_dict(e.child)}
-    raise TypeError(f"not a series expression: {e!r}")
+    if not isinstance(e, SeriesExpr):
+        raise TypeError(f"not a series expression: {e!r}")
+    d = {"op": type(e).__name__.lower()}
+    for f in fields(e):
+        v = getattr(e, f.name)
+        d[f.name] = (expr_to_dict(v) if isinstance(v, SeriesExpr) else
+                     list(map(expr_to_dict, v)) if isinstance(v, tuple) else v)
+    return d
 
 
 def expr_from_dict(d):
     op = d["op"]
     if op == "fquot":
         return fq({int(k): v for k, v in d["factors"].items()}, d.get("qshift", 0))
-    if op == "named":
-        return Named(d["name"])
-    if op == "literal":
-        return Literal(d["value"])
-    if op == "add":
-        return Add(tuple(expr_from_dict(t) for t in d["terms"]))
-    if op == "mul":
-        return Mul(tuple(expr_from_dict(f) for f in d["factors"]))
-    if op == "pow":
-        return Pow(expr_from_dict(d["base"]), d["exponent"])
-    if op == "scale":
-        return Scale(d["by"], expr_from_dict(d["child"]))
-    if op == "shift":
-        return Shift(d["by"], expr_from_dict(d["child"]))
-    if op == "subst":
-        return Subst(d["power"], expr_from_dict(d["child"]))
-    if op == "dissect":
-        return Dissect(expr_from_dict(d["child"]), d["mod"], d["residue"])
-    raise ValueError(f"unknown expression op {op!r}")
+    if op not in _NODES:
+        raise ValueError(f"unknown expression op {op!r}")
+    cls = _NODES[op]
+    return cls(*(expr_from_dict(v) if isinstance(v, dict) else
+                 tuple(map(expr_from_dict, v)) if isinstance(v, list) else v
+                 for v in (d[f.name] for f in fields(cls))))

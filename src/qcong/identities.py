@@ -204,19 +204,19 @@ def _entries():
     # ---- the level-12 h algebra --------------------------------------------
 
     exact("h_sum_recip",
-          add(Named("h_inv"), Named("h")),
+          add(Pow(Named("h"), -1), Named("h")),
           fq({3: 3, 4: 1, 1: -1, 12: -3}, qshift=-1),
           "level-12 continued fraction: 1/h + h as an eta quotient")
     exact("h_sum_recip_m1",
-          add(Named("h_inv"), Literal(-1), Named("h")),
+          add(Pow(Named("h"), -1), Literal(-1), Named("h")),
           fq({4: 4, 6: 2, 2: -2, 12: -4}, qshift=-1),
           "level-12 continued fraction: 1/h - 1 + h")
     exact("h_sum_recip_m2",
-          add(Named("h_inv"), Literal(-2), Named("h")),
+          add(Pow(Named("h"), -1), Literal(-2), Named("h")),
           fq({1: 1, 4: 2, 6: 9, 2: -3, 3: -3, 12: -6}, qshift=-1),
           "level-12 continued fraction: 1/h - 2 + h")
     exact("h_sum_recip_m4",
-          add(Named("h_inv"), Literal(-4), Named("h")),
+          add(Pow(Named("h"), -1), Literal(-4), Named("h")),
           fq({1: 3, 4: 1, 6: 2, 2: -2, 3: -1, 12: -3}, qshift=-1),
           "level-12 continued fraction: 1/h - 4 + h")
     exact("eta_triple_balance",

@@ -135,6 +135,8 @@ def count_family(name, N):
     except KeyError:
         raise ValueError(f"unknown counting family {name!r}; "
                          f"known: {list(FAMILIES)}") from None
+    if N < 0:
+        raise ValueError(f"table size must be >= 0, got {N}")
     if family.constraints is None:
         from .products import fquotient
         s = fquotient(family.gf, N)

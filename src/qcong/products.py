@@ -271,7 +271,7 @@ _expand_factors = lru_cache(maxsize=128)(expand_factors)
 
 def fquotient(spec, T, modulus=None):
     """Exact expansion of an f-quotient through q^T."""
-    spec = FQuotientSpec.of(spec) if not isinstance(spec, FQuotientSpec) else spec
+    spec = FQuotientSpec.of(spec)
     if T < spec.qshift:
         raise ValueError(f"order {T} is below the q-power shift {spec.qshift}")
     r = _expand_factors(spec.factors, T - spec.qshift, modulus)

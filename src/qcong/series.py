@@ -142,18 +142,6 @@ class LaurentSeries:
     def zero(cls, T, modulus=None):
         return cls.constant(0, T, modulus)
 
-    @classmethod
-    def from_terms(cls, terms, T, modulus=None):
-        """Series with the given exponent -> coefficient map, known through T."""
-        v = min(0, min(terms)) if terms else 0
-        if T < v:
-            raise ValueError("window bound below lowest term")
-        cs = [0] * (T - v + 1)
-        for e, c in terms.items():
-            if e <= T:
-                cs[e - v] += c
-        return cls(cs, v, modulus)
-
     # -- inspection --------------------------------------------------------
 
     @property

@@ -325,15 +325,21 @@ class ScanHit:
                 f"[{self.evidence} values]{mark}")
 
 
+#: the scan's largest stride A and smallest range of n
+MAX_SCAN_STRIDE = 60
+MIN_SCAN_NMAX = 50
+
+
 def scan(gf, stride_max, moduli, n_max, scalar=1):
     """All (A <= stride_max, r < A, m in moduli) with coefficient(An+r) = 0
     (mod m) for every n <= n_max, in the series scalar * gf; literature-stated
     triples are marked when the scalar is +-1."""
     spec = FQuotientSpec.of(gf)
-    if not 1 <= stride_max <= 60:
-        raise ValueError(f"stride bound must be in [1, 60], got {stride_max}")
-    if n_max < 50:
-        raise ValueError("need n_max >= 50 for meaningful evidence")
+    if not 1 <= stride_max <= MAX_SCAN_STRIDE:
+        raise ValueError(f"stride bound must be in [1, {MAX_SCAN_STRIDE}], "
+                         f"got {stride_max}")
+    if n_max < MIN_SCAN_NMAX:
+        raise ValueError(f"need n_max >= {MIN_SCAN_NMAX} for meaningful evidence")
     if min(moduli) < 2:
         raise ValueError(f"moduli must be >= 2, got {min(moduli)}")
     T = stride_max * (n_max + 1) - 1

@@ -7,7 +7,9 @@ import pytest
 
 from qcong.cli import main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
-from qcong.theorems import MAX_SAMPLED_PRIME, SAMPLED_PRIMES, default_claims
+from qcong.identities import EXACT_ORDER, MOD_ORDER
+from qcong.theorems import (MAX_SAMPLED_PRIME, MAX_SCAN_STRIDE, MIN_SCAN_NMAX,
+                            SAMPLED_PRIMES, default_claims)
 
 
 def run(capsys, *argv):
@@ -201,11 +203,6 @@ def test_scan_spec_scalar(capsys):
     assert marks == [True, False]
 
 
-def test_scan_requires_target(capsys):
-    rc, out, err = run(capsys, "scan")
-    assert rc == 2
-
-
 def test_bench_smoke(capsys):
     rc, out, err = run(capsys, "bench", "--order", "2000")
     assert rc == 0
@@ -216,7 +213,10 @@ def test_bench_smoke(capsys):
 def test_show_defaults(capsys):
     rc, out, _ = run(capsys, "--show-defaults")
     assert rc == 0
-    assert "QCONG_THREADS" in out
+    assert re.search(r"exact identity order +(\d+)", out).group(1) == str(EXACT_ORDER)
+    assert re.search(r"modular identity order +(\d+)", out).group(1) == str(MOD_ORDER)
+    assert "gamma0_28_decomposition     through q^130 " \
+           "(150 coefficients above valuation -20)" in out
     claims = out[out.index("claim n_max"):out.index("sampled primes")]
     n_max = {name: int(n) for name, n in re.findall(r"([\w-]+): (\d+)", claims)}
     assert n_max == {c.name: c.n_max for c in default_claims()}
@@ -224,20 +224,12 @@ def test_show_defaults(capsys):
     assert tuple(int(p) for p in primes.split(",")) == SAMPLED_PRIMES
     cap = re.search(r"sampled prime cap +(.*)", out).group(1)
     assert int(cap) == MAX_SAMPLED_PRIME
+    assert f"stride <= {MAX_SCAN_STRIDE}, n_max >= {MIN_SCAN_NMAX}" in out
 
 
 def test_no_command_is_usage_error(capsys):
     rc, out, err = run(capsys)
     assert rc == 2
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("QCONG_THREADS", "2")
-    rc, out, _ = run(capsys, "verify-identity", "--all", "--order", "20")
-    assert rc == 0
-    monkeypatch.setenv("QCONG_THREADS", "zero")
-    rc, out, err = run(capsys, "verify-identity", "--all", "--order", "20")
-    assert (rc, out) == (2, "") and "QCONG_THREADS" in err
 
 
 # -- bad input ---------------------------------------------------------------------------
@@ -260,6 +252,9 @@ BAD_INPUTS = {
     "scan-modulus-not-integer": ["scan", "--name", "B", "--moduli", "2,x"],
     "scan-modulus-zero": ["scan", "--name", "B", "--moduli", "0"],
     "scan-unknown-name": ["scan", "--name", "X"],
+    "scan-no-target": ["scan"],
+    "oracle-negative-n": ["oracle", "--n", "-1"],
+    "oracle-negative-n-abar": ["oracle", "--family", "abar", "--n", "-1"],
     "config-missing-file": ["scan", "--config", "{dir}/missing.json"],
     "config-missing-key": ["scan", "--config", "{dir}/no-moduli.json"],
     "config-non-integer-modulus": ["scan", "--config", "{dir}/modulus-x.json"],

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from qcong import (Add, Dissect, InsufficientPrecision, Literal, Mul, Named,
-                   Pow, Scale, Shift, Subst, count_triples, evaluate,
+from qcong import (BILATERAL_SUMS, Add, Dissect, InsufficientPrecision,
+                   Literal, Mul, Named, Pow, Scale, Shift, Subst, count_triples,
+                   evaluate,
                    expr_from_dict, expr_to_dict, fq, get, perturbed, registry,
                    registry_from_json, registry_to_json, verify, verify_all)
 from qcong.expr import predicted_valuation
@@ -48,11 +49,17 @@ def test_evaluate_laurent_product():
 def test_predicted_valuations():
     assert predicted_valuation(B) == 0
     assert predicted_valuation(Named("h")) == 1
-    assert predicted_valuation(Named("h_inv")) == -1
+    assert predicted_valuation(Pow(Named("h"), -1)) == -1
     assert predicted_valuation(fq({28: -4}, qshift=-3)) == -3
     assert predicted_valuation(Pow(fq({1: 1}, qshift=-3), 6)) == -18
     assert predicted_valuation(Shift(2, Named("alpha"))) == 2
     assert predicted_valuation(Subst(4, Named("h"))) == 4
+
+
+@pytest.mark.parametrize("name", ["alpha", "h", *BILATERAL_SUMS])
+def test_named_valuation_is_exact(name):
+    assert predicted_valuation(Named(name)) == \
+        evaluate(Named(name), 60).normalize().v
 
 
 def test_precision_shortfall_is_an_error_not_a_wrong_answer():
@@ -65,7 +72,7 @@ def test_precision_shortfall_is_an_error_not_a_wrong_answer():
 
 def test_pow_of_sum_with_stable_leading_term():
     # 1/h - 2 + h has valuation -1 with leading coefficient 1: invertible
-    expr = Pow(Add((Named("h_inv"), Literal(-2), Named("h"))), -1)
+    expr = Pow(Add((Pow(Named("h"), -1), Literal(-2), Named("h"))), -1)
     s = evaluate(expr, 20)
     assert s.normalize().v == 1
 
@@ -162,12 +169,38 @@ def test_expr_json_roundtrip():
     exprs = [
         B,
         Mul((Subst(4, Named("alpha")), fq({2: 6, 12: 3, 1: -3, 4: -10}))),
-        Add((Named("h_inv"), Literal(-2), Named("h"))),
+        Add((Pow(Named("h"), -1), Literal(-2), Named("h"))),
         Dissect(Scale(3, Shift(1, B)), 3, 2),
         Pow(fq({4: 4, 14: 2, 2: -2, 28: -4}, qshift=-3), 6),
     ]
     for e in exprs:
         assert expr_from_dict(json.loads(json.dumps(expr_to_dict(e)))) == e
+
+
+def test_expr_json_schema_is_the_documented_one():
+    # one tree holding all ten node kinds; a renamed field changes the export
+    tree = Add((fq({2: 4, 1: -2}, qshift=1), Named("h"), Literal(-2),
+                Mul((Pow(Named("alpha"), 2),
+                     Scale(3, Shift(1, Subst(4, Dissect(fq({1: 1}), 7, 2))))))))
+    assert expr_to_dict(tree) == {"op": "add", "terms": [
+        {"op": "fquot", "factors": {"1": -2, "2": 4}, "qshift": 1},
+        {"op": "named", "name": "h"},
+        {"op": "literal", "value": -2},
+        {"op": "mul", "factors": [
+            {"op": "pow", "base": {"op": "named", "name": "alpha"}, "exponent": 2},
+            {"op": "scale", "by": 3, "child": {
+                "op": "shift", "by": 1, "child": {
+                    "op": "subst", "power": 4, "child": {
+                        "op": "dissect", "mod": 7, "residue": 2,
+                        "child": {"op": "fquot", "factors": {"1": 1}}}}}}]}]}
+    assert expr_from_dict(expr_to_dict(tree)) == tree
+
+
+def test_expr_json_rejects_unknown_input():
+    with pytest.raises(ValueError):
+        expr_from_dict({"op": "nope"})
+    with pytest.raises(TypeError):
+        expr_to_dict(B.spec)
 
 
 def test_registry_json_schema():
