@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: expand, coeff, oracle, verify-identity, verify-theorem,
-verify-all, scan, bench.  Exit codes: 0 all requested checks passed,
+verify-all, scan.  Exit codes: 0 all requested checks passed,
 1 at least one FAIL, 2 usage error or bad input.  Output on stdout is
-byte-deterministic for fixed inputs; timings go to stderr.
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import identities, partitions, theorems
 from .expr import predicted_valuation
@@ -297,16 +296,6 @@ def cmd_scan(args):
     return 0
 
 
-def cmd_bench(args):
-    t0 = time.perf_counter()
-    table = theorems.b_table(args.order, modulus=63)
-    dt = time.perf_counter() - t0
-    print(f"b_table({args.order}) in Z/63: {len(table)} coefficients, "
-          f"checksum {sum(table) % 997}")
-    print(f"elapsed: {dt:.2f}s", file=sys.stderr)
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qcong",
@@ -370,10 +359,6 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=500)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scan, parser=p)
-
-    p = sub.add_parser("bench", help="series multiplication throughput check")
-    p.add_argument("--order", type=int, default=20000)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

@@ -29,9 +29,18 @@ class FQuot(SeriesExpr):
     spec: FQuotientSpec
 
 
+#: the series a ``Named`` node can name
+NAMED_SERIES = ("alpha", "h", *BILATERAL_SUMS)
+
+
 @dataclass(frozen=True)
 class Named(SeriesExpr):
-    name: str  # "alpha", "h", or a bilateral sum name
+    name: str
+
+    def __post_init__(self):
+        if self.name not in NAMED_SERIES:
+            raise ValueError(f"named node: unknown series {self.name!r}; "
+                             f"known: {', '.join(NAMED_SERIES)}")
 
 
 @dataclass(frozen=True)
@@ -221,12 +230,17 @@ def expr_to_dict(e):
 
 
 def expr_from_dict(d):
-    op = d["op"]
+    """Parse the JSON form back; a malformed node raises ValueError."""
+    op = d.get("op")
+    if op != "fquot" and op not in _NODES:
+        raise ValueError(f"unknown expression op {op!r}")
+    cls = _NODES.get(op)
+    missing = [k for k in (("factors",) if op == "fquot" else
+                           (f.name for f in fields(cls))) if k not in d]
+    if missing:
+        raise ValueError(f"{op} node without {', '.join(missing)}: {d!r}")
     if op == "fquot":
         return fq({int(k): v for k, v in d["factors"].items()}, d.get("qshift", 0))
-    if op not in _NODES:
-        raise ValueError(f"unknown expression op {op!r}")
-    cls = _NODES[op]
     return cls(*(expr_from_dict(v) if isinstance(v, dict) else
                  tuple(map(expr_from_dict, v)) if isinstance(v, list) else v
                  for v in (d[f.name] for f in fields(cls))))

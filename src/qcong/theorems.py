@@ -2,33 +2,39 @@
 counting function B(n), plus an affine congruence scanner.
 
 The weighted sums are recomputed from a plain table of B values (pure
-integer lookups), deliberately independent of the dissection machinery in
+integer lookups; B modulo the lcm of the checked moduli, exact for a
+failure report), deliberately independent of the dissection machinery in
 the identity catalog, so a bug in one route cannot hide in the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import partial
+from math import isqrt, lcm
 
 from .partitions import FAMILIES
 from .products import WEIGHT_RULES, FQuotientSpec, expand_factors, fquotient
-from .series import SeriesError
+from .series import MAX_MODULUS, SeriesError
 
 _b_oracle_checked = False
 
 
 def b_table(N, modulus=None):
-    """B(0..N) from the series engine.
+    """B(0..N) from the series engine, over Z or Z/modulus.
 
     Expands B's f-quotient through the theta planner: the plan is
-    (f_2^2/f_1)^2 / f_4^3 with both numerator and denominator in sparse
-    theta form, so the table costs O(N^1.5) coefficient operations.  The
-    uncached ``expand_factors`` is used so that no cache keeps the big
-    exact series alive after the table is read.
+    (f_2^2/f_1)^2 / f_4^3, two sparse theta blocks over a sparse divisor.
+    Over Z every pass is sparse and sequential, O(N^1.5) coefficient
+    operations.  Over Z/m the divisor f_4^3, a series in q^4, is inverted
+    at length N/4 and multiplied in by the packed kernel of ``series``
+    (about 1 s at N = 101441, m = 630).  The uncached ``expand_factors`` is
+    used so that no cache keeps the big exact series alive after the table
+    is read.
     Exact calls cross-check the prefix [0, 400] against the combinatorial
     triple-counting oracle until one check has passed; while it is pending
-    the table is expanded through at least q^400.
+    the table is expanded through at least q^400.  Residue calls check their
+    prefix [0, 400] against the exact ``b_table(400)`` reduced mod m.
     """
     global _b_oracle_checked
     if N < 0:
@@ -43,7 +49,18 @@ def b_table(N, modulus=None):
             raise SeriesError("series engine disagrees with the "
                               "combinatorial B oracle")
         _b_oracle_checked = True
+    elif modulus is not None:
+        if table[:401] != [b % modulus for b in b_table(400)[:T + 1]]:
+            raise SeriesError(f"the B table mod {modulus} disagrees with the "
+                              f"exact table")
     return table[:N + 1]
+
+
+def _ring(moduli):
+    """The modulus lcm(moduli) when it is a valid series modulus, else None
+    (Z): every residue mod one of the moduli can be read over that ring."""
+    M = lcm(*moduli)
+    return M if M < MAX_MODULUS else None
 
 
 # -- simple congruences B(An + r) = 0 (mod m) ---------------------------------
@@ -201,7 +218,8 @@ def _int_quarter(x):
 SAMPLED_PRIMES = (7, 11, 19, 23)
 
 #: the largest prime ``default_claims`` accepts: a prime p needs B through
-#: about 20.25 p^2 (101441 at p = 71), and the exact table grows like p^3
+#: N = 20.25 p^2 or so (101441 at p = 71), and the table of B mod 630 costs
+#: about p^3 multiply-adds (the inversion of f_4^3 at length N/4)
 MAX_SAMPLED_PRIME = 100
 
 
@@ -281,32 +299,51 @@ def get_claim(name):
     raise KeyError(f"no claim family named {name!r}")
 
 
-def run_claims(claims=None, n_max=None, out=None):
-    """Verify claim families against one shared B table.
+def _verify(simple, claims, n_max, out):
+    """Reports for the plain congruences ``simple`` (stride, residue,
+    modulus, n_max), then the claim families, all read from one table of B
+    modulo the lcm of their moduli.  A report that FAILs is recomputed from
+    the exact table, so the B values and sums it shows are exact.
 
-    The largest required B-argument is computed and announced before any
-    table is built; reports come back in claim order.
+    The largest B-argument of the claims is announced before any table is
+    built.
     """
-    if claims is None:
-        claims = default_claims()
-    need = max(c.max_argument(n_max) for c in claims)
-    if out is not None:
-        out(f"largest B-argument required: {need}")
-    table = b_table(need)
-    return [verify_weighted(c, table=table, n_max=n_max) for c in claims]
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    plain = [(partial(verify_simple, A, r, m, n), A * n + r, m)
+             for A, r, m, n in simple]
+    sums = [(partial(verify_weighted, c, n_max=n_max), c.max_argument(n_max),
+             c.modulus) for c in claims]
+    if sums and out is not None:
+        out(f"largest B-argument required: {max(need for _, need, _ in sums)}")
+    jobs = plain + sums
+    if not jobs:
+        return []
+    table = b_table(max(need for _, need, _ in jobs),
+                    _ring(m for _, _, m in jobs))
+    reports = [check(table=table) for check, _, _ in jobs]
+    failed = [i for i, r in enumerate(reports) if not r.passed]
+    if failed:
+        exact = b_table(max(jobs[i][1] for i in failed))
+        for i in failed:
+            reports[i] = jobs[i][0](table=exact)
+    return reports
+
+
+def run_claims(claims=None, n_max=None, out=None):
+    """Verify claim families against one shared table of B modulo the lcm
+    of their moduli; reports come back in claim order."""
+    return _verify((), default_claims() if claims is None else claims, n_max, out)
 
 
 def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
     """Reports for the named families of ``theorem_names()``: the plain
-    congruences first, then the claim families through ``run_claims``.
+    congruences first, then the claim families, from one shared table.
     ``n_max`` overrides every family's own range."""
+    simple = [(A, r, m, nmax if n_max is None else n_max)
+              for name, (A, r, m, nmax) in SIMPLE_CHECKS.items() if name in names]
     claims = [c for c in default_claims(primes) if c.name in names]
-    reports = [verify_simple(A, r, m, nmax if n_max is None else n_max)
-               for name, (A, r, m, nmax) in SIMPLE_CHECKS.items()
-               if name in names]
-    if claims:
-        reports.extend(run_claims(claims, n_max=n_max, out=out))
-    return reports
+    return _verify(simple, claims, n_max, out)
 
 
 # -- affine congruence scanner ------------------------------------------------
@@ -333,7 +370,11 @@ MIN_SCAN_NMAX = 50
 def scan(gf, stride_max, moduli, n_max, scalar=1):
     """All (A <= stride_max, r < A, m in moduli) with coefficient(An+r) = 0
     (mod m) for every n <= n_max, in the series scalar * gf; literature-stated
-    triples are marked when the scalar is +-1."""
+    triples are marked when the scalar is +-1.
+
+    The series is expanded over Z/lcm(moduli), where the dense products and
+    quotients of the expansion take the packed kernel of ``series``; over Z
+    (sparse sequential kernels only) when the lcm is 2^31 or more."""
     spec = FQuotientSpec.of(gf)
     if not 1 <= stride_max <= MAX_SCAN_STRIDE:
         raise ValueError(f"stride bound must be in [1, {MAX_SCAN_STRIDE}], "
@@ -343,16 +384,16 @@ def scan(gf, stride_max, moduli, n_max, scalar=1):
     if min(moduli) < 2:
         raise ValueError(f"moduli must be >= 2, got {min(moduli)}")
     T = stride_max * (n_max + 1) - 1
-    ser = fquotient(spec, T)
+    ser = fquotient(spec, T, _ring(moduli))
     if scalar != 1:
         ser = ser.scale(scalar)
-    exact = [ser.coeff(n) for n in range(T + 1)]
+    coeffs = [ser.coeff(n) for n in range(T + 1)]
     known = next((f.known for f in FAMILIES.values()
                   if scalar in (1, -1) and FQuotientSpec.of(f.gf) == spec),
                  frozenset())
     hits = []
     for m in sorted(moduli):
-        residues = [c % m for c in exact]
+        residues = [c % m for c in coeffs]
         for A in range(1, stride_max + 1):
             for r in range(A):
                 if all(residues[A * n + r] == 0 for n in range(n_max + 1)):

@@ -160,7 +160,7 @@ def test_verify_theorem_json(capsys):
     assert doc[0]["passed"] is True
 
 
-# -- scan and bench --------------------------------------------------------------------
+# -- scan -----------------------------------------------------------------------------
 
 def test_verify_all_end_to_end(capsys):
     rc, out, _ = run(capsys, "verify-all")
@@ -201,13 +201,6 @@ def test_scan_spec_scalar(capsys):
                          "--moduli", "2,5", "--nmax", "50")
         marks.append("(5n+4) = 0 mod 5 [51 values]  [known]" in out.splitlines())
     assert marks == [True, False]
-
-
-def test_bench_smoke(capsys):
-    rc, out, err = run(capsys, "bench", "--order", "2000")
-    assert rc == 0
-    assert "b_table(2000)" in out
-    assert "elapsed" in err  # timing goes to stderr, stdout stays deterministic
 
 
 def test_show_defaults(capsys):

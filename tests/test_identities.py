@@ -199,6 +199,12 @@ def test_expr_json_schema_is_the_documented_one():
 def test_expr_json_rejects_unknown_input():
     with pytest.raises(ValueError):
         expr_from_dict({"op": "nope"})
+    with pytest.raises(ValueError, match="named node: unknown series 'nope'"):
+        expr_from_dict({"op": "named", "name": "nope"})
+    with pytest.raises(ValueError, match="pow node without exponent"):
+        expr_from_dict({"op": "pow", "base": {"op": "named", "name": "h"}})
+    with pytest.raises(ValueError, match="fquot node without factors"):
+        expr_from_dict({"op": "fquot", "qshift": 1})
     with pytest.raises(TypeError):
         expr_to_dict(B.spec)
 

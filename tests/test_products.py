@@ -128,6 +128,18 @@ def test_fquotient_matches_one_factor_at_a_time(factors, W, modulus):
     assert fquotient(spec, W, modulus) == one_factor_at_a_time(spec.factors, W, modulus)
 
 
+@settings(max_examples=30, deadline=None)
+@given(factors=st.dictionaries(st.integers(1, 12), st.integers(-6, 6),
+                               min_size=1, max_size=4),
+       T=st.integers(0, 2000),
+       modulus=st.sampled_from([2, 9, 630, 2 ** 31 - 1]) | st.integers(2, 2 ** 31 - 1))
+def test_fquotient_mod_m_is_the_exact_series_reduced(factors, T, modulus):
+    """Over Z/m the expansion may take the packed kernel and the compressed
+    inverse; over Z it never does.  Both must give the same residues."""
+    spec = FQuotientSpec.of(factors)
+    assert fquotient(spec, T, modulus) == fquotient(spec, T).reduce_mod(modulus)
+
+
 def test_alpha_first_coefficients():
     # independent recount of the lattice points m^2 + mn + n^2 = e
     counts = {}

@@ -4,6 +4,7 @@ prime-parameter integrality, scanner behavior."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import qcong
 from qcong import (SeriesError, b_table, claim_names, count_triples,
                    default_claims, fquotient, get_claim, partitions,
                    run_claims, scan, theorems, verify_simple, verify_weighted)
-from qcong.theorems import is_sampled_prime
+from qcong.theorems import is_sampled_prime, theorem_names
 
 
 def test_b_table_small():
@@ -204,6 +205,59 @@ def test_claim_report_violation_schema():
     assert set(v) == {"claim", "params", "n", "k_terms", "sum", "modulus", "pass"}
     k, arg, value, w = v["k_terms"][0]
     assert (k, arg, value, w) == (0, 16, 102, 1)
+
+
+# -- one residue table for every family --------------------------------------------
+
+def _spy_b_table(monkeypatch):
+    """Record (modulus, length) of every table built through theorems.b_table."""
+    seen = []
+    inner = theorems.b_table
+
+    def spy(N, modulus=None):
+        table = inner(N, modulus)
+        seen.append((modulus, len(table)))
+        return table
+
+    monkeypatch.setattr(theorems, "b_table", spy)
+    return seen
+
+
+def test_families_share_one_residue_table_and_an_exact_prefix(monkeypatch):
+    seen = _spy_b_table(monkeypatch)
+    reports = theorems.verify_families(theorem_names())
+    assert len(reports) == 9 and all(r.passed for r in reports)
+    # one table mod lcm(2, 5, 3, 9, 7) = 630 ...
+    assert [m for m, _ in seen if m is not None] == [630]
+    # ... checked against an exact table the benchmark's oracle gate can read
+    assert any(m is None and n >= 401 for m, n in seen)
+
+
+def test_failing_family_reports_exact_values(monkeypatch):
+    claims = theorems.default_claims
+    monkeypatch.setattr(theorems, "default_claims", lambda primes: tuple(
+        replace(c, modulus=9) if c.name == "b-27n16-mod3" else c
+        for c in claims(primes)))
+    monkeypatch.setitem(theorems.SIMPLE_CHECKS, "b-27n16-mod9", (27, 16, 9, 50))
+    seen = _spy_b_table(monkeypatch)
+    ok, simple, claim = theorems.verify_families(
+        ["b-2n1-mod2", "b-27n16-mod9", "b-27n16-mod3"])
+    # B mod lcm(2, 9, 9) through 27 * 400 + 16
+    assert [t for t in seen if t[0] is not None] == [(18, 10817)]
+    assert ok.passed
+    assert simple.counterexample == (0, 16, 102)  # 102 = 3 (mod 18)
+    v = claim.violations[0]
+    assert v["k_terms"] == [(0, 16, 102, 1)] and v["sum"] == 102
+    assert str(claim).endswith("n=0: sum = 102")
+
+
+def test_residue_table_disagreeing_with_the_exact_one_raises(monkeypatch):
+    expand = theorems.expand_factors
+    monkeypatch.setattr(theorems, "expand_factors", lambda factors, W, modulus=None: (
+        expand(factors, W) if modulus is None else
+        expand(factors, W, modulus).scale(2)))
+    with pytest.raises(SeriesError, match="mod 630 disagrees with the exact"):
+        theorems.verify_families(theorem_names(), n_max=1)
 
 
 # -- scanner ------------------------------------------------------------------------
