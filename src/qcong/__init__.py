@@ -9,7 +9,8 @@ f_2^4/(f_1^2 f_4^3).  It provides:
   * exact truncated Laurent arithmetic over Z and Z/mZ (series),
   * builders for Euler products, eta quotients, theta-type sums, the
     cubic lattice theta and the level-12 product h(q) (products),
-  * independent combinatorial counting oracles (partitions),
+  * independent combinatorial counting oracles: part lists (Parts)
+    folded into one table by knapsack (partitions),
   * a catalog of 60+ exact and modular identities with a verifier
     (identities / expr),
   * congruence-family checks and an affine congruence scanner (theorems),
@@ -22,9 +23,7 @@ from .products import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                        SLOPE_3K1, SLOPE_6K1, TRIANGULAR, BilateralSum,
                        FQuotientSpec, bilateral, cubic_theta_alpha, euler_f,
                        euler_f_product, fquotient, h_level12)
-from .partitions import (DistinctOdd, EvenTwoColors, MultiplesOf,
-                         OvercubicMarking, Unrestricted, count_family,
-                         count_table, count_triples)
+from .partitions import Parts, count_family, count_table, count_triples
 from .expr import (Add, Dissect, FQuot, Literal, Mul, Named, Pow, Scale,
                    SeriesExpr, Shift, Subst, alpha_q, evaluate, expr_from_dict,
                    expr_to_dict, fq, poly_in)
@@ -44,8 +43,7 @@ __all__ = [
     "bilateral", "cubic_theta_alpha", "h_level12",
     "PENTAGONAL", "CUBE", "TRIANGULAR", "SLOPE_3K1", "SLOPE_6K1",
     "SIGNED_PENTAGONAL", "BILATERAL_SUMS",
-    "Unrestricted", "DistinctOdd", "MultiplesOf", "EvenTwoColors",
-    "OvercubicMarking", "count_table", "count_triples", "count_family",
+    "Parts", "count_table", "count_triples", "count_family",
     "SeriesExpr", "FQuot", "Named", "Literal", "Add", "Mul", "Pow", "Scale",
     "Shift", "Subst", "Dissect", "fq", "alpha_q", "poly_in", "evaluate",
     "expr_to_dict", "expr_from_dict",

@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import identities, partitions, theorems
-from .expr import predicted_valuation
+from .expr import FQuot, Named, Scale, evaluate, fq, predicted_valuation
 from .partitions import FAMILIES
-from .products import FQuotientSpec, cubic_theta_alpha, fquotient, h_level12
+from .products import FQuotientSpec
 from .series import SeriesError
 
 
@@ -150,15 +150,18 @@ def parse_quotient(text):
 
 
 def _series_for(args, order):
+    """The --spec or --name series through q^order.  A spec may be a
+    Laurent series; a named series is asked for from q^0 on."""
     if args.spec is not None:
         scalar, spec = parse_quotient(args.spec)
-        s = fquotient(spec, max(order, spec.qshift), args.mod)
-        return s.scale(scalar) if scalar != 1 else s
-    if args.name == "alpha":
-        return cubic_theta_alpha(order, args.mod)
-    if args.name == "h":
-        return h_level12(max(order, 1), args.mod)
-    return fquotient(FAMILIES[args.name].gf, order, args.mod)
+        node = Scale(scalar, FQuot(spec))
+    elif order < 0:
+        raise ValueError(f"order must be >= 0 for a named series, got {order}")
+    elif args.name in FAMILIES:
+        node = fq(FAMILIES[args.name].gf)
+    else:
+        node = Named(args.name)
+    return evaluate(node, order, args.mod)
 
 
 def _int_list(text):

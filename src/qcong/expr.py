@@ -29,8 +29,16 @@ class FQuot(SeriesExpr):
     spec: FQuotientSpec
 
 
-#: the series a ``Named`` node can name
-NAMED_SERIES = ("alpha", "h", *BILATERAL_SUMS)
+#: the series a ``Named`` node can name: name -> (valuation, builder), where
+#: ``builder(T, modulus)`` expands the series through q^T for T >= its
+#: valuation.  The builders look their function up by name when called, so
+#: a wrapper bound to that name (the benchmark's tracer) sees every call.
+NAMED_SERIES = {
+    "alpha": (0, lambda T, m: cubic_theta_alpha(T, m)),
+    "h": (1, lambda T, m: h_level12(T, m)),
+    **{name: (0, lambda T, m, s=s: bilateral(s, T, m))
+       for name, s in BILATERAL_SUMS.items()},
+}
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,7 @@ def predicted_valuation(e):
     if isinstance(e, FQuot):
         return e.spec.qshift
     if isinstance(e, Named):
-        # h starts at q^1; alpha and every bilateral sum (a product of f's)
-        # start at q^0
-        return 1 if e.name == "h" else 0
+        return NAMED_SERIES[e.name][0]
     if isinstance(e, Literal):
         return 0
     if isinstance(e, Add):
@@ -155,11 +161,8 @@ def _eval(e, T, m):
     if isinstance(e, FQuot):
         return fquotient(e.spec, max(T, e.spec.qshift), m)
     if isinstance(e, Named):
-        if e.name == "alpha":
-            return cubic_theta_alpha(max(T, 0), m)
-        if e.name == "h":
-            return h_level12(max(T, 1), m)
-        return bilateral(BILATERAL_SUMS[e.name], max(T, 0), m)
+        v, build = NAMED_SERIES[e.name]
+        return build(max(T, v), m)
     if isinstance(e, Literal):
         return LaurentSeries.constant(e.value, max(T, 0), m)
     if isinstance(e, Add):

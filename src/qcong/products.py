@@ -14,7 +14,6 @@ identity catalog manipulates is assembled from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -50,9 +49,6 @@ class FQuotientSpec:
             if r != 0:
                 seen[d] = int(r)
         return cls(tuple(sorted(seen.items())), int(qshift))
-
-    def as_dict(self):
-        return dict(self.factors)
 
     def __str__(self):
         num = "*".join(f"f{d}" + (f"^{r}" if r != 1 else "")
@@ -120,63 +116,50 @@ WEIGHT_RULES = {
 
 @dataclass(frozen=True)
 class BilateralSum:
-    """sum_k weight(k) q^(a2 k^2 + a1 k + a0), over all of Z or over k >= 0.
+    """sum_k weight(k) q^((A k^2 + B k)/2), over all of Z or over k >= 0.
 
-    The exponent polynomial must be integer-valued on integers and grow on
-    every admitted branch, so truncation at any order is finite.  ``product``
-    is the sum's product form: (d, r_d) pairs with sum = prod f_d^(r_d).
+    A >= 1 and A = B (mod 2), so every exponent is an integer, and the
+    exponents grow on every admitted branch, so truncation at any order is
+    finite.  ``product`` is the sum's product form: (d, r_d) pairs with
+    sum = prod f_d^(r_d).
     """
 
     name: str
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
+    A: int
+    B: int
     weight: str
     product: tuple[tuple[int, int], ...]
     two_sided: bool = True
 
     def exponent(self, k):
-        e = self.a2 * k * k + self.a1 * k + self.a0
-        if e.denominator != 1:
-            raise ValueError(f"exponent rule of {self.name} is not integral at k={k}")
-        return int(e)
+        return (self.A * k * k + self.B * k) // 2
 
     def k_bound(self, T):
-        # quadratic-formula bound with a safety margin; callers still filter
-        # every term by exponent <= T, so over-shooting is harmless
-        disc = self.a1 * self.a1 + 4 * self.a2 * (Fraction(T) - self.a0)
-        if disc < 0:
-            return 2
-        root = Fraction(isqrt(disc.numerator // disc.denominator) + 1)
-        return int((abs(self.a1) + root) / (2 * self.a2)) + 2
+        """A bound on |k| over the terms with exponent <= T (T >= 0), from
+        the quadratic formula with a margin; callers still filter every
+        term by exponent <= T, so over-shooting is harmless."""
+        root = isqrt(self.B * self.B + 8 * self.A * T) + 1
+        return (abs(self.B) + root) // (2 * self.A) + 2
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _bsum(name, a2, a1, a0, weight, product, two_sided=True):
-    return BilateralSum(name, _frac(a2), _frac(a1), _frac(a0), weight,
-                        tuple(sorted(product.items())), two_sided)
+def _bsum(name, A, B, weight, product, two_sided=True):
+    return BilateralSum(name, A, B, weight, tuple(sorted(product.items())),
+                        two_sided)
 
 
 #: f_1 = sum (-1)^k q^(k(3k+1)/2)           (Euler)
-PENTAGONAL = _bsum("pentagonal", Fraction(3, 2), Fraction(1, 2), 0, "(-1)^k",
-                   {1: 1})
+PENTAGONAL = _bsum("pentagonal", 3, 1, "(-1)^k", {1: 1})
 #: f_1^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)   (Jacobi)
-CUBE = _bsum("cube", Fraction(1, 2), Fraction(1, 2), 0, "(-1)^k(2k+1)", {1: 3},
-             two_sided=False)
+CUBE = _bsum("cube", 1, 1, "(-1)^k(2k+1)", {1: 3}, two_sided=False)
 #: f_2^2/f_1 = sum_{k>=0} q^(k(k+1)/2)      (Gauss)
-TRIANGULAR = _bsum("triangular", Fraction(1, 2), Fraction(1, 2), 0, "1",
-                   {2: 2, 1: -1}, two_sided=False)
+TRIANGULAR = _bsum("triangular", 1, 1, "1", {2: 2, 1: -1}, two_sided=False)
 #: f_2^5/f_1^2 = sum (-1)^k (3k+1) q^(k(3k+2))
-SLOPE_3K1 = _bsum("slope_3k1", 3, 2, 0, "(-1)^k(3k+1)", {2: 5, 1: -2})
+SLOPE_3K1 = _bsum("slope_3k1", 6, 4, "(-1)^k(3k+1)", {2: 5, 1: -2})
 #: f_1^5/f_2^2 = sum (6k+1) q^(k(3k+1)/2)
-SLOPE_6K1 = _bsum("slope_6k1", Fraction(3, 2), Fraction(1, 2), 0, "6k+1",
-                  {1: 5, 2: -2})
+SLOPE_6K1 = _bsum("slope_6k1", 3, 1, "6k+1", {1: 5, 2: -2})
 #: f_2^3/(f_1 f_4) = sum (-1)^(k(k+1)/2) q^(k(3k+1)/2)
-SIGNED_PENTAGONAL = _bsum("signed_pentagonal", Fraction(3, 2), Fraction(1, 2), 0,
-                          "(-1)^(k(k+1)/2)", {2: 3, 1: -1, 4: -1})
+SIGNED_PENTAGONAL = _bsum("signed_pentagonal", 3, 1, "(-1)^(k(k+1)/2)",
+                          {2: 3, 1: -1, 4: -1})
 
 BILATERAL_SUMS = {s.name: s for s in
                   (PENTAGONAL, CUBE, TRIANGULAR, SLOPE_3K1, SLOPE_6K1,

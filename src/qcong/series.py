@@ -257,6 +257,8 @@ class LaurentSeries:
         return hash((self.v, self.modulus, self.coeffs))
 
     def _require_same_ring(self, other):
+        if not isinstance(other, LaurentSeries):
+            raise TypeError(f"cannot combine series with {type(other).__name__}")
         if self.modulus != other.modulus:
             raise RingMismatch(
                 f"incompatible rings: {self._ring_name()} vs {other._ring_name()}")
@@ -264,17 +266,9 @@ class LaurentSeries:
     def _ring_name(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
 
-    def _promote(self, other):
-        if isinstance(other, LaurentSeries):
-            return other
-        if isinstance(other, int):
-            return LaurentSeries.constant(other, max(self.known_through, 0), self.modulus)
-        raise TypeError(f"cannot combine series with {type(other).__name__}")
-
     # -- ring operations ---------------------------------------------------
 
     def add(self, other):
-        other = self._promote(other)
         self._require_same_ring(other)
         v = min(self.v, other.v)
         T = min(self.known_through, other.known_through)
@@ -289,14 +283,13 @@ class LaurentSeries:
         return LaurentSeries([-c for c in self.coeffs], self.v, self.modulus)
 
     def sub(self, other):
-        other = self._promote(other)
+        self._require_same_ring(other)
         return self.add(other.neg())
 
     def scale(self, c):
         return LaurentSeries([c * x for x in self.coeffs], self.v, self.modulus)
 
     def mul(self, other):
-        other = self._promote(other)
         self._require_same_ring(other)
         n = min(len(self.coeffs), len(other.coeffs))
         out = _product(self.coeffs, other.coeffs, n, self.modulus)
@@ -304,7 +297,6 @@ class LaurentSeries:
 
     def divide(self, other):
         """self / other, where other has a unit leading coefficient."""
-        other = self._promote(other)
         self._require_same_ring(other)
         den = other.normalize()
         if den.is_window_zero():
@@ -412,13 +404,10 @@ class LaurentSeries:
         Raises InsufficientPrecision unless both windows reach T; never
         compares unknown coefficients.
         """
-        other = self._promote(other)
-        self._require_same_ring(other)
         return self.first_mismatch(other, T) is None
 
     def first_mismatch(self, other, T):
         """Smallest exponent <= T where the series differ, or None."""
-        other = self._promote(other)
         self._require_same_ring(other)
         if self.known_through < T or other.known_through < T:
             raise InsufficientPrecision(

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt, lcm
 
+from . import partitions
 from .partitions import FAMILIES
 from .products import WEIGHT_RULES, FQuotientSpec, expand_factors, fquotient
 from .series import MAX_MODULUS, SeriesError
-
-_b_oracle_checked = False
 
 
 def b_table(N, modulus=None):
@@ -31,28 +30,23 @@ def b_table(N, modulus=None):
     (about 1 s at N = 101441, m = 630).  The uncached ``expand_factors`` is
     used so that no cache keeps the big exact series alive after the table
     is read.
-    Exact calls cross-check the prefix [0, 400] against the combinatorial
-    triple-counting oracle until one check has passed; while it is pending
-    the table is expanded through at least q^400.  Residue calls check their
-    prefix [0, 400] against the exact ``b_table(400)`` reduced mod m.
+    Every call is cross-checked on the prefix [0, 400]: an exact table is
+    expanded through at least q^400 and compared with the combinatorial
+    triple-counting oracle, a residue table with the exact ``b_table(400)``
+    reduced mod m.  A mismatch raises SeriesError.
     """
-    global _b_oracle_checked
     if N < 0:
         raise ValueError("table size must be >= 0")
-    check = modulus is None and not _b_oracle_checked
-    T = max(N, 400) if check else N
+    T = N if modulus is not None else max(N, 400)
     ser = expand_factors(FQuotientSpec.of(FAMILIES["B"].gf).factors, T, modulus)
     table = [ser.coeff(n) for n in range(T + 1)]
-    if check:
-        from .partitions import count_triples
-        if table[:401] != count_triples(400):
+    if modulus is None:
+        if table[:401] != partitions.count_triples(400):
             raise SeriesError("series engine disagrees with the "
                               "combinatorial B oracle")
-        _b_oracle_checked = True
-    elif modulus is not None:
-        if table[:401] != [b % modulus for b in b_table(400)[:T + 1]]:
-            raise SeriesError(f"the B table mod {modulus} disagrees with the "
-                              f"exact table")
+    elif table[:401] != [b % modulus for b in b_table(400)[:T + 1]]:
+        raise SeriesError(f"the B table mod {modulus} disagrees with the "
+                          f"exact table")
     return table[:N + 1]
 
 
@@ -239,6 +233,8 @@ def default_claims(primes=SAMPLED_PRIMES):
     if not primes or not all(is_sampled_prime(p) for p in primes):
         raise ValueError(f"sampled primes must be primes p >= 5 with "
                          f"p = 3 (mod 4), got {list(primes)}")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"sampled primes must be distinct, got {list(primes)}")
     prime_grid = tuple((p, r) for p in primes for r in range(1, p))
 
     return (

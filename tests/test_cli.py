@@ -233,10 +233,14 @@ BAD_INPUTS = {
                                "--primes", "5"],
     "primes-not-integers": ["verify-theorem", "--all", "--primes", "7,x"],
     "prime-over-cap": ["verify-theorem", "--all", "--primes", str(2**31 - 1)],
+    "primes-repeated": ["verify-theorem", "--name", "altsum-prime-mod3",
+                        "--primes", "7,7"],
     "expand-unknown-name": ["expand", "--name", "X", "--order", "5"],
     "coeff-unknown-name": ["coeff", "--name", "X", "--n", "5"],
     "expand-modulus-1": ["expand", "--name", "B", "--order", "5", "--mod", "1"],
     "coeff-negative-n": ["coeff", "--name", "B", "--n", "-3"],
+    "coeff-negative-n-h": ["coeff", "--name", "h", "--n", "-2"],
+    "expand-negative-order-h": ["expand", "--name", "h", "--order", "-1"],
     "identity-order-negative": ["verify-identity", "--all", "--order", "-1"],
     "nmax-negative": ["verify-theorem", "--all", "--nmax", "-1"],
     "nmax-negative-claim": ["verify-theorem", "--name", "altsum-9n-mod3",

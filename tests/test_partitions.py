@@ -1,10 +1,14 @@
 """Combinatorial oracles, cross-checked by exhaustive enumeration."""
 
+from collections import Counter
+from math import prod
+
 import pytest
 
-from qcong import (DistinctOdd, EvenTwoColors, MultiplesOf, OvercubicMarking,
-                   Unrestricted, count_family, count_table, count_triples,
-                   fquotient)
+from qcong import Parts, count_family, count_table, count_triples, fquotient
+
+ALL = Parts()
+DISTINCT_ODD = Parts(odd=True, distinct=True)
 
 
 def enumerate_partitions(n, parts, distinct=False):
@@ -27,29 +31,87 @@ def enumerate_partitions(n, parts, distinct=False):
     return out
 
 
+def every(n):
+    return list(range(1, n + 1))
+
+
+def odd_parts(n):
+    return list(range(1, n + 1, 2))
+
+
+def fours(n):
+    return list(range(4, n + 1, 4))
+
+
+def count_tuples(n, lists):
+    """Tuples of partitions, one from each (parts(n), distinct) list, whose
+    sizes add up to n, by enumerating every split of n."""
+    if not lists:
+        return int(n == 0)
+    (parts, distinct), rest = lists[0], lists[1:]
+    return sum(len(enumerate_partitions(k, parts(k), distinct))
+               * count_tuples(n - k, rest) for k in range(n + 1))
+
+
+def cubic(n):
+    """Cubic partitions of n: plain partitions whose even parts come in two
+    colors, so an even part of multiplicity m can be colored in m+1 ways."""
+    return sum(prod(m + 1 for part, m in Counter(pi).items() if part % 2 == 0)
+               for pi in enumerate_partitions(n, every(n)))
+
+
+#: every oracle family by its definition, independent of partitions.FAMILIES
+ENUMERATED = {
+    "B": lambda n: count_tuples(n, [(odd_parts, True), (odd_parts, True),
+                                    (fours, False)]),
+    "b": lambda n: count_tuples(n, [(odd_parts, True), (fours, False),
+                                    (fours, False)]),
+    "p": lambda n: len(enumerate_partitions(n, every(n))),
+    "a": cubic,
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_family_vs_enumeration(name):
+    assert count_family(name, 12) == [ENUMERATED[name](n) for n in range(13)]
+
+
+def test_parts_lists():
+    # parts 3 and 9, each at most once: 0, 3, 9 and 12
+    assert count_table([Parts(3, odd=True, distinct=True)], 12) == \
+        [1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1]
+    # parts 2 and 6, unbounded: 2+2+2 and 6 both make 6
+    assert count_table([Parts(2, odd=True)], 6) == [1, 0, 1, 0, 1, 0, 2]
+    with pytest.raises(ValueError, match="part step"):
+        Parts(0)
+    with pytest.raises(ValueError, match="table size"):
+        count_table([ALL], -1)
+    assert count_table([], 3) == [1, 0, 0, 0]
+
+
 def test_unrestricted_small_values():
-    assert count_table(Unrestricted(), 6) == [1, 1, 2, 3, 5, 7, 11]
+    assert count_table([ALL], 6) == [1, 1, 2, 3, 5, 7, 11]
 
 
 def test_unrestricted_vs_enumeration():
     for n in range(1, 13):
         want = len(enumerate_partitions(n, list(range(1, n + 1))))
-        assert count_table(Unrestricted(), n)[n] == want
+        assert count_table([ALL], n)[n] == want
 
 
 def test_distinct_odd_frozen_row():
-    assert count_table(DistinctOdd(), 8) == [1, 1, 0, 1, 1, 1, 1, 1, 2]
+    assert count_table([DISTINCT_ODD], 8) == [1, 1, 0, 1, 1, 1, 1, 1, 2]
 
 
 def test_distinct_odd_vs_enumeration():
     for n in range(1, 26):
         want = len(enumerate_partitions(n, list(range(1, n + 1, 2)), distinct=True))
-        assert count_table(DistinctOdd(), n)[n] == want
+        assert count_table([DISTINCT_ODD], n)[n] == want
 
 
 def test_multiples_of_4_rescaling():
-    t = count_table(MultiplesOf(4), 40)
-    p = count_table(Unrestricted(), 10)
+    t = count_table([Parts(4)], 40)
+    p = count_table([ALL], 10)
     for n in range(41):
         assert t[n] == (p[n // 4] if n % 4 == 0 else 0)
 
@@ -58,8 +120,8 @@ def test_even_two_colors_vs_pair_decomposition():
     """Cubic partitions split uniquely as (plain partition, partition into
     evens), so a(n) = sum_j p(j) * p((n-j)/2) over even n-j."""
     N = 60
-    t = count_table(EvenTwoColors(), N)
-    p = count_table(Unrestricted(), N)
+    t = count_table([ALL, Parts(2)], N)
+    p = count_table([ALL], N)
     for n in range(N + 1):
         want = sum(p[j] * p[(n - j) // 2] for j in range(n + 1) if (n - j) % 2 == 0)
         assert t[n] == want
@@ -68,12 +130,7 @@ def test_even_two_colors_vs_pair_decomposition():
 
 
 def test_cubic_a2_is_3():
-    assert count_table(EvenTwoColors(), 2)[2] == 3  # 2r, 2g, 1+1
-
-
-def test_overcubic_has_no_table():
-    with pytest.raises(ValueError, match="overcubic"):
-        count_table(OvercubicMarking(), 5)
+    assert count_table([ALL, Parts(2)], 2)[2] == 3  # 2r, 2g, 1+1
 
 
 def test_count_triples_small_frozen():
@@ -112,8 +169,8 @@ def test_convolution_consistency():
     """The triple table equals the coefficientwise product of the three
     constraint generating series."""
     N = 120
-    oo = count_table(DistinctOdd(), N)
-    m4 = count_table(MultiplesOf(4), N)
+    oo = count_table([DISTINCT_ODD], N)
+    m4 = count_table([Parts(4)], N)
     ab = [sum(oo[i] * oo[n - i] for i in range(n + 1)) for n in range(N + 1)]
     abc = [sum(ab[i] * m4[n - i] for i in range(n + 1)) for n in range(N + 1)]
     assert count_triples(N) == abc
@@ -121,7 +178,7 @@ def test_convolution_consistency():
 
 def test_triple_lower_bounds():
     t = count_triples(200)
-    p = count_table(Unrestricted(), 50)
+    p = count_table([ALL], 50)
     assert all(v >= 0 for v in t)
     for m in range(51):
         assert t[4 * m] >= p[m]
@@ -129,7 +186,7 @@ def test_triple_lower_bounds():
 
 def test_family_tables():
     p = count_family("p", 10)
-    assert p == count_table(Unrestricted(), 10)
+    assert p == count_table([ALL], 10)
     a = count_family("a", 302)
     for n in range(101):
         assert a[3 * n + 2] % 3 == 0

@@ -59,6 +59,15 @@ def test_ring_mismatch_rejected():
         a.eq_through(b, 1)
 
 
+def test_non_series_operand_rejected():
+    a = series([1, 2])
+    for op in (a.add, a.sub, a.mul, a.divide):
+        with pytest.raises(TypeError, match="cannot combine series with int"):
+            op(1)
+    with pytest.raises(TypeError):
+        a.eq_through(1, 1)
+
+
 # -- mul -----------------------------------------------------------------------
 
 def test_mul_inverse_roundtrip():

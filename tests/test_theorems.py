@@ -31,18 +31,22 @@ def test_b_table_modular():
 
 
 def test_b_table_oracle_check(monkeypatch):
-    monkeypatch.setattr(theorems, "_b_oracle_checked", False)
+    real, asked = partitions.count_triples, []
+    monkeypatch.setattr(partitions, "count_triples",
+                        lambda N: asked.append(N) or real(N))
     assert b_table(5) == [1, 2, 1, 2, 5, 6]  # checked through 400, cut to 5
-    assert theorems._b_oracle_checked
+    assert b_table(5) == [1, 2, 1, 2, 5, 6]
+    assert b_table(10, 9) == [1, 2, 1, 2, 5, 6, 6, 8, 6, 2, 2]
+    assert asked == [400, 400, 400]  # every table, exact or residue
     corrupted = count_triples(400)
     corrupted[7] += 1
     monkeypatch.setattr(partitions, "count_triples", lambda N: corrupted)
-    monkeypatch.setattr(theorems, "_b_oracle_checked", False)
-    with pytest.raises(SeriesError, match="oracle"):
-        b_table(10)
-    assert not theorems._b_oracle_checked  # a failed check is run again
-    with pytest.raises(SeriesError, match="oracle"):
-        b_table(10)
+    for N in (5, 10, 400, 1000):
+        with pytest.raises(SeriesError, match="oracle"):
+            b_table(N)
+    for N, m in ((5, 3), (300, 63), (1000, 630)):
+        with pytest.raises(SeriesError, match="oracle"):
+            b_table(N, m)
 
 
 def test_int_quarter_checks_under_python_O():
@@ -156,7 +160,7 @@ def test_sampled_prime_rule():
     grid = tuple((p, r) for p in (7, 11) for r in range(1, p))
     assert families["altsum-prime-mod3"].param_space == grid
     assert families["altsum-prime-mod9"].param_space == grid
-    for primes in ((13,), (7, 9), ()):
+    for primes in ((13,), (7, 9), (), (7, 11, 7)):
         with pytest.raises(ValueError, match="sampled primes"):
             default_claims(primes)
 

@@ -44,5 +44,6 @@ def test_tracer_installs_on_the_package():
     assert result["codes"] == [0, 0, 0]
     assert result["caches"] == [True, True]
     assert result["layers"]["theorems.b_table.calls"] > 0
+    assert result["layers"]["partitions.count_triples.self_s"] > 0
     assert result["layers"]["expr.evaluate.calls"] > 0
     assert result["layers"]["products.fquotient.calls"] > 0
