@@ -242,18 +242,11 @@ def verify_theorems(selected, n_max=None, primes=theorems.SAMPLED_PRIMES,
     reports = theorems.verify_families(selected, n_max, primes,
                                        out=None if as_json else print)
     if as_json:
-        print(json.dumps([_report_dict(r) for r in reports], indent=2))
+        print(json.dumps([vars(r) for r in reports], indent=2))
     else:
         for r in reports:
             print(r)
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _report_dict(r):
-    d = {k: v for k, v in vars(r).items()}
-    if "counterexample" in d and d["counterexample"] is not None:
-        d["counterexample"] = list(d["counterexample"])
-    return d
 
 
 def cmd_verify_all(args):

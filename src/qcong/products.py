@@ -61,33 +61,10 @@ class FQuotientSpec:
         return s
 
 
-@lru_cache(maxsize=256)
-def euler_f(m, T, modulus=None):
-    """f_m through q^T via the pentagonal number theorem:
-    f_1 = sum_{k in Z} (-1)^k q^(k(3k+1)/2), then q -> q^m."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"f-index must be a positive integer, got {m!r}")
-    if T < 0:
-        raise ValueError("order must be >= 0")
-    cs = [0] * (T + 1)
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            e = m * kk * (3 * kk + 1) // 2
-            if e <= T:
-                cs[e] += -1 if kk & 1 else 1
-                hit = True
-        if not hit:
-            break
-        k += 1
-    return LaurentSeries(cs, 0, modulus)
-
-
 def euler_f_product(m, T, modulus=None):
     """f_m through q^T by literally multiplying out prod (1 - q^(m*n)).
 
-    Independent of the pentagonal builder; kept as its cross-oracle.
+    Independent of the theta route of ``euler_f``; kept as its cross-oracle.
     """
     if T < 0:
         raise ValueError("order must be >= 0")
@@ -183,6 +160,23 @@ def bilateral(spec, T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
+def _scaled(block, d, W, modulus):
+    """A theta block under q -> q^d, through q^W."""
+    s = bilateral(block, W // d, modulus)
+    return s if d == 1 else s.substitute(d).truncate(W)
+
+
+@lru_cache(maxsize=256)
+def euler_f(m, T, modulus=None):
+    """f_m through q^T by Euler's pentagonal number theorem: the bilateral
+    sum PENTAGONAL, f_1 = sum_{k in Z} (-1)^k q^(k(3k+1)/2), under q -> q^m.
+    The planner takes f_d from here, so its Euler factors and its theta
+    blocks come from one builder."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"f-index must be a positive integer, got {m!r}")
+    return _scaled(PENTAGONAL, m, T, modulus)
+
+
 # -- f-quotients through theta blocks -----------------------------------------
 
 #: the theta blocks f-quotients are rewritten into, tried in this order at
@@ -222,19 +216,22 @@ def _plan_series(block, d, W, modulus):
     """One entry of a plan through q^W: f_d, or a theta block under q -> q^d."""
     if block is None:
         return euler_f(d, W, modulus)
-    s = bilateral(block, W // d, modulus)
-    return s if d == 1 else s.substitute(d).truncate(W)
+    return _scaled(block, d, W, modulus)
 
 
 def expand_factors(factors, W, modulus=None):
     """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
 
     Follows ``plan_factors``: starts from the first block, multiplies in the
-    other numerator blocks, then divides by the denominator blocks one at a
-    time, so every pass is O(W * nnz(block)).  Each block is built once,
-    when it is first used, and dropped after its last pass: a big series
-    built and freed more often than that raises the peak memory of the
-    exact B tables.
+    other numerator blocks, then takes out the denominator blocks.  Over Z,
+    and at scale d = 1, each denominator block is divided out n times by
+    the sequential kernel, so every pass is O(W * nnz(block)).  Over Z/m a
+    denominator block at scale d > 1 is built at scale 1 through q^(W // d),
+    inverted once there, substituted q -> q^d and multiplied in n times:
+    B's f_4^3 is inverted at length W/4.  (Over Z that dense inverse would
+    make the product O(W^2).)  Each block is built once, when it is first
+    used, and dropped after its last pass: a big series built and freed
+    more often than that raises the peak memory of the exact B tables.
     """
     num, den = plan_factors(factors)
     r = None
@@ -243,9 +240,15 @@ def expand_factors(factors, W, modulus=None):
         for _ in range(n):
             r = s if r is None else r.mul(s)
     for block, d, n in den:
-        s = _plan_series(block, d, W, modulus)
-        for _ in range(n):
-            r = s.invert() if r is None else r.divide(s)
+        if modulus is None or d == 1:
+            s = _plan_series(block, d, W, modulus)
+            for _ in range(n):
+                r = s.invert() if r is None else r.divide(s)
+        else:
+            s = _plan_series(block, 1, W // d, modulus).invert()
+            s = s.substitute(d).truncate(W)
+            for _ in range(n):
+                r = s if r is None else r.mul(s)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

@@ -11,26 +11,27 @@ Z/mZ keeps every stored coefficient reduced to [0, m).  Series are
 immutable; all operations return new objects and are safe to share
 between threads.
 
-Over Z every product and quotient runs a sparse sequential kernel
-(``_convolve``, ``_divide_block``), whose cost is a multiply-add per pair
-of nonzero coefficients.  Over Z/mZ a product whose ``_convolve`` would
-spend more than ``PACKED_CROSSOVER`` multiply-adds per output coefficient
-is packed into one decimal integer instead (``_packed``); a series in q^g,
-g > 1, is inverted as a series in q at length ceil(n/g); and a division
-by such a series costing more than ``PACKED_CROSSOVER`` per coefficient
-multiplies by that inverse.
+Every quotient runs the sparse sequential kernel ``_divide_block``, whose
+cost is a multiply-add per pair of nonzero coefficients; a caller that
+knows its divisor is a series in q^d inverts it in q and substitutes, as
+the theta planner of ``products`` does (B's f_4^3 at length N/4).  Every
+product runs ``_convolve``, of the same cost, except that over Z/mZ a
+product whose ``_convolve`` would spend more than ``PACKED_CROSSOVER``
+multiply-adds per output coefficient is packed into one decimal integer
+instead (``_packed``).  The product kernels return unreduced coefficients;
+the constructor reduces them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
-from math import gcd
 
 MAX_MODULUS = 1 << 31
 
-#: sequential multiply-adds per output coefficient above which a product or
-#: quotient over Z/m takes the packed kernel (measurements in CHANGES.md)
+#: sequential multiply-adds per output coefficient above which a product
+#: over Z/m takes the packed kernel (measured in CHANGES.md while it also
+#: routed divisions)
 PACKED_CROSSOVER = 12
 
 
@@ -69,7 +70,7 @@ def _unit_inverse(u, m):
         raise NotInvertible(f"not invertible: gcd({u}, {m}) != 1") from None
 
 
-def _convolve(ac, bc, n, m):
+def _convolve(ac, bc, n):
     """First ``n`` coefficients of the Cauchy product of two blocks.
 
     Schoolbook, but iterates over the nonzero entries of the sparser
@@ -86,36 +87,24 @@ def _convolve(ac, bc, n, m):
         stop = bisect_left(bidx, n - i)
         for t in range(stop):
             out[i + bidx[t]] += c * bval[t]
-    if m is not None:
-        out = [x % m for x in out]
     return out
-
-
-def _nonzero(cs, n):
-    """Positions of the nonzero coefficients among the first n."""
-    return list(compress(range(n), cs[:n]))
 
 
 def _convolve_ops(ac, bc, n):
     """Multiply-adds ``_convolve`` spends: pairs of nonzero positions (i, j)
     with i + j < n."""
-    a, b = _nonzero(ac, n), _nonzero(bc, n)
+    a, b = (list(compress(range(n), cs[:n])) for cs in (ac, bc))
     if len(b) < len(a):
         a, b = b, a
     return sum(bisect_left(b, n - i) for i in a)
 
 
-def _divide_ops(dc, n):
-    """Multiply-adds ``_divide_block`` spends: n - j per nonzero d_j, j >= 1."""
-    return sum(n - j for j in _nonzero(dc, n) if j)
-
-
 def _packed(ac, bc, n, m):
-    """First ``n`` coefficients of the product over Z/m by Kronecker
-    substitution: each block becomes one decimal integer with a slot of
-    len(str(n (m-1)^2)) digits per coefficient, wide enough that no slot of
-    the product carries into the next, and libmpdec multiplies the two
-    (number-theoretic transform for large operands)."""
+    """First ``n`` coefficients of the product of two blocks with entries in
+    [0, m), by Kronecker substitution: each block becomes one decimal integer
+    with a slot of len(str(n (m-1)^2)) digits per coefficient, wide enough
+    that no slot of the product carries into the next, and libmpdec
+    multiplies the two (number-theoretic transform for large operands)."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     w = len(str(n * (m - 1) ** 2))
@@ -123,14 +112,14 @@ def _packed(ac, bc, n, m):
     a = ctx.create_decimal(slots % tuple(reversed(ac[:n])))
     b = ctx.create_decimal(slots % tuple(reversed(bc[:n])))
     digits = str(ctx.multiply(a, b)).zfill(n * w)[-n * w:]
-    return [int(digits[i:i + w]) % m for i in range((n - 1) * w, -1, -w)]
+    return [int(digits[i:i + w]) for i in range((n - 1) * w, -1, -w)]
 
 
 def _product(ac, bc, n, m):
     """First ``n`` coefficients of the product, by the cheaper kernel."""
     if m is not None and _convolve_ops(ac, bc, n) > PACKED_CROSSOVER * n:
         return _packed(ac, bc, n, m)
-    return _convolve(ac, bc, n, m)
+    return _convolve(ac, bc, n)
 
 
 def _divide_block(uc, dc, n, m):
@@ -160,24 +149,6 @@ def _divide_block(uc, dc, n, m):
             s = -s  # over Z the unit inv0 is -1; s * 1 would copy a big s
         c.append(s)
     return c
-
-
-def _step(dc, n, m):
-    """g > 1 when the series is over Z/m and its nonzero exponents among the
-    first n are all multiples of g; else 1."""
-    if m is None:
-        return 1
-    return gcd(*_nonzero(dc, n)) or 1
-
-
-def _invert(dc, n, m, g=1):
-    """First ``n`` coefficients of 1/dc for a series in q^g: the inverse of
-    the series in q at length ceil(n/g), substituted q -> q^g."""
-    if g == 1:
-        return _divide_block((1,), dc, n, m)
-    out = [0] * n
-    out[::g] = _divide_block((1,), dc[:n:g], len(out[::g]), m)
-    return out
 
 
 class LaurentSeries:
@@ -302,21 +273,15 @@ class LaurentSeries:
         if den.is_window_zero():
             raise NotInvertible("not invertible: zero series")
         n = min(len(self.coeffs), len(den.coeffs))
-        m = self.modulus
-        g = _step(den.coeffs, n, m)
-        if g > 1 and _divide_ops(den.coeffs, n) > PACKED_CROSSOVER * n:
-            out = _product(self.coeffs, _invert(den.coeffs, n, m, g), n, m)
-        else:
-            out = _divide_block(self.coeffs, den.coeffs, n, m)
-        return LaurentSeries(out, self.v - den.v, m)
+        out = _divide_block(self.coeffs, den.coeffs, n, self.modulus)
+        return LaurentSeries(out, self.v - den.v, self.modulus)
 
     def invert(self):
         """Multiplicative inverse; valuation -v, known through T - 2v."""
         a = self.normalize()
         if a.is_window_zero():
             raise NotInvertible("not invertible: zero series")
-        n = len(a.coeffs)
-        out = _invert(a.coeffs, n, self.modulus, _step(a.coeffs, n, self.modulus))
+        out = _divide_block((1,), a.coeffs, len(a.coeffs), self.modulus)
         return LaurentSeries(out, -a.v, self.modulus)
 
     def pow(self, e):

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcong.cli import main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
@@ -48,6 +49,17 @@ def test_parse_errors_carry_position():
         parse_quotient("g3")
     with pytest.raises(SpecParseError):
         parse_quotient("f2^4/(f1^2")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="fq0123456789-^*/() ", max_size=30))
+def test_parse_quotient_fuzz(text):
+    """Any text over the spec alphabet parses or raises SpecParseError with
+    a position inside the text (or just past it)."""
+    try:
+        parse_quotient(text)
+    except SpecParseError as err:
+        assert 0 <= err.pos <= len(text)
 
 
 # -- expand / coeff / oracle ------------------------------------------------------

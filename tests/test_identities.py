@@ -4,13 +4,14 @@ mutation sensitivity, JSON export."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcong import (BILATERAL_SUMS, Add, Dissect, InsufficientPrecision,
-                   Literal, Mul, Named, Pow, Scale, Shift, Subst, count_triples,
-                   evaluate,
+                   Literal, Mul, Named, Pow, Scale, SeriesError, Shift, Subst,
+                   count_triples, evaluate,
                    expr_from_dict, expr_to_dict, fq, get, perturbed, registry,
                    registry_from_json, registry_to_json, verify, verify_all)
-from qcong.expr import predicted_valuation
+from qcong.expr import NAMED_SERIES, predicted_valuation
 from qcong.partitions import FAMILIES
 
 B = fq(FAMILIES["B"].gf)
@@ -68,6 +69,43 @@ def test_precision_shortfall_is_an_error_not_a_wrong_answer():
     expr = Pow(Add((fq({1: 1}), Literal(-1))), -1)
     with pytest.raises(InsufficientPrecision):
         evaluate(expr, 40)
+
+
+leaves = st.one_of(
+    st.builds(fq, st.dictionaries(st.integers(1, 6), st.integers(-3, 3),
+                                  max_size=3), st.integers(-2, 2)),
+    st.sampled_from(sorted(NAMED_SERIES)).map(Named),
+    st.integers(-3, 3).map(Literal))
+
+
+def trees(depth):
+    """Expression trees over all ten node kinds, at most ``depth`` deep."""
+    if depth == 0:
+        return leaves
+    sub = trees(depth - 1)
+    some = st.lists(sub, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        leaves, some.map(Add), some.map(Mul),
+        st.builds(Pow, sub, st.integers(-3, 3)),
+        st.builds(Scale, st.integers(-3, 3), sub),
+        st.builds(Shift, st.integers(-3, 3), sub),
+        st.builds(Subst, st.integers(1, 3), sub),
+        st.builds(lambda c, k, j: Dissect(c, k, j % k), sub, st.integers(1, 3),
+                  st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(3), st.integers(0, 40), st.sampled_from([None, 9]))
+def test_evaluate_reaches_t_and_never_over_claims(tree, T, modulus):
+    """``evaluate`` raises, or returns a window through q^T whose every
+    coefficient an over-precise evaluation also knows is the same."""
+    try:
+        s = evaluate(tree, T, modulus)
+    except (SeriesError, ValueError):
+        return
+    assert s.known_through >= T
+    ref = evaluate(tree, T + 30, modulus)
+    assert s.first_mismatch(ref, min(s.known_through, ref.known_through)) is None
 
 
 def test_pow_of_sum_with_stable_leading_term():

@@ -10,7 +10,9 @@ from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                    LaurentSeries, Parts, bilateral, count_table,
                    cubic_theta_alpha, euler_f, euler_f_product, fquotient,
                    h_level12)
-from qcong.products import plan_factors
+from qcong import series as series_module
+from qcong.partitions import FAMILIES
+from qcong.products import expand_factors, plan_factors
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +141,23 @@ def test_fquotient_mod_m_is_the_exact_series_reduced(factors, T, modulus):
     inverse; over Z it never does.  Both must give the same residues."""
     spec = FQuotientSpec.of(factors)
     assert fquotient(spec, T, modulus) == fquotient(spec, T).reduce_mod(modulus)
+
+
+def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
+    """B = (f_2^2/f_1)^2 / f_4^3 through q^400: over Z/9 the planner inverts
+    f_4^3 as f_1^3 through q^100 and divides by no series of length 401;
+    over Z it divides once by f_4^3 itself."""
+    divisors = []
+    block = series_module._divide_block
+    monkeypatch.setattr(series_module, "_divide_block",
+                        lambda uc, dc, n, m: divisors.append(len(dc))
+                        or block(uc, dc, n, m))
+    factors = FQuotientSpec.of(FAMILIES["B"].gf).factors
+    mod9 = expand_factors(factors, 400, 9)
+    assert divisors == [101]
+    divisors.clear()
+    assert expand_factors(factors, 400).reduce_mod(9) == mod9
+    assert divisors == [401]
 
 
 def test_alpha_first_coefficients():
