@@ -160,10 +160,15 @@ def bilateral(spec, T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
-def _scaled(block, d, W, modulus):
-    """A theta block under q -> q^d, through q^W."""
-    s = bilateral(block, W // d, modulus)
-    return s if d == 1 else s.substitute(d).truncate(W)
+def _scaled(s, d, W):
+    """s(q^d) through q^W, for a series s in q on the window [0, W // d]:
+    the coefficients are placed at every d-th exponent of one list, so the
+    series in q^d is constructed once."""
+    if d == 1:
+        return s
+    cs = [0] * (W + 1)
+    cs[::d] = s.coeffs
+    return LaurentSeries(cs, 0, s.modulus)
 
 
 @lru_cache(maxsize=256)
@@ -174,7 +179,7 @@ def euler_f(m, T, modulus=None):
     blocks come from one builder."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
-    return _scaled(PENTAGONAL, m, T, modulus)
+    return _scaled(bilateral(PENTAGONAL, T // m, modulus), m, T)
 
 
 # -- f-quotients through theta blocks -----------------------------------------
@@ -216,22 +221,24 @@ def _plan_series(block, d, W, modulus):
     """One entry of a plan through q^W: f_d, or a theta block under q -> q^d."""
     if block is None:
         return euler_f(d, W, modulus)
-    return _scaled(block, d, W, modulus)
+    return _scaled(bilateral(block, W // d, modulus), d, W)
 
 
 def expand_factors(factors, W, modulus=None):
     """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
 
     Follows ``plan_factors``: starts from the first block, multiplies in the
-    other numerator blocks, then takes out the denominator blocks.  Over Z,
-    and at scale d = 1, each denominator block is divided out n times by
-    the sequential kernel, so every pass is O(W * nnz(block)).  Over Z/m a
-    denominator block at scale d > 1 is built at scale 1 through q^(W // d),
-    inverted once there, substituted q -> q^d and multiplied in n times:
-    B's f_4^3 is inverted at length W/4.  (Over Z that dense inverse would
-    make the product O(W^2).)  Each block is built once, when it is first
-    used, and dropped after its last pass: a big series built and freed
-    more often than that raises the peak memory of the exact B tables.
+    other numerator blocks, then takes out the denominator blocks.  Over Z
+    each denominator block is divided out n times by the sequential kernel,
+    so every pass is O(W * nnz(block)).  Over Z/m every denominator block,
+    at every scale d, is built at scale 1 through q^(W // d), inverted once
+    there (by Newton doubling on the packed product when it is dense enough),
+    substituted q -> q^d and multiplied in n times: B's f_4^3 is inverted at
+    length W/4, abar's f_1^2 once rather than divided twice.  (Over Z that
+    dense inverse would make the product O(W^2).)  Each block is built once,
+    when it is first used, and dropped after its last pass: a big series
+    built and freed more often than that raises the peak memory of the exact
+    B tables.
     """
     num, den = plan_factors(factors)
     r = None
@@ -240,13 +247,12 @@ def expand_factors(factors, W, modulus=None):
         for _ in range(n):
             r = s if r is None else r.mul(s)
     for block, d, n in den:
-        if modulus is None or d == 1:
+        if modulus is None:
             s = _plan_series(block, d, W, modulus)
             for _ in range(n):
                 r = s.invert() if r is None else r.divide(s)
         else:
-            s = _plan_series(block, 1, W // d, modulus).invert()
-            s = s.substitute(d).truncate(W)
+            s = _scaled(_plan_series(block, 1, W // d, modulus).invert(), d, W)
             for _ in range(n):
                 r = s if r is None else r.mul(s)
     return LaurentSeries.one(W, modulus) if r is None else r

@@ -11,27 +11,30 @@ Z/mZ keeps every stored coefficient reduced to [0, m).  Series are
 immutable; all operations return new objects and are safe to share
 between threads.
 
-Every quotient runs the sparse sequential kernel ``_divide_block``, whose
-cost is a multiply-add per pair of nonzero coefficients; a caller that
-knows its divisor is a series in q^d inverts it in q and substitutes, as
-the theta planner of ``products`` does (B's f_4^3 at length N/4).  Every
-product runs ``_convolve``, of the same cost, except that over Z/mZ a
+Every product runs the sparse sequential kernel ``_convolve``, whose cost
+is a multiply-add per pair of nonzero coefficients, except that over Z/mZ a
 product whose ``_convolve`` would spend more than ``PACKED_CROSSOVER``
 multiply-adds per output coefficient is packed into one decimal integer
-instead (``_packed``).  The product kernels return unreduced coefficients;
-the constructor reduces them.
+instead (``_packed``).  Over Z every quotient runs the sparse sequential
+kernel ``_divide_block`` of the same cost.  Over Z/mZ a quotient is a
+product by the inverse, and an inverse whose ``_divide_block`` would spend
+more than ``PACKED_CROSSOVER`` multiply-adds per coefficient is taken by
+Newton doubling on ``_product`` (``_inverse``).  A caller that knows its
+divisor is a series in q^d inverts it in q and substitutes, as the theta
+planner of ``products`` does (B's f_4^3 at length N/4).  The product
+kernels return unreduced coefficients; the constructor reduces them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
+from itertools import accumulate, compress
 
 MAX_MODULUS = 1 << 31
 
 #: sequential multiply-adds per output coefficient above which a product
-#: over Z/m takes the packed kernel (measured in CHANGES.md while it also
-#: routed divisions)
+#: over Z/m takes the packed kernel, and an inverse over Z/m Newton doubling
+#: (measured in CHANGES.md while it also routed divisions by a series in q^g)
 PACKED_CROSSOVER = 12
 
 
@@ -91,12 +94,21 @@ def _convolve(ac, bc, n):
 
 
 def _convolve_ops(ac, bc, n):
-    """Multiply-adds ``_convolve`` spends: pairs of nonzero positions (i, j)
-    with i + j < n."""
+    """Multiply-adds ``_convolve`` spends, one count per nonzero position i
+    of the sparser block: the nonzero positions j of the other with
+    i + j < n."""
     a, b = (list(compress(range(n), cs[:n])) for cs in (ac, bc))
     if len(b) < len(a):
         a, b = b, a
-    return sum(bisect_left(b, n - i) for i in a)
+    return (bisect_left(b, n - i) for i in a)
+
+
+def _above_crossover(ops, n):
+    """Whether the counts ``ops`` sum to more than PACKED_CROSSOVER
+    multiply-adds per coefficient of ``n``; reads them only until they do
+    (a dense operand crosses within the first few)."""
+    cap = PACKED_CROSSOVER * n
+    return any(s > cap for s in accumulate(ops))
 
 
 def _packed(ac, bc, n, m):
@@ -104,20 +116,23 @@ def _packed(ac, bc, n, m):
     [0, m), by Kronecker substitution: each block becomes one decimal integer
     with a slot of len(str(n (m-1)^2)) digits per coefficient, wide enough
     that no slot of the product carries into the next, and libmpdec
-    multiplies the two (number-theoretic transform for large operands)."""
+    multiplies the two (number-theoretic transform for large operands).
+    A block shorter than ``n`` is zero beyond its end."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     w = len(str(n * (m - 1) ** 2))
-    slots = f"%0{w}d" * n
-    a = ctx.create_decimal(slots % tuple(reversed(ac[:n])))
-    b = ctx.create_decimal(slots % tuple(reversed(bc[:n])))
-    digits = str(ctx.multiply(a, b)).zfill(n * w)[-n * w:]
+
+    def pack(cs):
+        cs = cs[:n]
+        return ctx.create_decimal(f"%0{w}d" * len(cs) % tuple(reversed(cs)) or "0")
+
+    digits = str(ctx.multiply(pack(ac), pack(bc))).zfill(n * w)[-n * w:]
     return [int(digits[i:i + w]) for i in range((n - 1) * w, -1, -w)]
 
 
 def _product(ac, bc, n, m):
     """First ``n`` coefficients of the product, by the cheaper kernel."""
-    if m is not None and _convolve_ops(ac, bc, n) > PACKED_CROSSOVER * n:
+    if m is not None and _above_crossover(_convolve_ops(ac, bc, n), n):
         return _packed(ac, bc, n, m)
     return _convolve(ac, bc, n)
 
@@ -149,6 +164,31 @@ def _divide_block(uc, dc, n, m):
             s = -s  # over Z the unit inv0 is -1; s * 1 would copy a big s
         c.append(s)
     return c
+
+
+def _divide_ops(dc, n):
+    """Multiply-adds ``_divide_block`` spends on ``n`` coefficients, one
+    count per nonzero d_j (1 <= j < n): the n - j outputs k >= j."""
+    return (n - j for j in compress(range(1, n), dc[1:n]))
+
+
+def _inverse(dc, n, m):
+    """First ``n`` coefficients of 1/dc; dc[0] must be a unit.
+
+    Over Z/m, when ``_divide_block`` would spend more than PACKED_CROSSOVER
+    multiply-adds per coefficient, by Newton doubling: with g = 1/dc through
+    q^(k-1), k = ceil(n/2), the error e = dc g - 1 vanishes below q^k and
+    1/dc = g - g e through q^(n-1), two products by ``_product``.  Over Z
+    (where a dense inverse would make every later product dense) and below
+    the crossover, by ``_divide_block``.
+    """
+    if m is None or not _above_crossover(_divide_ops(dc, n), n):
+        return _divide_block((1,), dc, n, m)
+    k = (n + 1) // 2
+    g = _inverse(dc, k, m)
+    e = [c % m for c in _product(dc, g, n, m)[k:]]
+    g.extend(-c % m for c in _product(g, e, n - k, m))
+    return g
 
 
 class LaurentSeries:
@@ -267,21 +307,24 @@ class LaurentSeries:
         return LaurentSeries(out, self.v + other.v, self.modulus)
 
     def divide(self, other):
-        """self / other, where other has a unit leading coefficient."""
+        """self / other, where other has a unit leading coefficient; over
+        Z/m the product by ``other.invert()``."""
         self._require_same_ring(other)
+        if self.modulus is not None:
+            return self.mul(other.invert())
         den = other.normalize()
         if den.is_window_zero():
             raise NotInvertible("not invertible: zero series")
         n = min(len(self.coeffs), len(den.coeffs))
-        out = _divide_block(self.coeffs, den.coeffs, n, self.modulus)
-        return LaurentSeries(out, self.v - den.v, self.modulus)
+        out = _divide_block(self.coeffs, den.coeffs, n, None)
+        return LaurentSeries(out, self.v - den.v, None)
 
     def invert(self):
         """Multiplicative inverse; valuation -v, known through T - 2v."""
         a = self.normalize()
         if a.is_window_zero():
             raise NotInvertible("not invertible: zero series")
-        out = _divide_block((1,), a.coeffs, len(a.coeffs), self.modulus)
+        out = _inverse(a.coeffs, len(a.coeffs), self.modulus)
         return LaurentSeries(out, -a.v, self.modulus)
 
     def pow(self, e):

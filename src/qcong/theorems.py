@@ -26,10 +26,11 @@ def b_table(N, modulus=None):
     (f_2^2/f_1)^2 / f_4^3, two sparse theta blocks over a sparse divisor.
     Over Z every pass is sparse and sequential, O(N^1.5) coefficient
     operations.  Over Z/m the planner inverts the divisor f_4^3 as f_1^3 at
-    length N/4, substitutes q -> q^4 and multiplies it in by the packed
-    kernel of ``series`` (about 1 s at N = 101441, m = 630).  The uncached
-    ``expand_factors`` is used so that no cache keeps the big exact series
-    alive after the table is read.
+    length N/4 (Newton doubling on the packed product of ``series``),
+    substitutes q -> q^4 and multiplies it in by the packed kernel (about
+    0.5 s at N = 101441, m = 630).  The uncached ``expand_factors`` is used
+    so that no cache keeps the big exact series alive after the table is
+    read.
     Every call is cross-checked on the prefix [0, 400]: an exact table is
     expanded through at least q^400 and compared with the combinatorial
     triple-counting oracle, a residue table with the exact ``b_table(400)``

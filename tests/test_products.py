@@ -12,7 +12,8 @@ from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                    h_level12)
 from qcong import series as series_module
 from qcong.partitions import FAMILIES
-from qcong.products import expand_factors, plan_factors
+from qcong.products import _scaled, expand_factors, plan_factors
+from qcong.series import PACKED_CROSSOVER
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +104,7 @@ def test_theta_block_equals_its_product_form(name, d):
     block = bilateral(spec, 2000 // d).substitute(d).truncate(2000)
     scaled = tuple((d * a, e) for a, e in spec.product)
     assert block.coeffs == one_factor_at_a_time(scaled, 2000).coeffs
+    assert _scaled(bilateral(spec, 2000 // d), d, 2000) == block
 
 
 def test_b_plan_is_two_gauss_blocks_over_one_jacobi_cube():
@@ -137,27 +139,48 @@ def test_fquotient_matches_one_factor_at_a_time(factors, W, modulus):
        T=st.integers(0, 2000),
        modulus=st.sampled_from([2, 9, 630, 2 ** 31 - 1]) | st.integers(2, 2 ** 31 - 1))
 def test_fquotient_mod_m_is_the_exact_series_reduced(factors, T, modulus):
-    """Over Z/m the expansion may take the packed kernel and the compressed
+    """Over Z/m the expansion may take the packed kernel and the Newton
     inverse; over Z it never does.  Both must give the same residues."""
     spec = FQuotientSpec.of(factors)
     assert fquotient(spec, T, modulus) == fquotient(spec, T).reduce_mod(modulus)
 
 
+@pytest.mark.parametrize("modulus", [2, 210, 630, 2 ** 31 - 1])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_series_mod_m_is_the_exact_series_reduced(name, modulus):
+    gf = FAMILIES[name].gf
+    assert fquotient(gf, 3000, modulus) == fquotient(gf, 3000).reduce_mod(modulus)
+
+
 def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
     """B = (f_2^2/f_1)^2 / f_4^3 through q^400: over Z/9 the planner inverts
     f_4^3 as f_1^3 through q^100 and divides by no series of length 401;
-    over Z it divides once by f_4^3 itself."""
+    over Z it divides once by f_4^3 itself.  For every family, over Z/m no
+    sequential division costs more than the crossover (the rest is Newton
+    doubling), and over Z each denominator pass of the plan is one
+    sequential division through q^400."""
     divisors = []
     block = series_module._divide_block
     monkeypatch.setattr(series_module, "_divide_block",
-                        lambda uc, dc, n, m: divisors.append(len(dc))
+                        lambda uc, dc, n, m: divisors.append((dc, n))
                         or block(uc, dc, n, m))
     factors = FQuotientSpec.of(FAMILIES["B"].gf).factors
     mod9 = expand_factors(factors, 400, 9)
-    assert divisors == [101]
+    assert [len(dc) for dc, _ in divisors] == [101]
     divisors.clear()
     assert expand_factors(factors, 400).reduce_mod(9) == mod9
-    assert divisors == [401]
+    assert [len(dc) for dc, _ in divisors] == [401]
+    for family in FAMILIES.values():
+        factors = FQuotientSpec.of(family.gf).factors
+        for m in (9, 210):
+            divisors.clear()
+            expand_factors(factors, 400, m)
+            assert all(sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
+                       <= PACKED_CROSSOVER * n for dc, n in divisors)
+        divisors.clear()
+        expand_factors(factors, 400)
+        passes = sum(n for _, _, n in plan_factors(factors)[1])
+        assert [(len(dc), n) for dc, n in divisors] == [(401, 401)] * passes
 
 
 def test_alpha_first_coefficients():

@@ -5,10 +5,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcong import (InsufficientPrecision, LaurentSeries, NotInvertible,
-                   RingMismatch, euler_f)
+from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
+                   RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
-from qcong.series import _convolve, _divide_block, _packed
+from qcong.series import (PACKED_CROSSOVER, _convolve, _divide_block, _inverse,
+                          _packed)
 
 
 def series(coeffs, v=0, mod=None):
@@ -407,6 +408,55 @@ def test_invert_and_divide_over_z_m_match_divide_block(data, m, n, g, v):
     den = LaurentSeries(d, v, m)
     assert list(den.invert().coeffs) == _divide_block((1,), d, n, m)
     assert list(LaurentSeries(u, 0, m).divide(den).coeffs) == _divide_block(u, d, n, m)
+
+
+def test_packed_pads_a_block_shorter_than_n():
+    a, b = [3, 0, 5, 1, 2, 4, 0, 6], [6, 5]
+    want = _convolve(a, b, 8)
+    assert _packed(a, b, 8, 7) == want
+    assert _packed(b, a, 8, 7) == want
+    assert _packed(b, [], 8, 7) == [0] * 8
+
+
+def divide_ops(dc, n):
+    """Multiply-adds ``_divide_block`` spends on n coefficients of 1/dc."""
+    return sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
+
+
+@st.composite
+def divisors(draw, m):
+    """A divisor over Z/m with leading coefficient 1 and a length n: the
+    theta-sparse f_1 and f_1^3 up to length 3000, dense and sparse random
+    blocks up to 400, each on both sides of the Newton crossover."""
+    kind = draw(st.sampled_from(["f1", "f1^3", "dense", "sparse"]))
+    if kind in ("f1", "f1^3"):
+        n = draw(st.integers(1, 3000))
+        f = euler_f(1, n - 1, m) if kind == "f1" else bilateral(CUBE, n - 1, m)
+        return list(f.coeffs), n
+    n = draw(st.integers(1, 400))
+    d = draw(blocks(n, m))
+    d[0] = 1
+    return d, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 9, 210, 630, 2 ** 31 - 1]))
+def test_newton_inverse_matches_divide_block(data, m):
+    """Over Z/m an inverse above the crossover is taken by Newton doubling
+    on the packed product; it must equal the sequential recurrence."""
+    d, n = data.draw(divisors(m))
+    assert _inverse(d, n, m) == _divide_block((1,), d, n, m)
+    assert list(LaurentSeries(d, 0, m).invert().coeffs) == _divide_block((1,), d, n, m)
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_newton_inverse_rejects_a_non_unit_leading_coefficient(n):
+    d = [3] + [1] * (n - 1)
+    assert (divide_ops(d, n) > PACKED_CROSSOVER * n) == (n == 300)
+    with pytest.raises(NotInvertible):
+        LaurentSeries(d, 0, 9).invert()
+    with pytest.raises(NotInvertible):
+        LaurentSeries([1] * n, 0, 9).divide(LaurentSeries(d, 0, 9))
 
 
 def test_packed_kernel_only_over_z_m_above_the_crossover(monkeypatch):
