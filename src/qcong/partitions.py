@@ -99,5 +99,5 @@ def count_family(name, N):
     if family.parts is None:
         from .products import fquotient
         s = fquotient(family.gf, N)
-        return [s.coeff(n) for n in range(N + 1)]
+        return s.coeff_window(0, N)
     return count_table(family.parts, N)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .series import LaurentSeries
 
@@ -224,37 +224,48 @@ def _plan_series(block, d, W, modulus):
     return _scaled(bilateral(block, W // d, modulus), d, W)
 
 
+def _multiply_out(entries, g, W, modulus):
+    """The product of plan entries (block, d, n), each block at scale d/g
+    through q^(W // g) and taken n times, or None for no entries.  Each
+    block is built once, when it is first used, and dropped after its last
+    pass: a big series built and freed more often than that raises the peak
+    memory of the exact B tables."""
+    r = None
+    for block, d, n in entries:
+        s = _plan_series(block, d // g, W // g, modulus)
+        for _ in range(n):
+            r = s if r is None else r.mul(s)
+    return r
+
+
 def expand_factors(factors, W, modulus=None):
     """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
 
-    Follows ``plan_factors``: starts from the first block, multiplies in the
-    other numerator blocks, then takes out the denominator blocks.  Over Z
-    each denominator block is divided out n times by the sequential kernel,
-    so every pass is O(W * nnz(block)).  Over Z/m every denominator block,
-    at every scale d, is built at scale 1 through q^(W // d), inverted once
-    there (by Newton doubling on the packed product when it is dense enough),
-    substituted q -> q^d and multiplied in n times: B's f_4^3 is inverted at
-    length W/4, abar's f_1^2 once rather than divided twice.  (Over Z that
-    dense inverse would make the product O(W^2).)  Each block is built once,
-    when it is first used, and dropped after its last pass: a big series
-    built and freed more often than that raises the peak memory of the exact
-    B tables.
+    Follows ``plan_factors``: multiplies out the numerator blocks, then
+    takes out the denominator blocks.  Over Z each denominator block is
+    divided out n times by the sequential kernel, so every pass is
+    O(W * nnz(block)).  Over Z/m the quotient takes one inverse: with g
+    the gcd of the denominator scales, the denominator blocks, each at
+    scale d/g through q^(W // g), multiply out (sparse products) into one
+    divisor D, which is inverted once (by Newton doubling on the packed
+    product when it is dense enough), substituted q -> q^g and multiplied
+    into the numerator once.  B's f_4^3 is inverted as f_1^3 at length
+    W/4; a = 1/(f_1 f_2) is one inverse at length W, abar one inverse and
+    one big product.  (Over Z that dense inverse would make the product
+    O(W^2).)  D is freed once inverted, before the final product, where
+    it would raise the peak memory.
     """
     num, den = plan_factors(factors)
-    r = None
-    for block, d, n in num:
-        s = _plan_series(block, d, W, modulus)
-        for _ in range(n):
-            r = s if r is None else r.mul(s)
-    for block, d, n in den:
-        if modulus is None:
+    r = _multiply_out(num, 1, W, modulus)
+    if modulus is None:
+        for block, d, n in den:
             s = _plan_series(block, d, W, modulus)
             for _ in range(n):
                 r = s.invert() if r is None else r.divide(s)
-        else:
-            s = _scaled(_plan_series(block, 1, W // d, modulus).invert(), d, W)
-            for _ in range(n):
-                r = s if r is None else r.mul(s)
+    elif den:
+        g = gcd(*(d for _, d, _ in den))
+        s = _scaled(_multiply_out(den, g, W, modulus).invert(), g, W)
+        r = s if r is None else r.mul(s)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

@@ -20,15 +20,25 @@ kernel ``_divide_block`` of the same cost.  Over Z/mZ a quotient is a
 product by the inverse, and an inverse whose ``_divide_block`` would spend
 more than ``PACKED_CROSSOVER`` multiply-adds per coefficient is taken by
 Newton doubling on ``_product`` (``_inverse``).  A caller that knows its
-divisor is a series in q^d inverts it in q and substitutes, as the theta
-planner of ``products`` does (B's f_4^3 at length N/4).  The product
-kernels return unreduced coefficients; the constructor reduces them.
+divisor is a series in q^g inverts it in q and substitutes, as the theta
+planner of ``products`` does: it multiplies the denominator of a quotient
+into one divisor in q^g, g the gcd of the denominator's scales, and takes
+one inverse (B's f_4^3 at length N/4).  The packed kernel packs and
+unpacks its slots with C-level string, ``map`` and ``struct`` calls, so
+libmpdec's multiply is most of its time.  The product kernels return
+unreduced coefficients; the constructor reduces them.
+
+``coeff`` reads one coefficient and ``coeff_window`` a strided window of
+them by slicing; both raise InsufficientPrecision for the same first
+unknown exponent, and read 0 below the valuation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count, islice
+from operator import itemgetter, ne
+from struct import Struct
 
 MAX_MODULUS = 1 << 31
 
@@ -112,22 +122,37 @@ def _above_crossover(ops, n):
 
 
 def _packed(ac, bc, n, m):
-    """First ``n`` coefficients of the product of two blocks with entries in
-    [0, m), by Kronecker substitution: each block becomes one decimal integer
-    with a slot of len(str(n (m-1)^2)) digits per coefficient, wide enough
-    that no slot of the product carries into the next, and libmpdec
-    multiplies the two (number-theoretic transform for large operands).
-    A block shorter than ``n`` is zero beyond its end."""
+    """First ``n`` >= 1 coefficients of the product of two blocks with
+    entries in [0, m), by Kronecker substitution: each block becomes one
+    decimal integer with a slot of w = len(str(n (m-1)^2)) digits per
+    coefficient, wide enough that no slot of the product carries into the
+    next, and libmpdec multiplies the two (number-theoretic transform for
+    large operands).  A block shorter than ``n`` is zero beyond its end.
+
+    Coefficient 0 takes the lowest slot, so a block is packed reversed and
+    the n low slots are the last n w digits of the product; only those are
+    sliced off and unpacked, by ``struct`` at C speed.  A slot is packed
+    from a table of the m formatted residues when m <= n (the table costs
+    no more than one block), else by %-formatting (m can be 2^31 - 1)."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     w = len(str(n * (m - 1) ** 2))
+    if m <= n:
+        table = [f"%0{w}d" % c for c in range(m)]
+
+        def slots(cs):
+            return "".join(map(table.__getitem__, reversed(cs)))
+    else:
+        def slots(cs):
+            return f"%0{w}d" * len(cs) % tuple(reversed(cs))
 
     def pack(cs):
-        cs = cs[:n]
-        return ctx.create_decimal(f"%0{w}d" * len(cs) % tuple(reversed(cs)) or "0")
+        return ctx.create_decimal(slots(cs[:n]) or "0")
 
-    digits = str(ctx.multiply(pack(ac), pack(bc))).zfill(n * w)[-n * w:]
-    return [int(digits[i:i + w]) for i in range((n - 1) * w, -1, -w)]
+    low = str(ctx.multiply(pack(ac), pack(bc)))[-n * w:].zfill(n * w).encode()
+    out = list(map(int, map(itemgetter(0), Struct(f"{w}s").iter_unpack(low))))
+    out.reverse()
+    return out
 
 
 def _product(ac, bc, n, m):
@@ -237,13 +262,29 @@ class LaurentSeries:
 
     def coeff(self, n):
         """Exact coefficient of q^n; 0 below the window, error above it."""
+        self._require_known(n)
+        if n < self.v:
+            return 0
+        return self.coeffs[n - self.v]
+
+    def coeff_window(self, lo, T, step=1):
+        """[coeff(e) for e in range(lo, T + 1, step)] by slicing: one bounds
+        check for the whole window raises InsufficientPrecision for the
+        first exponent read above the known window, as ``coeff`` would."""
+        es = range(lo, T + 1, step)
+        if es and es[-1] > self.known_through:
+            self._require_known(es[max((self.known_through - lo) // step + 1, 0)])
+        out = [0] * len(range(lo, min(T + 1, self.v), step))
+        # index in coeffs of the first exponent read at or above v (< 0: none)
+        start = max(lo + len(out) * step - self.v, 0)
+        out.extend(islice(self.coeffs, start, max(T + 1 - self.v, 0), step))
+        return out
+
+    def _require_known(self, n):
         if n > self.known_through:
             raise InsufficientPrecision(
                 f"insufficient precision: coefficient of q^{n} unknown "
                 f"(window ends at q^{self.known_through})")
-        if n < self.v:
-            return 0
-        return self.coeffs[n - self.v]
 
     def terms(self):
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
@@ -372,8 +413,7 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 f"insufficient precision: no coefficient of the class {j} mod {m} "
                 f"lies in the window [{self.v}, {self.known_through}]")
-        out = [self.coeff(m * n + j) for n in range(Tp + 1)]
-        return LaurentSeries(out, 0, self.modulus)
+        return LaurentSeries(self.coeff_window(j, m * Tp + j, m), 0, self.modulus)
 
     def shift(self, e):
         """Multiply by q^e."""
@@ -421,7 +461,6 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 f"insufficient precision: comparison through q^{T} needs windows "
                 f"through q^{self.known_through} and q^{other.known_through}")
-        for e in range(min(self.v, other.v), T + 1):
-            if self.coeff(e) != other.coeff(e):
-                return e
-        return None
+        lo = min(self.v, other.v)
+        diff = map(ne, self.coeff_window(lo, T), other.coeff_window(lo, T))
+        return next(compress(count(lo), diff), None)

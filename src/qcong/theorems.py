@@ -40,7 +40,7 @@ def b_table(N, modulus=None):
         raise ValueError("table size must be >= 0")
     T = N if modulus is not None else max(N, 400)
     ser = expand_factors(FQuotientSpec.of(FAMILIES["B"].gf).factors, T, modulus)
-    table = [ser.coeff(n) for n in range(T + 1)]
+    table = ser.coeff_window(0, T)
     if modulus is None:
         if table[:401] != partitions.count_triples(400):
             raise SeriesError("series engine disagrees with the "
@@ -384,7 +384,7 @@ def scan(gf, stride_max, moduli, n_max, scalar=1):
     ser = fquotient(spec, T, _ring(moduli))
     if scalar != 1:
         ser = ser.scale(scalar)
-    coeffs = [ser.coeff(n) for n in range(T + 1)]
+    coeffs = ser.coeff_window(0, T)
     known = next((f.known for f in FAMILIES.values()
                   if scalar in (1, -1) and FQuotientSpec.of(f.gf) == spec),
                  frozenset())
@@ -393,7 +393,7 @@ def scan(gf, stride_max, moduli, n_max, scalar=1):
         residues = [c % m for c in coeffs]
         for A in range(1, stride_max + 1):
             for r in range(A):
-                if all(residues[A * n + r] == 0 for n in range(n_max + 1)):
+                if not any(residues[r:A * n_max + r + 1:A]):
                     hits.append(ScanHit(A, r, m, n_max + 1, (A, r, m) in known))
     hits.sort(key=lambda h: (h.stride, h.residue, h.modulus))
     return hits

@@ -1,6 +1,7 @@
 """Named-series builders: Euler products, quotients, theta sums, alpha, h."""
 
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,32 +156,66 @@ def test_family_series_mod_m_is_the_exact_series_reduced(name, modulus):
 def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
     """B = (f_2^2/f_1)^2 / f_4^3 through q^400: over Z/9 the planner inverts
     f_4^3 as f_1^3 through q^100 and divides by no series of length 401;
-    over Z it divides once by f_4^3 itself.  For every family, over Z/m no
-    sequential division costs more than the crossover (the rest is Newton
-    doubling), and over Z each denominator pass of the plan is one
+    over Z it divides once by f_4^3 itself.  For every family with a
+    denominator, over Z/m the planner takes one inverse, of the divisor at
+    scale d/g through q^(400 // g) (g the gcd of the denominator scales),
+    and no sequential division costs more than the crossover (the rest is
+    Newton doubling); over Z each denominator pass of the plan is one
     sequential division through q^400."""
     divisors = []
     block = series_module._divide_block
     monkeypatch.setattr(series_module, "_divide_block",
                         lambda uc, dc, n, m: divisors.append((dc, n))
                         or block(uc, dc, n, m))
+    inverses, depth = [], []
+    inverse = series_module._inverse
+
+    def top_level_inverse(dc, n, m):
+        if not depth:
+            inverses.append(n)
+        depth.append(n)
+        try:
+            return inverse(dc, n, m)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(series_module, "_inverse", top_level_inverse)
     factors = FQuotientSpec.of(FAMILIES["B"].gf).factors
     mod9 = expand_factors(factors, 400, 9)
     assert [len(dc) for dc, _ in divisors] == [101]
+    assert inverses == [101]
     divisors.clear()
     assert expand_factors(factors, 400).reduce_mod(9) == mod9
     assert [len(dc) for dc, _ in divisors] == [401]
     for family in FAMILIES.values():
         factors = FQuotientSpec.of(family.gf).factors
+        den = plan_factors(factors)[1]
+        want = [400 // gcd(*(d for _, d, _ in den)) + 1] if den else []
         for m in (9, 210):
             divisors.clear()
+            inverses.clear()
             expand_factors(factors, 400, m)
+            assert inverses == want
             assert all(sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
                        <= PACKED_CROSSOVER * n for dc, n in divisors)
         divisors.clear()
         expand_factors(factors, 400)
-        passes = sum(n for _, _, n in plan_factors(factors)[1])
+        passes = sum(n for _, _, n in den)
         assert [(len(dc), n) for dc, n in divisors] == [(401, 401)] * passes
+
+
+@pytest.mark.parametrize("modulus", [9, 210, 2 ** 31 - 1])
+@pytest.mark.parametrize("factors", [
+    {1: -1, 2: -1},                     # a: f_1 f_2, one inverse at length W
+    {4: 1, 1: -2, 2: -1},               # abar: f_1^2 f_2, one inverse
+    {2: -2, 6: -1, 4: 1},               # f_2^2 f_6 at g = 2
+    {4: 4, 14: 2, 2: -2, 28: -4},       # a Gauss block at scale 14
+])
+def test_mixed_scale_quotient_mod_m_is_the_exact_series_reduced(factors, modulus):
+    """Over Z/m the planner multiplies the denominator blocks of different
+    scales into one divisor, at scale d/g, and inverts it once."""
+    assert (fquotient(factors, 3000, modulus)
+            == fquotient(factors, 3000).reduce_mod(modulus))
 
 
 def test_alpha_first_coefficients():

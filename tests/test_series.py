@@ -1,6 +1,8 @@
 """Core Laurent-series arithmetic: windows, ring rules, and the op contracts."""
 
+import random
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,28 @@ def test_coeff_contract():
         a.coeff(5)
 
 
+def _coeff_by_coeff(s, lo, T, step):
+    try:
+        return [s.coeff(e) for e in range(lo, T + 1, step)]
+    except InsufficientPrecision as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12), st.integers(-6, 8),
+       st.integers(-10, 20), st.integers(-12, 25), st.integers(1, 6))
+def test_coeff_window_reads_what_coeff_reads(xs, v, lo, T, step):
+    """One bounds check per window raises for the same exponent, with the
+    same message, as one ``coeff`` call per exponent; below the valuation
+    the window reads 0."""
+    s = series(xs, v)
+    try:
+        got = s.coeff_window(lo, T, step)
+    except InsufficientPrecision as exc:
+        got = str(exc)
+    assert got == _coeff_by_coeff(s, lo, T, step)
+
+
 def test_eq_through_requires_coverage():
     a = euler_f(1, 10)
     b = euler_f(1, 200)
@@ -416,6 +440,44 @@ def test_packed_pads_a_block_shorter_than_n():
     assert _packed(a, b, 8, 7) == want
     assert _packed(b, a, 8, 7) == want
     assert _packed(b, [], 8, 7) == [0] * 8
+
+
+@pytest.mark.parametrize("a,b,n,m", [
+    ([5], [6], 1, 7),                                  # n = 1
+    ([1] * 9, [1] * 9, 9, 2),                          # slots of 9: one digit
+    ([1] * 10, [1] * 10, 10, 2),                       # slots of 10: two digits
+    ([2, 0, 1, 0], [1, 2, 2, 0], 4, 3),                # highest slots 0
+    ([0, 2, 1, 2], [0, 0, 1, 1], 4, 3),                # lowest slots 0
+    ([0, 8, 0, 7, 0], [4, 0, 3, 0, 0], 5, 9),          # both, m > n
+    ([], [1, 2, 2], 3, 3),                             # empty block
+    ([], [4, 5, 6], 3, 7),                             # empty block, m > n
+    ([2 ** 31 - 2] * 6, [2 ** 31 - 2, 0, 1], 6, 2 ** 31 - 1),
+], ids=["n1", "width1", "width2", "top0-table", "low0-table", "zeros-format",
+        "empty-table", "empty-format", "max-modulus"])
+def test_packed_matches_convolve_at_the_edges(a, b, n, m):
+    """Both packing routes (a table of slots when m <= n, %-formatting
+    when m > n) at the edges of the slot layout."""
+    want = _convolve(a, b, n)
+    assert _packed(a, b, n, m) == want
+    assert _packed(b, a, n, m) == want
+
+
+@pytest.mark.parametrize("n,m", [(15030, 210), (101441, 630)])
+def test_packed_matches_convolve_at_the_benchmark_sizes(n, m):
+    """The scan's divisors mod 210 and B mod 630: random dense blocks,
+    checked against ``_convolve`` on the low coefficients and by direct
+    sums at random and top positions, and a dense times a sparse block in
+    full."""
+    rnd = random.Random(n)
+    a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
+    got = _packed(a, b, n, m)
+    assert got[:400] == _convolve(a, b, 400)
+    for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
+        assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1])))
+    sparse = [0] * n
+    for k in rnd.sample(range(n), 12) + [0, n - 1]:
+        sparse[k] = rnd.randrange(1, m)
+    assert _packed(a, sparse, n, m) == _convolve(a, sparse, n)
 
 
 def divide_ops(dc, n):
