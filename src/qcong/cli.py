@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import identities, partitions, theorems
 from .expr import FQuot, Named, Scale, evaluate, fq, predicted_valuation
@@ -359,8 +360,15 @@ def build_parser():
     return ap
 
 
+@cache
+def _parser():
+    """The parser, built on the first ``main`` call and reused by later
+    calls in the same process (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.show_defaults:
         print(defaults_table(), end="")

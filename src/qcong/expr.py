@@ -7,6 +7,11 @@ derives the order each child must be computed to.  If a prediction was too
 low for an inverted subtree, the result window falls short and the final
 coverage check raises InsufficientPrecision -- a wrong answer is never
 returned.
+
+``Dissect(child, m, j)`` through q^T asks its child for whole blocks of m
+coefficients, through q^(m T + m - 1) whatever j is, so the classes of one
+series ask the builders' caches for one window; the dissected window is
+still exactly [0, T].
 """
 
 from __future__ import annotations
@@ -194,7 +199,7 @@ def _eval(e, T, m):
     if isinstance(e, Subst):
         return _eval(e.child, max(T // e.power, 0), m).substitute(e.power)
     if isinstance(e, Dissect):
-        return _eval(e.child, max(e.mod * T + e.residue, 0), m).dissect(e.mod, e.residue)
+        return _eval(e.child, max(e.mod * T + e.mod - 1, 0), m).dissect(e.mod, e.residue)
     raise TypeError(f"not a series expression: {e!r}")
 
 

@@ -9,15 +9,23 @@ identity catalog manipulates is assembled from:
   * bilateral theta-type sums  sum_k w(k) q^(e(k)),
   * the cubic lattice theta  alpha(q) = sum_{(m,n) in Z^2} q^(m^2+mn+n^2),
   * the level-12 continued-fraction product h(q).
+
+The builders the evaluator calls (``euler_f``, ``fquotient`` through
+``_expand_factors``, ``cubic_theta_alpha``, ``h_level12``) are cached by
+``_prefix_cache``: one entry per series and ring, holding its longest
+expansion, from which every shorter request is truncated.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
+from inspect import signature
 from math import gcd, isqrt
+from threading import Lock
 
-from .series import LaurentSeries
+from .series import LaurentSeries, _in_ring
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,54 @@ def bilateral(spec, T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _prefix_cache(maxsize, window):
+    """Cache a series builder by every argument except its window, the
+    argument named ``window``, keeping for each key the longest expansion
+    made so far; the ``maxsize`` least recently used keys are kept.
+
+    A request through q^T that the kept expansion reaches is its
+    ``truncate(T)``, which is exact: coefficient k of a product, quotient,
+    power or theta sum reads only coefficients <= k of its operands.  A
+    request past it (or below its valuation, which raises as the builder
+    does) is built and replaces the entry.  ``cache_info()`` reads the
+    hits, misses, maxsize and currsize, as ``lru_cache``'s does; as there,
+    a build runs outside the lock, so two threads may both build a key."""
+    def decorate(build):
+        sig = signature(build)
+        entries = OrderedDict()
+        lock = Lock()
+        hits = misses = 0
+
+        @wraps(build)
+        def cached(*args, **kwargs):
+            nonlocal hits, misses
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            key = tuple(v for k, v in bound.arguments.items() if k != window)
+            T = bound.arguments[window]
+            with lock:
+                s = entries.get(key)
+                if s is not None and s.v <= T <= s.known_through:
+                    entries.move_to_end(key)
+                    hits += 1
+                    return s if T == s.known_through else s.truncate(T)
+                misses += 1
+            s = build(*bound.args)
+            with lock:
+                entries[key] = s
+                entries.move_to_end(key)
+                if len(entries) > maxsize:
+                    entries.popitem(last=False)
+            return s
+
+        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize, len(entries))
+        return cached
+    return decorate
+
+
 def _scaled(s, d, W):
     """s(q^d) through q^W, for a series s in q on the window [0, W // d]:
     the coefficients are placed at every d-th exponent of one list, so the
@@ -168,15 +224,15 @@ def _scaled(s, d, W):
         return s
     cs = [0] * (W + 1)
     cs[::d] = s.coeffs
-    return LaurentSeries(cs, 0, s.modulus)
+    return _in_ring(cs, 0, s.modulus)
 
 
-@lru_cache(maxsize=256)
+@_prefix_cache(maxsize=256, window="T")
 def euler_f(m, T, modulus=None):
     """f_m through q^T by Euler's pentagonal number theorem: the bilateral
     sum PENTAGONAL, f_1 = sum_{k in Z} (-1)^k q^(k(3k+1)/2), under q -> q^m.
     The planner takes f_d from here, so its Euler factors and its theta
-    blocks come from one builder."""
+    blocks come from one builder.  Cached per (m, modulus), 256 entries."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
     return _scaled(bilateral(PENTAGONAL, T // m, modulus), m, T)
@@ -269,7 +325,10 @@ def expand_factors(factors, W, modulus=None):
     return LaurentSeries.one(W, modulus) if r is None else r
 
 
-_expand_factors = lru_cache(maxsize=128)(expand_factors)
+#: ``expand_factors`` cached per (factors, modulus), 128 entries: the classes
+#: of one quotient that ``Dissect`` nodes read, and the windows of one
+#: quotient across catalog entries, share one expansion
+_expand_factors = _prefix_cache(maxsize=128, window="W")(expand_factors)
 
 
 def fquotient(spec, T, modulus=None):
@@ -283,12 +342,13 @@ def fquotient(spec, T, modulus=None):
 
 # -- cubic theta and the level-12 product -------------------------------------
 
-@lru_cache(maxsize=64)
+@_prefix_cache(maxsize=64, window="T")
 def cubic_theta_alpha(T, modulus=None):
     """alpha(q) = sum over (m, n) in Z^2 of q^(m^2 + mn + n^2), through q^T.
 
     Lattice enumeration is the definition; the eta-quotient expansion for
-    alpha is checked against this, never used to build it.
+    alpha is checked against this, never used to build it.  Cached per
+    modulus, 64 entries.
     """
     if T < 0:
         raise ValueError("order must be >= 0")
@@ -304,14 +364,16 @@ def cubic_theta_alpha(T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
-@lru_cache(maxsize=64)
+@_prefix_cache(maxsize=64, window="T")
 def h_level12(T, modulus=None):
     """The level-12 analogue of the Rogers-Ramanujan continued fraction:
 
         h(q) = q * prod_{n>=1} (1-q^(12n-1))(1-q^(12n-11))
                               / ((1-q^(12n-5))(1-q^(12n-7)))
 
-    through q^T.  Valuation exactly 1.
+    through q^T.  Valuation exactly 1.  Cached per modulus, 64 entries,
+    so h through q^T and 1/h, which asks for h through q^(T+2), share one
+    O(T^2) product.
     """
     if T < 1:
         raise ValueError("order must be >= 1")

@@ -25,8 +25,15 @@ planner of ``products`` does: it multiplies the denominator of a quotient
 into one divisor in q^g, g the gcd of the denominator's scales, and takes
 one inverse (B's f_4^3 at length N/4).  The packed kernel packs and
 unpacks its slots with C-level string, ``map`` and ``struct`` calls, so
-libmpdec's multiply is most of its time.  The product kernels return
-unreduced coefficients; the constructor reduces them.
+libmpdec's multiply is most of its time.
+
+The public constructor converts its input with ``int`` and reduces it
+mod m, for coefficients from outside.  Results whose coefficients are
+already in the ring are built by ``_in_ring``, with no pass over them:
+reindexing (``shift``, ``truncate``, ``normalize``, ``dissect``,
+``substitute``), the inverse and the Z quotient (``_divide_block`` and
+Newton reduce as they go), and ``mul``, which reduces its kernel's output
+once with ``map(m.__rmod__, ...)``.
 
 ``coeff`` reads one coefficient and ``coeff_window`` a strided window of
 them by slicing; both raise InsufficientPrecision for the same first
@@ -216,6 +223,15 @@ def _inverse(dc, n, m):
     return g
 
 
+def _in_ring(cs, v, modulus):
+    """The series with coefficients ``cs`` from q^v on, for int
+    coefficients already in the ring ([0, modulus) over Z/m): no ``int``
+    and no reduction pass, unlike the public constructor."""
+    s = object.__new__(LaurentSeries)
+    s._fill(tuple(cs), v, modulus)
+    return s
+
+
 class LaurentSeries:
     """A Laurent series known exactly on the exponent window [v, T]."""
 
@@ -227,10 +243,13 @@ class LaurentSeries:
             cs = tuple(int(c) for c in coeffs)
         else:
             cs = tuple(int(c) % modulus for c in coeffs)
+        self._fill(cs, int(v), modulus)
+
+    def _fill(self, cs, v, modulus):
         if not cs:
             raise ValueError("empty coefficient window")
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "v", int(v))
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):
@@ -344,8 +363,10 @@ class LaurentSeries:
     def mul(self, other):
         self._require_same_ring(other)
         n = min(len(self.coeffs), len(other.coeffs))
-        out = _product(self.coeffs, other.coeffs, n, self.modulus)
-        return LaurentSeries(out, self.v + other.v, self.modulus)
+        m = self.modulus
+        out = _product(self.coeffs, other.coeffs, n, m)
+        return _in_ring(out if m is None else map(m.__rmod__, out),
+                        self.v + other.v, m)
 
     def divide(self, other):
         """self / other, where other has a unit leading coefficient; over
@@ -358,7 +379,7 @@ class LaurentSeries:
             raise NotInvertible("not invertible: zero series")
         n = min(len(self.coeffs), len(den.coeffs))
         out = _divide_block(self.coeffs, den.coeffs, n, None)
-        return LaurentSeries(out, self.v - den.v, None)
+        return _in_ring(out, self.v - den.v, None)
 
     def invert(self):
         """Multiplicative inverse; valuation -v, known through T - 2v."""
@@ -366,7 +387,7 @@ class LaurentSeries:
         if a.is_window_zero():
             raise NotInvertible("not invertible: zero series")
         out = _inverse(a.coeffs, len(a.coeffs), self.modulus)
-        return LaurentSeries(out, -a.v, self.modulus)
+        return _in_ring(out, -a.v, self.modulus)
 
     def pow(self, e):
         """Repeated-squaring power; e < 0 inverts, e = 0 gives 1 on [0, T-v]."""
@@ -399,7 +420,7 @@ class LaurentSeries:
         out = [0] * (k * W)
         for i, c in enumerate(self.coeffs):
             out[k * i] = c
-        return LaurentSeries(out, k * self.v, self.modulus)
+        return _in_ring(out, k * self.v, self.modulus)
 
     def dissect(self, m, j):
         """Extract the residue class j mod m: coefficient of q^n is the
@@ -413,17 +434,17 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 f"insufficient precision: no coefficient of the class {j} mod {m} "
                 f"lies in the window [{self.v}, {self.known_through}]")
-        return LaurentSeries(self.coeff_window(j, m * Tp + j, m), 0, self.modulus)
+        return _in_ring(self.coeff_window(j, m * Tp + j, m), 0, self.modulus)
 
     def shift(self, e):
         """Multiply by q^e."""
-        return LaurentSeries(self.coeffs, self.v + e, self.modulus)
+        return _in_ring(self.coeffs, self.v + e, self.modulus)
 
     def truncate(self, T):
         """Restrict the window to [v, T]."""
         if T < self.v:
             raise ValueError("cannot truncate below the valuation")
-        return LaurentSeries(self.coeffs[:T - self.v + 1], self.v, self.modulus)
+        return _in_ring(self.coeffs[:T - self.v + 1], self.v, self.modulus)
 
     def normalize(self):
         """Strip leading zeros so coeffs[0] is the true leading coefficient
@@ -434,7 +455,7 @@ class LaurentSeries:
             i += 1
         if i == 0:
             return self
-        return LaurentSeries(cs[i:], self.v + i, self.modulus)
+        return _in_ring(cs[i:], self.v + i, self.modulus)
 
     # -- ring changes and comparison ----------------------------------------
 

@@ -1,12 +1,16 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcong.cli import main, parse_quotient, SpecParseError
+from qcong.cli import _parser, main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
 from qcong.identities import EXACT_ORDER, MOD_ORDER
 from qcong.theorems import (MAX_SAMPLED_PRIME, MAX_SCAN_STRIDE, MIN_SCAN_NMAX,
@@ -235,6 +239,71 @@ def test_show_defaults(capsys):
 def test_no_command_is_usage_error(capsys):
     rc, out, err = run(capsys)
     assert rc == 2
+
+
+# -- one parser per process, and stdout independent of the caches ------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_process(*argv):
+    """(exit code, stdout) of ``qcong`` in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "qcong.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout
+
+
+def test_successive_main_calls_match_fresh_processes(capsys, tmp_path):
+    """``main`` builds its parser on the first call and reuses it; after a
+    usage error and each command, the next call prints what a new process
+    prints."""
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"spec": "1/f1", "A_max": 8,
+                               "moduli": [5, 7], "n_max": 60}))
+    calls = [[], ["verify-identity"],
+             ["verify-identity", "--name", "gf_b_3n2", "--order", "30"],
+             ["scan", "--config", str(cfg)], ["--show-defaults"]]
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as ex:  # argparse's own usage error
+            rc = ex.code
+        assert (rc, capsys.readouterr().out) == fresh_process(*argv)
+    assert _parser.cache_info().misses == 1
+
+
+ORDERS = """
+import contextlib, io, json
+from qcong import cli, identities
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
+
+everything = ["verify-identity", "--all", "--json"]
+cold = run(everything)
+names = [e.name for e in reversed(identities.registry())]
+each = [run(["verify-identity", "--name", n, "--json"]) for n in names]
+print(json.dumps({"cold": cold, "each": each, "warm": run(everything)}))
+"""
+
+
+def test_stdout_does_not_depend_on_cache_state():
+    """The catalog cold, then entry by entry in reverse order, then whole
+    again, in one process: the builders' caches serve the later runs, and
+    every report is the same byte for byte."""
+    proc = subprocess.run([sys.executable, "-c", ORDERS], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert runs["warm"] == runs["cold"] and runs["cold"][0] == 0
+    reports = [r for rc, out in reversed(runs["each"]) for r in json.loads(out)]
+    assert {rc for rc, _ in runs["each"]} == {0}
+    assert json.dumps(reports, indent=2) + "\n" == runs["cold"][1]
 
 
 # -- bad input ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qcong import (BILATERAL_SUMS, Add, Dissect, InsufficientPrecision,
                    registry_from_json, registry_to_json, verify, verify_all)
 from qcong.expr import NAMED_SERIES, predicted_valuation
 from qcong.partitions import FAMILIES
+from qcong.products import _expand_factors
 
 B = fq(FAMILIES["B"].gf)
 
@@ -33,6 +34,19 @@ def test_evaluate_dissection_consequence():
     lhs = evaluate(Dissect(B, 3, 2), 60)
     rhs = evaluate(fq({2: 12, 12: 3, 1: -6, 4: -10}), 60)
     assert lhs.eq_through(rhs, 60)
+
+
+def test_dissect_classes_share_one_expansion():
+    """Dissect through q^T asks its child for whole blocks, through
+    q^(3T + 2) for every class mod 3: the three classes of B are one cache
+    entry, and each dissected window is exactly [0, T]."""
+    before = _expand_factors.cache_info()
+    classes = [evaluate(Dissect(B, 3, j), 100, 1013) for j in (1, 0, 2)]
+    after = _expand_factors.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
+    whole = evaluate(B, 302, 1013)
+    assert classes == [whole.dissect(3, j) for j in (1, 0, 2)]
+    assert {s.known_through for s in classes} == {100}
 
 
 def test_evaluate_modular_ring():

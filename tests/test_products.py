@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                    SLOPE_3K1, SLOPE_6K1, TRIANGULAR, FQuotientSpec,
-                   LaurentSeries, Parts, bilateral, count_table,
-                   cubic_theta_alpha, euler_f, euler_f_product, fquotient,
-                   h_level12)
+                   LaurentSeries, Named, Parts, Pow, bilateral, count_table,
+                   cubic_theta_alpha, euler_f, euler_f_product, evaluate,
+                   fquotient, h_level12)
+from qcong import products as products_module
 from qcong import series as series_module
 from qcong.partitions import FAMILIES
-from qcong.products import _scaled, expand_factors, plan_factors
+from qcong.products import (_expand_factors, _prefix_cache, _scaled,
+                            expand_factors, plan_factors)
 from qcong.series import PACKED_CROSSOVER
 
 
@@ -279,3 +281,89 @@ def test_bilateral_rejects_negative_order():
 def test_spec_str_roundtrippable_text():
     spec = FQuotientSpec.of({2: 4, 1: -2, 4: -3})
     assert str(spec) == "f2^4/(f1^2*f4^3)"
+
+
+# -- the prefix cache of the builders ---------------------------------------------
+
+RINGS = [None, 2, 9, 630, 2 ** 31 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=st.dictionaries(st.integers(1, 12), st.integers(-6, 6),
+                               min_size=0, max_size=4),
+       modulus=st.sampled_from(RINGS),
+       windows=st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       order=st.sampled_from(["increasing", "decreasing", "random"]))
+def test_prefix_cache_serves_what_a_cold_expansion_gives(factors, modulus,
+                                                         windows, order):
+    """Every window served, from a cache of its own and from the package's
+    caches, equals a cold expansion through that window; a request the
+    longest expansion so far reaches is a hit, any other a miss."""
+    if order != "random":
+        windows.sort(reverse=order == "decreasing")
+    factors = FQuotientSpec.of(factors).factors
+    d = factors[0][0] if factors else 1
+    cache = _prefix_cache(maxsize=4, window="W")(expand_factors)
+    longest, hits = -1, 0
+    for W in windows:
+        cold = expand_factors(factors, W, modulus)
+        assert cache(factors, W, modulus) == cold
+        assert _expand_factors(factors, W, modulus) == cold
+        assert euler_f(d, W, modulus) == euler_f_product(d, W, modulus)
+        hits += W <= longest
+        longest = max(longest, W)
+    assert cache.cache_info() == (hits, len(windows) - hits, 4, 1)
+
+
+def test_prefix_cache_keys_bind_defaults_and_keywords():
+    cache = _prefix_cache(maxsize=4, window="T")(euler_f_product)
+    s = cache(3, 60)
+    assert cache(3, 60, None) is s
+    assert cache(m=3, T=40, modulus=None) == s.truncate(40)
+    assert cache(3, 40, 9) == s.truncate(40).reduce_mod(9)
+    assert cache.cache_info() == (2, 2, 4, 2)
+
+
+def test_prefix_cache_keeps_the_longest_expansion_of_each_key():
+    cache = _prefix_cache(maxsize=4, window="T")(euler_f_product)
+    cache(1, 50)
+    cache(1, 80)                  # past the kept window: rebuilt, replaces it
+    assert cache(1, 60) == euler_f_product(1, 60)
+    assert cache(1, 80) == euler_f_product(1, 80)
+    assert cache.cache_info() == (2, 2, 4, 1)
+    assert cache(1, 81) == euler_f_product(1, 81)     # one past it: a miss
+    assert cache.cache_info() == (2, 3, 4, 1)
+    with pytest.raises(ValueError):
+        cache(1, -1)              # below the valuation: the builder raises
+    assert cache.cache_info() == (2, 4, 4, 1)
+
+
+def test_prefix_cache_drops_the_least_recently_used_key():
+    cache = _prefix_cache(maxsize=2, window="T")(euler_f_product)
+    cache(1, 50)
+    cache(2, 50)
+    cache(1, 20)                  # hit: key 1 is now the most recent
+    cache(3, 50)                  # drops key 2
+    assert cache.cache_info() == (1, 3, 2, 2)
+    cache(1, 50)
+    cache(3, 10)
+    assert cache.cache_info() == (3, 3, 2, 2)
+    assert cache(2, 10) == euler_f_product(2, 10)
+    assert cache.cache_info() == (3, 4, 2, 2)
+
+
+def test_builders_share_one_cache_mechanism():
+    """No ``lru_cache`` is left in ``products``: the four cached builders
+    keep their sizes, and 1/h, which asks for h through q^(T+2), serves h
+    through q^T from the same expansion."""
+    caches = (euler_f, _expand_factors, cubic_theta_alpha, h_level12)
+    assert [c.cache_info().maxsize for c in caches] == [256, 128, 64, 64]
+    assert not any(hasattr(v, "cache_parameters")   # an lru_cache wrapper
+                   for v in vars(products_module).values())
+    before = h_level12.cache_info()
+    inverse = evaluate(Pow(Named("h"), -1), 300, 1009)
+    h = evaluate(Named("h"), 300, 1009)
+    after = h_level12.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    assert h == h_level12(302, 1009).truncate(300)
+    assert inverse.mul(h).eq_through(LaurentSeries.one(298, 1009), 298)

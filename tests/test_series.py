@@ -3,6 +3,7 @@
 import random
 from math import gcd
 from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
+from qcong.products import _scaled
 from qcong.series import (PACKED_CROSSOVER, _convolve, _divide_block, _inverse,
                           _packed)
 
@@ -547,3 +549,49 @@ def test_binomial_law_spot(p, k):
     lhs = euler_f(1, T, mod).pow(mod)
     rhs = euler_f(p, T, mod).pow(p ** (k - 1))
     assert lhs.eq_through(rhs, T)
+
+
+# -- results built without the constructor's reduction pass ---------------------
+
+def in_ring(s, want):
+    """``s`` holds a tuple of ints in the ring ([0, m) over Z/m) and equals
+    ``want``, the public constructor's series from the op's definition."""
+    m = s.modulus
+    assert type(s.coeffs) is tuple
+    assert all(type(c) is int and (m is None or 0 <= c < m) for c in s.coeffs)
+    assert s == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 9, 630, 2 ** 31 - 1]),
+       st.sampled_from([0, 10 ** 9]))
+def test_kernel_results_are_in_the_ring(data, m, crossover):
+    """mul, invert, divide and the reindexing ops skip the constructor's
+    ``int`` and ``%`` pass.  A crossover of 0 sends every product over Z/m
+    to the packed kernel and every inverse over Z/m to Newton doubling; one
+    of 10^9 keeps both sequential."""
+    ring = st.integers(-50, 50) if m is None else st.integers(0, m - 1)
+    xs = data.draw(st.lists(ring, min_size=1, max_size=120))
+    ys = data.draw(st.lists(ring, min_size=1, max_size=120))
+    ys[0] = data.draw(st.sampled_from([1, -1] if m is None else [1, m - 1]))
+    lead, v, w = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 3), (-4, 4), (-4, 4)))
+    a = LaurentSeries(xs, v, m)
+    b = LaurentSeries([0] * lead + ys, w - lead, m)   # leading zeros: normalize
+    n = min(len(xs), len(ys))
+    with patch.object(series_module, "PACKED_CROSSOVER", crossover):
+        in_ring(a.mul(b), LaurentSeries(
+            _convolve(a.coeffs, b.coeffs, min(len(xs), len(b.coeffs))), v + w - lead, m))
+        in_ring(b.invert(), LaurentSeries(_divide_block((1,), ys, len(ys), m), -w, m))
+        in_ring(a.divide(b), LaurentSeries(_divide_block(xs, ys, n, m), v - w, m))
+    e, k = data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4))
+    T = data.draw(st.integers(v, v + len(xs) - 1))
+    spread = [xs[i // k] if i % k == 0 else 0 for i in range(k * len(xs))]
+    in_ring(a.shift(e), LaurentSeries(xs, v + e, m))
+    in_ring(a.truncate(T), LaurentSeries(xs[:T - v + 1], v, m))
+    in_ring(b.normalize(), LaurentSeries(ys, w, m))
+    in_ring(a.substitute(k), LaurentSeries(spread, k * v, m))
+    c = LaurentSeries(xs, 0, m)
+    j = data.draw(st.integers(0, min(k, len(xs)) - 1))
+    in_ring(c.dissect(k, j), LaurentSeries(xs[j::k], 0, m))
+    W = k * (len(xs) - 1) + data.draw(st.integers(0, k - 1))
+    in_ring(_scaled(c, k, W), LaurentSeries(spread[:W + 1] + [0] * (W + 1 - len(spread)), 0, m))

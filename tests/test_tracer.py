@@ -31,6 +31,9 @@ with contextlib.redirect_stdout(io.StringIO()):
                            "--order", "30"]))
     codes.append(cli.main(["scan", "--name", "B", "--amax", "2",
                            "--moduli", "2", "--nmax", "50"]))
+    # one quotient through two windows: the shorter is served from the cache
+    codes.append(cli.main(["expand", "--name", "b", "--order", "60"]))
+    codes.append(cli.main(["coeff", "--name", "b", "--n", "40"]))
 print(json.dumps({"codes": codes, "caches": caches,
                   "layers": tracer.report(t0, time.perf_counter())}))
 """
@@ -41,9 +44,10 @@ def test_tracer_installs_on_the_package():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["caches"] == [True, True]
     assert result["layers"]["theorems.b_table.calls"] > 0
     assert result["layers"]["partitions.count_triples.self_s"] > 0
     assert result["layers"]["expr.evaluate.calls"] > 0
     assert result["layers"]["products.fquotient.calls"] > 0
+    assert result["layers"]["products.fquotient.hit_ratio"] > 0
