@@ -25,7 +25,7 @@ from inspect import signature
 from math import gcd, isqrt
 from threading import Lock
 
-from .series import LaurentSeries, _in_ring
+from .series import LaurentSeries, _check_modulus, _in_ring
 
 
 @dataclass(frozen=True)
@@ -152,20 +152,31 @@ BILATERAL_SUMS = {s.name: s for s in
 
 
 def bilateral(spec, T, modulus=None):
-    """Expand a bilateral sum through q^T."""
+    """Expand a bilateral sum through q^T.
+
+    The sum is built in the ring: only the exponents a term reaches (about
+    sqrt(T) of the T + 1) are reduced mod ``modulus``, and the result is
+    built by ``_in_ring``, not by the public constructor's ``int`` and
+    ``%`` pass over every coefficient."""
     if T < 0:
         raise ValueError("order must be >= 0")
+    _check_modulus(modulus)
     w = WEIGHT_RULES[spec.weight]
     K = spec.k_bound(T)
     lo = -K if spec.two_sided else 0
     cs = [0] * (T + 1)
+    touched = []
     for k in range(lo, K + 1):
         e = spec.exponent(k)
         if e < 0:
             raise ValueError(f"exponent rule of {spec.name} went negative at k={k}")
         if e <= T:
             cs[e] += w(k)
-    return LaurentSeries(cs, 0, modulus)
+            touched.append(e)
+    if modulus is not None:
+        for e in touched:
+            cs[e] %= modulus
+    return _in_ring(cs, 0, modulus)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -23,17 +23,23 @@ Newton doubling on ``_product`` (``_inverse``).  A caller that knows its
 divisor is a series in q^g inverts it in q and substitutes, as the theta
 planner of ``products`` does: it multiplies the denominator of a quotient
 into one divisor in q^g, g the gcd of the denominator's scales, and takes
-one inverse (B's f_4^3 at length N/4).  The packed kernel packs and
-unpacks its slots with C-level string, ``map`` and ``struct`` calls, so
-libmpdec's multiply is most of its time.
+one inverse (B's f_4^3 at length N/4).  ``_product`` finds each
+operand's support once, at C speed, and shares it between the crossover
+count and ``_convolve``, which sums a square's pairs i < j once.  The
+packed kernel sizes its slot by what the product can hold,
+t max(a) max(b) with t the smaller nonzero count (no slot can carry), so a
+sparse operand packs narrower than a dense one; it packs and unpacks its
+slots with C-level string, ``map`` and ``struct`` calls, so libmpdec's
+multiply is most of its time.
 
 The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
 already in the ring are built by ``_in_ring``, with no pass over them:
 reindexing (``shift``, ``truncate``, ``normalize``, ``dissect``,
 ``substitute``), the inverse and the Z quotient (``_divide_block`` and
-Newton reduce as they go), and ``mul``, which reduces its kernel's output
-once with ``map(m.__rmod__, ...)``.
+Newton reduce as they go), ``mul``, which reduces its kernel's output
+once with ``map(m.__rmod__, ...)``, and the theta sums of
+``products.bilateral``, which reduce only the exponents their terms reach.
 
 ``coeff`` reads one coefficient and ``coeff_window`` a strided window of
 them by slicing; both raise InsufficientPrecision for the same first
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, compress, count, islice
-from operator import itemgetter, ne
+from operator import itemgetter, ne, neg
 from struct import Struct
 
 MAX_MODULUS = 1 << 31
@@ -90,34 +96,51 @@ def _unit_inverse(u, m):
         raise NotInvertible(f"not invertible: gcd({u}, {m}) != 1") from None
 
 
-def _convolve(ac, bc, n):
+def _supports(ac, bc, n):
+    """The positions below ``n`` of the nonzero entries of each block, found
+    at C speed by ``compress``; one list for both when ``bc is ac``."""
+    ia = list(compress(range(n), ac))
+    return ia, ia if bc is ac else list(compress(range(n), bc))
+
+
+def _convolve(ac, bc, n, supports=None):
     """First ``n`` coefficients of the Cauchy product of two blocks.
 
     Schoolbook, but iterates over the nonzero entries of the sparser
     operand, so multiplying by a theta-type series costs O(n * nnz).
+    ``supports`` are the blocks' ``_supports`` when the caller has them.
+    A square (``bc is ac``) sums each pair i < j once and doubles it.
     """
-    anz = [(i, c) for i, c in enumerate(ac[:n]) if c]
-    bnz = [(j, d) for j, d in enumerate(bc[:n]) if d]
-    if len(bnz) < len(anz):
-        anz, bnz = bnz, anz
-    bidx = [j for j, _ in bnz]
-    bval = [d for _, d in bnz]
+    ia, ib = supports or _supports(ac, bc, n)
+    if len(ib) < len(ia):
+        ac, bc, ia, ib = bc, ac, ib, ia
+    bval = list(map(bc.__getitem__, ib))
     out = [0] * n
-    for i, c in anz:
-        stop = bisect_left(bidx, n - i)
-        for t in range(stop):
-            out[i + bidx[t]] += c * bval[t]
+    if bc is ac:
+        for s, i in enumerate(ia):
+            if 2 * i >= n:
+                break
+            c = bval[s]
+            out[2 * i] += c * c
+            c += c
+            for t in range(s + 1, bisect_left(ib, n - i)):
+                out[i + ib[t]] += c * bval[t]
+        return out
+    for i in ia:
+        c = ac[i]
+        for t in range(bisect_left(ib, n - i)):
+            out[i + ib[t]] += c * bval[t]
     return out
 
 
-def _convolve_ops(ac, bc, n):
-    """Multiply-adds ``_convolve`` spends, one count per nonzero position i
-    of the sparser block: the nonzero positions j of the other with
-    i + j < n."""
-    a, b = (list(compress(range(n), cs[:n])) for cs in (ac, bc))
-    if len(b) < len(a):
-        a, b = b, a
-    return (bisect_left(b, n - i) for i in a)
+def _convolve_ops(ia, ib, n):
+    """Multiply-adds ``_convolve`` spends on blocks with the supports ``ia``
+    and ``ib``, one count per nonzero position i of the sparser block: the
+    nonzero positions j of the other with i + j < n.  (A square spends
+    about half of that, but is routed by the same count.)"""
+    if len(ib) < len(ia):
+        ia, ib = ib, ia
+    return (bisect_left(ib, n - i) for i in ia)
 
 
 def _above_crossover(ops, n):
@@ -131,10 +154,16 @@ def _above_crossover(ops, n):
 def _packed(ac, bc, n, m):
     """First ``n`` >= 1 coefficients of the product of two blocks with
     entries in [0, m), by Kronecker substitution: each block becomes one
-    decimal integer with a slot of w = len(str(n (m-1)^2)) digits per
-    coefficient, wide enough that no slot of the product carries into the
-    next, and libmpdec multiplies the two (number-theoretic transform for
-    large operands).  A block shorter than ``n`` is zero beyond its end.
+    decimal integer with a slot of w digits per coefficient, and libmpdec
+    multiplies the two (number-theoretic transform for large operands).
+    A block shorter than ``n`` is zero beyond its end.
+
+    The slot holds t max(a) max(b), t the smaller of the blocks' nonzero
+    counts below n: slot k of the product is the sum of a_i b_(k-i), and
+    each i with a_i != 0 pairs with one j = k - i, so at most t terms are
+    nonzero and no slot reaches 10^w or carries into the next.  (A sparse
+    divisor's first Newton product, f_1^3 at length 25361 mod 630, takes
+    8 digits a slot where n (m-1)^2 would take 11.)
 
     Coefficient 0 takes the lowest slot, so a block is packed reversed and
     the n low slots are the last n w digits of the product; only those are
@@ -143,7 +172,9 @@ def _packed(ac, bc, n, m):
     no more than one block), else by %-formatting (m can be 2^31 - 1)."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    w = len(str(n * (m - 1) ** 2))
+    ac, bc = ac[:n], bc[:n]
+    t = min(len(ac) - ac.count(0), len(bc) - bc.count(0))
+    w = len(str(t * max(ac, default=0) * max(bc, default=0)))
     if m <= n:
         table = [f"%0{w}d" % c for c in range(m)]
 
@@ -154,7 +185,7 @@ def _packed(ac, bc, n, m):
             return f"%0{w}d" * len(cs) % tuple(reversed(cs))
 
     def pack(cs):
-        return ctx.create_decimal(slots(cs[:n]) or "0")
+        return ctx.create_decimal(slots(cs) or "0")
 
     low = str(ctx.multiply(pack(ac), pack(bc)))[-n * w:].zfill(n * w).encode()
     out = list(map(int, map(itemgetter(0), Struct(f"{w}s").iter_unpack(low))))
@@ -163,10 +194,15 @@ def _packed(ac, bc, n, m):
 
 
 def _product(ac, bc, n, m):
-    """First ``n`` coefficients of the product, by the cheaper kernel."""
-    if m is not None and _above_crossover(_convolve_ops(ac, bc, n), n):
-        return _packed(ac, bc, n, m)
-    return _convolve(ac, bc, n)
+    """First ``n`` coefficients of the product, by the cheaper kernel; the
+    supports are found once, for the count and for ``_convolve``, and
+    dropped before a packed product, whose peak memory they would raise
+    (one int object per nonzero position)."""
+    supports = _supports(ac, bc, n)
+    if m is None or not _above_crossover(_convolve_ops(*supports, n), n):
+        return _convolve(ac, bc, n, supports)
+    del supports
+    return _packed(ac, bc, n, m)
 
 
 def _divide_block(uc, dc, n, m):
@@ -218,8 +254,8 @@ def _inverse(dc, n, m):
         return _divide_block((1,), dc, n, m)
     k = (n + 1) // 2
     g = _inverse(dc, k, m)
-    e = [c % m for c in _product(dc, g, n, m)[k:]]
-    g.extend(-c % m for c in _product(g, e, n - k, m))
+    e = list(map(m.__rmod__, _product(dc, g, n, m)[k:]))
+    g.extend(map(m.__rmod__, map(neg, _product(g, e, n - k, m))))
     return g
 
 

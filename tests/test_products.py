@@ -278,6 +278,29 @@ def test_bilateral_rejects_negative_order():
         bilateral(TRIANGULAR, -1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BILATERAL_SUMS)), st.integers(0, 3000),
+       st.sampled_from([2, 9, 630, 2 ** 31 - 1]))
+def test_bilateral_builds_in_the_ring(name, T, m):
+    """A theta sum over Z/m, built in the ring with only the exponents it
+    reaches reduced, is the public constructor's reduction of the sum over
+    Z: a tuple of ints in [0, m)."""
+    spec = BILATERAL_SUMS[name]
+    s = bilateral(spec, T, m)
+    assert s == LaurentSeries(bilateral(spec, T).coeffs, 0, m)
+    assert type(s.coeffs) is tuple
+    assert all(type(c) is int and 0 <= c < m for c in s.coeffs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2 ** 31, 9.0, "9"])
+def test_bilateral_rejects_a_bad_modulus_as_the_constructor_does(m):
+    with pytest.raises(ValueError, match="modulus must be an integer") as built:
+        bilateral(PENTAGONAL, 20, m)
+    with pytest.raises(ValueError) as constructed:
+        LaurentSeries([1], 0, m)
+    assert str(built.value) == str(constructed.value)
+
+
 def test_spec_str_roundtrippable_text():
     spec = FQuotientSpec.of({2: 4, 1: -2, 4: -3})
     assert str(spec) == "f2^4/(f1^2*f4^3)"

@@ -1,12 +1,14 @@
 """Core Laurent-series arithmetic: windows, ring rules, and the op contracts."""
 
 import random
+from bisect import bisect_left
+from itertools import compress
 from math import gcd
 from operator import mul
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
@@ -480,6 +482,108 @@ def test_packed_matches_convolve_at_the_benchmark_sizes(n, m):
     for k in rnd.sample(range(n), 12) + [0, n - 1]:
         sparse[k] = rnd.randrange(1, m)
     assert _packed(a, sparse, n, m) == _convolve(a, sparse, n)
+
+
+# -- the packed slot holds what the product can hold ---------------------------
+
+@st.composite
+def full_slots(draw, table_route):
+    """(a, b, n, m) with every nonzero entry m - 1: a on t drawn positions
+    and b on at least t, t at one side or the other of a digit-length step
+    of t (m-1)^2.  A dense b puts t (m-1)^2 itself in slot n - 1.  The
+    table route has m <= n, the %-format route m > n."""
+    n = draw(st.integers(2, 600))
+    m = draw(st.integers(2, n) if table_route else st.integers(n + 1, 10 ** 6))
+    sq = (m - 1) ** 2
+    digits = [len(str(t * sq)) for t in range(n + 2)]
+    edges = [t for t in range(1, n + 1)
+             if digits[t] != digits[t + 1] or (t > 1 and digits[t] != digits[t - 1])]
+    assume(edges)
+    t = draw(st.sampled_from(edges))
+    rnd = draw(st.randoms(use_true_random=False))
+    a, b = [0] * n, [0] * n
+    for i in rnd.sample(range(n), t):
+        a[i] = m - 1
+    for j in rnd.sample(range(n), draw(st.sampled_from([n, rnd.randint(t, n)]))):
+        b[j] = m - 1
+    return a, b, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans())
+def test_packed_slot_holds_the_fullest_slot(data, table_route):
+    a, b, n, m = data.draw(full_slots(table_route))
+    want = _convolve(a, b, n)
+    assert _packed(a, b, n, m) == want
+    assert _packed(b, a, n, m) == want
+    assert _packed(a, a, n, m) == _convolve(a, list(a), n)
+
+
+@pytest.mark.parametrize("n,m", [(50, 7), (50, 630), (3, 2 ** 31 - 1)])
+def test_packed_with_an_all_zero_operand(n, m):
+    """t = 0 gives a slot of one digit, on both packing routes."""
+    rnd = random.Random(m)
+    a = [rnd.randrange(m) for _ in range(n)]
+    for z in ([0] * n, [0] * (n // 2), []):
+        assert _packed(a, z, n, m) == [0] * n
+        assert _packed(z, a, n, m) == [0] * n
+        assert _packed(z, z, n, m) == [0] * n
+
+
+def test_packed_sparse_times_dense_at_newtons_first_product():
+    """f_1^3 (225 nonzeros) times a dense block at length 25361 mod 630,
+    the first Newton product of B's divisor: slots of 8 digits, where
+    n (m-1)^2 takes 11.  Checked by direct sums at 22 positions."""
+    n, m = 25361, 630
+    rnd = random.Random(n)
+    sparse = list(bilateral(CUBE, n - 1, m).coeffs)
+    dense = [rnd.randrange(m) for _ in range(n)]
+    assert len(str((n - sparse.count(0)) * (m - 1) ** 2)) == 8
+    got = _packed(sparse, dense, n, m)
+    assert got == _packed(dense, sparse, n, m)
+    for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
+        assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 9, 630, 2 ** 31 - 1]), st.integers(1, 300))
+def test_convolve_square_matches_the_general_product(data, m, n):
+    """``bc is ac`` sums each pair once and doubles it: the same coefficients
+    as the product of two equal blocks, over Z (signed) and Z/m."""
+    a = (data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+         if m is None else data.draw(blocks(n, m)))
+    want = _convolve(a, list(a), n)
+    assert _convolve(a, a, n) == want
+    assert _convolve(tuple(a), tuple(a)[:n // 2], n) == _convolve(a, a[:n // 2], n)
+    assert LaurentSeries(a, 0, m).pow(2).coeffs == LaurentSeries(want, 0, m).coeffs
+
+
+def parent_convolve_ops(ac, bc, n):
+    """The crossover count as the kernels were routed before ``_supports``:
+    the nonzero positions of each block, counted from the sparser."""
+    a, b = (list(compress(range(n), cs[:n])) for cs in (ac, bc))
+    if len(b) < len(a):
+        a, b = b, a
+    return (bisect_left(b, n - i) for i in a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 9, 630, 2 ** 31 - 1]), st.integers(1, 400),
+       st.booleans())
+def test_product_routes_as_before(data, m, n, square):
+    """``_product`` shares its operands' supports between the crossover
+    count and ``_convolve``; each product, squares included, still takes
+    the kernel the earlier count chose, and over Z never the packed one."""
+    a = data.draw(blocks(n, 630 if m is None else m))
+    b = a if square else data.draw(blocks(data.draw(st.integers(0, n)), 630 if m is None else m))
+    taken = []
+    packed = series_module._packed
+    with patch.object(series_module, "_packed",
+                      lambda *args: taken.append(True) or packed(*args)):
+        got = series_module._product(a, b, n, m)
+    assert got == _convolve(a, b, n)
+    assert bool(taken) == (m is not None and series_module._above_crossover(
+        parent_convolve_ops(a, b, n), n))
 
 
 def divide_ops(dc, n):

@@ -211,6 +211,68 @@ def test_claim_report_violation_schema():
     assert (k, arg, value, w) == (0, 16, 102, 1)
 
 
+def parent_verify_weighted(claim, table, n_max):
+    """The sum loop as it was before the offsets were sorted: every term of
+    every sum listed, in k order, with its argument, B value and weight."""
+    weight = qcong.products.WEIGHT_RULES[claim.weight]
+    max_base = claim.max_argument(n_max)
+    report = theorems.ClaimReport(claim.name, claim.modulus, n_max, 0, max_base,
+                                  True, note=claim.description)
+    for params in claim.param_space:
+        for n in range(n_max + 1):
+            head = claim.base(params) + claim.stride(params) * n
+            terms = [(k, head - off, table[head - off], weight(k))
+                     for k, off in claim.term_offsets(max_base).items()
+                     if head - off >= 0]
+            total = sum(w * value for _, _, value, w in terms)
+            report.checked += 1
+            if total % claim.modulus:
+                report.passed = False
+                report.violations.append({
+                    "claim": claim.name, "params": params, "n": n,
+                    "k_terms": terms, "sum": total,
+                    "modulus": claim.modulus, "pass": False})
+    return report
+
+
+@pytest.mark.parametrize("modulus", [None, 630])
+def test_weighted_sums_report_as_the_term_loop_did(modulus):
+    """On tables with one entry perturbed, every family's report (each
+    failing sum, its terms in k order, the counts) equals the one the
+    per-term loop gave, so the FAIL lines and their JSON do too."""
+    claims = [(c, min(c.n_max, 30)) for c in default_claims((7, 11))]
+    N = max(c.max_argument(n) for c, n in claims)
+    exact = b_table(N, modulus)
+    failed = 0
+    for arg in (16, 70, 2708, N - 1):
+        table = list(exact)
+        table[arg] += 1
+        for c, n in claims:
+            got = verify_weighted(c, table=table, n_max=n)
+            assert got == parent_verify_weighted(c, table, n)
+            assert got.checked == len(c.param_space) * (n + 1)
+            assert str(got) == str(parent_verify_weighted(c, table, n))
+            failed += len(got.violations)
+    assert failed > 10
+
+
+def test_b_table_builds_no_long_series_through_the_constructor(monkeypatch):
+    """The residue table's theta blocks and kernel results are built in the
+    ring: the public constructor, with its ``int`` and ``%`` pass, sees
+    nothing longer than the oracle prefix of 401 coefficients."""
+    sizes = []
+    init = qcong.LaurentSeries.__init__
+
+    def spy(self, coeffs, v=0, modulus=None):
+        coeffs = list(coeffs)
+        sizes.append(len(coeffs))
+        init(self, coeffs, v, modulus)
+
+    monkeypatch.setattr(qcong.LaurentSeries, "__init__", spy)
+    b_table(20000, 630)
+    assert max(sizes, default=0) <= 401
+
+
 # -- one residue table for every family --------------------------------------------
 
 def _spy_b_table(monkeypatch):
