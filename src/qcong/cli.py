@@ -17,7 +17,7 @@ from . import identities, partitions, theorems
 from .expr import FQuot, Named, Scale, evaluate, fq, predicted_valuation
 from .partitions import FAMILIES
 from .products import FQuotientSpec
-from .series import SeriesError
+from .series import MAX_WINDOW, SeriesError
 
 
 def defaults_table():
@@ -34,6 +34,7 @@ def defaults_table():
         "sampled prime cap": theorems.MAX_SAMPLED_PRIME,
         "scan caps": f"stride <= {theorems.MAX_SCAN_STRIDE}, "
                      f"n_max >= {theorems.MIN_SCAN_NMAX}",
+        "window cap": f"series built through q^{MAX_WINDOW} at most",
     }
     return "defaults\n" + "".join(f"  {k:<28}{v}\n" for k, v in rows.items())
 

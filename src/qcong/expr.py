@@ -16,20 +16,19 @@ still exactly [0, T].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .series import InsufficientPrecision, LaurentSeries
 from .products import (BILATERAL_SUMS, FQuotientSpec, bilateral,
                        cubic_theta_alpha, fquotient, h_level12)
+from .records import FrozenRecord
 
 
-class SeriesExpr:
-    """Base class; nodes are small frozen dataclasses."""
+class SeriesExpr(FrozenRecord):
+    """Base class; nodes are frozen records (``records.FrozenRecord``),
+    whose ``_fields`` the JSON form walks in declared order."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FQuot(SeriesExpr):
     spec: FQuotientSpec
 
@@ -46,7 +45,6 @@ NAMED_SERIES = {
 }
 
 
-@dataclass(frozen=True)
 class Named(SeriesExpr):
     name: str
 
@@ -56,46 +54,38 @@ class Named(SeriesExpr):
                              f"known: {', '.join(NAMED_SERIES)}")
 
 
-@dataclass(frozen=True)
 class Literal(SeriesExpr):
     value: int
 
 
-@dataclass(frozen=True)
 class Add(SeriesExpr):
     terms: tuple
 
 
-@dataclass(frozen=True)
 class Mul(SeriesExpr):
     factors: tuple
 
 
-@dataclass(frozen=True)
 class Pow(SeriesExpr):
     base: SeriesExpr
     exponent: int
 
 
-@dataclass(frozen=True)
 class Scale(SeriesExpr):
     by: int
     child: SeriesExpr
 
 
-@dataclass(frozen=True)
 class Shift(SeriesExpr):
     by: int
     child: SeriesExpr
 
 
-@dataclass(frozen=True)
 class Subst(SeriesExpr):
     power: int
     child: SeriesExpr
 
 
-@dataclass(frozen=True)
 class Dissect(SeriesExpr):
     child: SeriesExpr
     mod: int
@@ -230,10 +220,10 @@ def expr_to_dict(e):
     if not isinstance(e, SeriesExpr):
         raise TypeError(f"not a series expression: {e!r}")
     d = {"op": type(e).__name__.lower()}
-    for f in fields(e):
-        v = getattr(e, f.name)
-        d[f.name] = (expr_to_dict(v) if isinstance(v, SeriesExpr) else
-                     list(map(expr_to_dict, v)) if isinstance(v, tuple) else v)
+    for name in e._fields:
+        v = getattr(e, name)
+        d[name] = (expr_to_dict(v) if isinstance(v, SeriesExpr) else
+                   list(map(expr_to_dict, v)) if isinstance(v, tuple) else v)
     return d
 
 
@@ -243,12 +233,12 @@ def expr_from_dict(d):
     if op != "fquot" and op not in _NODES:
         raise ValueError(f"unknown expression op {op!r}")
     cls = _NODES.get(op)
-    missing = [k for k in (("factors",) if op == "fquot" else
-                           (f.name for f in fields(cls))) if k not in d]
+    missing = [k for k in (("factors",) if op == "fquot" else cls._fields)
+               if k not in d]
     if missing:
         raise ValueError(f"{op} node without {', '.join(missing)}: {d!r}")
     if op == "fquot":
         return fq({int(k): v for k, v in d["factors"].items()}, d.get("qshift", 0))
     return cls(*(expr_from_dict(v) if isinstance(v, dict) else
                  tuple(map(expr_from_dict, v)) if isinstance(v, list) else v
-                 for v in (d[f.name] for f in fields(cls))))
+                 for v in map(d.__getitem__, cls._fields)))

@@ -14,19 +14,18 @@ mutation-testing the verifier itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .expr import (Add, Dissect, Literal, Named, Pow, Scale, SeriesExpr,
                    Shift, Subst, add, alpha_q, evaluate, expr_from_dict,
                    expr_to_dict, fq, mul, poly_in, predicted_valuation)
 from .partitions import FAMILIES
+from .records import FrozenRecord, Record
 
 EXACT_ORDER = 300
 MOD_ORDER = 1000
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(FrozenRecord):
     name: str
     lhs: SeriesExpr
     rhs: SeriesExpr
@@ -35,15 +34,16 @@ class IdentitySpec:
     ref: str
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    modulus: int | None
-    order: int
-    passed: bool
-    mismatch_exponent: int | None = None
-    lhs_coeff: int | None = None
-    rhs_coeff: int | None = None
+class VerificationReport(Record):
+    def __init__(self, name, modulus, order, passed, mismatch_exponent=None,
+                 lhs_coeff=None, rhs_coeff=None):
+        self.name = name
+        self.modulus = modulus
+        self.order = order
+        self.passed = passed
+        self.mismatch_exponent = mismatch_exponent
+        self.lhs_coeff = lhs_coeff
+        self.rhs_coeff = rhs_coeff
 
     def __str__(self):
         ring = f" mod {self.modulus}" if self.modulus else ""

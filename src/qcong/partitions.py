@@ -9,11 +9,11 @@ knapsack.  ``FAMILIES`` is the one table of the named counting families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
+from .series import _check_window
 
 
-@dataclass(frozen=True)
-class Parts:
+class Parts(FrozenRecord):
     """The parts d, 2d, 3d, ..., only the odd multiples d, 3d, 5d, ... when
     ``odd``, each part used at most once when ``distinct``."""
 
@@ -35,6 +35,7 @@ def count_table(lists, N):
     once) and by 1/(1 - q^p) otherwise (n runs upward)."""
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
+    _check_window(N)
     table = [1] + [0] * N
     for parts in lists:
         for p in range(parts.d, N + 1, 2 * parts.d if parts.odd else parts.d):
@@ -53,8 +54,7 @@ def count_triples(N):
     return count_family("B", N)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(FrozenRecord):
     """A counting family: its generating function prod f_d^(r_d) as
     ``{d: r_d}``, the part lists its oracle table is folded from (None: no
     oracle, counted from the series) and the literature congruences

@@ -19,17 +19,15 @@ expansion, from which every shorter request is truncated.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 from functools import wraps
-from inspect import signature
 from math import gcd, isqrt
 from threading import Lock
 
-from .series import LaurentSeries, _check_modulus, _in_ring
+from .records import FrozenRecord, bind
+from .series import LaurentSeries, _check_modulus, _check_window, _in_ring
 
 
-@dataclass(frozen=True)
-class FQuotientSpec:
+class FQuotientSpec(FrozenRecord):
     """A finite product q^qshift * prod f_d^(r_d).
 
     ``factors`` is a sorted tuple of (d, r_d) pairs with distinct d >= 1
@@ -76,6 +74,7 @@ def euler_f_product(m, T, modulus=None):
     """
     if T < 0:
         raise ValueError("order must be >= 0")
+    _check_window(T)
     cs = [0] * (T + 1)
     cs[0] = 1
     j = m
@@ -99,8 +98,7 @@ WEIGHT_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class BilateralSum:
+class BilateralSum(FrozenRecord):
     """sum_k weight(k) q^((A k^2 + B k)/2), over all of Z or over k >= 0.
 
     A >= 1 and A = B (mod 2), so every exponent is an integer, and the
@@ -160,6 +158,7 @@ def bilateral(spec, T, modulus=None):
     ``%`` pass over every coefficient."""
     if T < 0:
         raise ValueError("order must be >= 0")
+    _check_window(T)
     _check_modulus(modulus)
     w = WEIGHT_RULES[spec.weight]
     K = spec.k_bound(T)
@@ -191,11 +190,17 @@ def _prefix_cache(maxsize, window):
     ``truncate(T)``, which is exact: coefficient k of a product, quotient,
     power or theta sum reads only coefficients <= k of its operands.  A
     request past it (or below its valuation, which raises as the builder
-    does) is built and replaces the entry.  ``cache_info()`` reads the
-    hits, misses, maxsize and currsize, as ``lru_cache``'s does; as there,
-    a build runs outside the lock, so two threads may both build a key."""
+    does) is built and replaces the entry.  Arguments are bound to the
+    builder's positional-or-keyword parameters, read from its ``__code__``
+    and ``__defaults__``, with no binding step for a call that passes every
+    argument by position.  ``cache_info()`` reads the hits, misses,
+    maxsize and currsize, as ``lru_cache``'s does; as there, a build runs
+    outside the lock, so two threads may both build a key."""
     def decorate(build):
-        sig = signature(build)
+        code = build.__code__
+        names = code.co_varnames[:code.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(build.__defaults__ or ())))
+        at = names.index(window)
         entries = OrderedDict()
         lock = Lock()
         hits = misses = 0
@@ -203,10 +208,10 @@ def _prefix_cache(maxsize, window):
         @wraps(build)
         def cached(*args, **kwargs):
             nonlocal hits, misses
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            key = tuple(v for k, v in bound.arguments.items() if k != window)
-            T = bound.arguments[window]
+            if kwargs or len(args) != len(names):
+                args = bind(build.__name__, names, defaults, args, kwargs)
+            key = (*args[:at], *args[at + 1:])
+            T = args[at]
             with lock:
                 s = entries.get(key)
                 if s is not None and s.v <= T <= s.known_through:
@@ -214,7 +219,7 @@ def _prefix_cache(maxsize, window):
                     hits += 1
                     return s if T == s.known_through else s.truncate(T)
                 misses += 1
-            s = build(*bound.args)
+            s = build(*args)
             with lock:
                 entries[key] = s
                 entries.move_to_end(key)
@@ -246,6 +251,7 @@ def euler_f(m, T, modulus=None):
     blocks come from one builder.  Cached per (m, modulus), 256 entries."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
+    _check_window(T)
     return _scaled(bilateral(PENTAGONAL, T // m, modulus), m, T)
 
 
@@ -322,6 +328,7 @@ def expand_factors(factors, W, modulus=None):
     O(W^2).)  D is freed once inverted, before the final product, where
     it would raise the peak memory.
     """
+    _check_window(W)
     num, den = plan_factors(factors)
     r = _multiply_out(num, 1, W, modulus)
     if modulus is None:
@@ -363,6 +370,7 @@ def cubic_theta_alpha(T, modulus=None):
     """
     if T < 0:
         raise ValueError("order must be >= 0")
+    _check_window(T)
     # m^2 + mn + n^2 >= (m^2 + n^2)/2, so |m|, |n| <= 2 sqrt(T) + 1 suffices
     R = 2 * isqrt(T) + 3
     cs = [0] * (T + 1)
@@ -388,6 +396,7 @@ def h_level12(T, modulus=None):
     """
     if T < 1:
         raise ValueError("order must be >= 1")
+    _check_window(T)
     W = T  # h/q on [0, T-1]
     cs = [0] * W
     cs[0] = 1

@@ -55,6 +55,11 @@ from struct import Struct
 
 MAX_MODULUS = 1 << 31
 
+#: the highest exponent a series is built through, checked before the list
+#: is allocated: ten times the q^10^6 that B mod 630 needs for the prime
+#: families at every admissible prime below 224
+MAX_WINDOW = 10 ** 7
+
 #: sequential multiply-adds per output coefficient above which a product
 #: over Z/m takes the packed kernel, and an inverse over Z/m Newton doubling
 #: (measured in CHANGES.md while it also routed divisions by a series in q^g)
@@ -83,6 +88,14 @@ def _check_modulus(m):
     if not isinstance(m, int) or m < 2 or m >= MAX_MODULUS:
         raise ValueError(f"modulus must be an integer in [2, 2^31), got {m!r}")
     return m
+
+
+def _check_window(T):
+    """Refuse a window through q^T above MAX_WINDOW (a ValueError, which
+    the command line reports as bad input) before anything is allocated."""
+    if T > MAX_WINDOW:
+        raise ValueError(f"window through q^{T} is above the cap "
+                         f"q^{MAX_WINDOW}")
 
 
 def _unit_inverse(u, m):
@@ -298,6 +311,7 @@ class LaurentSeries:
         """The constant ``c`` on the window [0, T]."""
         if T < 0:
             raise ValueError(f"window bound must be >= 0, got {T}")
+        _check_window(T)
         return cls([c] + [0] * T, 0, modulus)
 
     @classmethod
@@ -453,6 +467,7 @@ class LaurentSeries:
         if k == 1:
             return self
         W = len(self.coeffs)
+        _check_window(k * (self.v + W) - 1)
         out = [0] * (k * W)
         for i, c in enumerate(self.coeffs):
             out[k * i] = c

@@ -10,7 +10,6 @@ the identity catalog, so a bug in one route cannot hide in the other.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt, lcm
 from operator import mul
@@ -18,6 +17,7 @@ from operator import mul
 from . import partitions
 from .partitions import FAMILIES
 from .products import WEIGHT_RULES, FQuotientSpec, expand_factors, fquotient
+from .records import FrozenRecord, Record
 from .series import MAX_MODULUS, SeriesError
 
 
@@ -69,14 +69,15 @@ SIMPLE_CHECKS = {
 }
 
 
-@dataclass
-class SimpleReport:
-    stride: int
-    residue: int
-    modulus: int
-    n_max: int
-    passed: bool
-    counterexample: tuple | None = None  # (n, argument, B value)
+class SimpleReport(Record):
+    def __init__(self, stride, residue, modulus, n_max, passed,
+                 counterexample=None):
+        self.stride = stride
+        self.residue = residue
+        self.modulus = modulus
+        self.n_max = n_max
+        self.passed = passed
+        self.counterexample = counterexample  # (n, argument, B value)
 
     def __str__(self):
         claim = f"B({self.stride}n+{self.residue}) = 0 (mod {self.modulus})"
@@ -108,8 +109,7 @@ def verify_simple(stride, residue, modulus, n_max, table=None):
 
 # -- weighted bilateral sums over pentagonal-type arguments -------------------
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(FrozenRecord):
     """A family  sum_k weight(k) * B(base(params) + stride(params)*n - quad(k))
     = 0 (mod modulus), checked over a finite parameter grid.
 
@@ -126,8 +126,9 @@ class CongruenceClaim:
     param_space: tuple
     n_max: int
     # stride/base take one parameter tuple and return integers
-    stride: object = field(repr=False, default=None)
-    base: object = field(repr=False, default=None)
+    stride: object = None
+    base: object = None
+    _hidden = ("stride", "base")  # functions, whose repr is an address
 
     def term_offsets(self, max_base):
         """k -> offset for every k whose term can have an argument in
@@ -147,16 +148,17 @@ class CongruenceClaim:
         return max(self.base(p) + self.stride(p) * n_max for p in self.param_space)
 
 
-@dataclass
-class ClaimReport:
-    name: str
-    modulus: int
-    n_max: int
-    checked: int
-    max_argument: int
-    passed: bool
-    violations: list = field(default_factory=list)
-    note: str = ""
+class ClaimReport(Record):
+    def __init__(self, name, modulus, n_max, checked, max_argument, passed,
+                 violations=None, note=""):
+        self.name = name
+        self.modulus = modulus
+        self.n_max = n_max
+        self.checked = checked
+        self.max_argument = max_argument
+        self.passed = passed
+        self.violations = [] if violations is None else violations
+        self.note = note
 
     def __str__(self):
         if self.passed:
@@ -352,8 +354,7 @@ def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
 
 # -- affine congruence scanner ------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanHit:
+class ScanHit(FrozenRecord):
     stride: int
     residue: int
     modulus: int

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcong.cli import _parser, main, parse_quotient, SpecParseError
 from qcong.products import FQuotientSpec
+from qcong.series import MAX_WINDOW
 from qcong.identities import EXACT_ORDER, MOD_ORDER
 from qcong.theorems import (MAX_SAMPLED_PRIME, MAX_SCAN_STRIDE, MIN_SCAN_NMAX,
                             SAMPLED_PRIMES, default_claims)
@@ -234,6 +235,8 @@ def test_show_defaults(capsys):
     cap = re.search(r"sampled prime cap +(.*)", out).group(1)
     assert int(cap) == MAX_SAMPLED_PRIME
     assert f"stride <= {MAX_SCAN_STRIDE}, n_max >= {MIN_SCAN_NMAX}" in out
+    assert re.search(r"window cap +series built through q\^(\d+) at most",
+                     out).group(1) == str(MAX_WINDOW)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -338,6 +341,22 @@ BAD_INPUTS = {
     "config-non-integer-modulus": ["scan", "--config", "{dir}/modulus-x.json"],
 }
 
+#: windows far above the cap (a builder that allocated before checking would
+#: raise MemoryError at once)
+HUGE = str(10 ** 12)
+WINDOW_OVER_CAP = {
+    "coeff-B": ["coeff", "--name", "B", "--n", HUGE],
+    "coeff-alpha": ["coeff", "--name", "alpha", "--n", HUGE],
+    "coeff-h": ["coeff", "--name", "h", "--n", HUGE],
+    "oracle-B": ["oracle", "--n", HUGE],
+    "oracle-abar": ["oracle", "--family", "abar", "--n", HUGE],
+    "identity-dissection": ["verify-identity", "--name", "p_7n5", "--order", HUGE],
+    "identity-all": ["verify-identity", "--all", "--order", HUGE],
+    "expand-f1-mod": ["expand", "--spec", "f1", "--order", HUGE, "--mod", "7"],
+    "scan-p": ["scan", "--name", "p", "--nmax", HUGE],
+    "theorem-simple": ["verify-theorem", "--name", "b-2n1-mod2", "--nmax", HUGE],
+}
+
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
 def test_bad_input_exits_2_with_message(capsys, tmp_path, argv):
@@ -352,3 +371,11 @@ def test_bad_input_exits_2_with_message(capsys, tmp_path, argv):
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", WINDOW_OVER_CAP.values(), ids=WINDOW_OVER_CAP)
+def test_window_over_the_cap_is_refused_before_allocating(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(rf"error: window through q\^\d+ is above the cap "
+                        rf"q\^{MAX_WINDOW}\n", err)

@@ -13,10 +13,11 @@ from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                    fquotient, h_level12)
 from qcong import products as products_module
 from qcong import series as series_module
+from qcong import theorems
 from qcong.partitions import FAMILIES
 from qcong.products import (_expand_factors, _prefix_cache, _scaled,
                             expand_factors, plan_factors)
-from qcong.series import PACKED_CROSSOVER
+from qcong.series import MAX_WINDOW, PACKED_CROSSOVER
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +345,51 @@ def test_prefix_cache_keys_bind_defaults_and_keywords():
     assert cache(3, 60, None) is s
     assert cache(m=3, T=40, modulus=None) == s.truncate(40)
     assert cache(3, 40, 9) == s.truncate(40).reduce_mod(9)
-    assert cache.cache_info() == (2, 2, 4, 2)
+    assert cache(T=50, m=3) == s.truncate(50)
+    assert cache.cache_info() == (3, 2, 4, 2)
+    # a call the builder would refuse is refused before the cache is read
+    for args, kwargs in [((3,), {}), ((3, 60, None, 1), {}),
+                         ((3, 60), {"m": 3}), ((3, 60), {"mod": 9})]:
+        with pytest.raises(TypeError):
+            euler_f_product(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cache(*args, **kwargs)
+    assert cache.cache_info() == (3, 2, 4, 2)
+
+
+#: each builder that allocates a window, as a function of the window's top
+#: exponent T; the cached ones unwrapped, so no entry built by another test
+#: answers for them
+WINDOW_BUILDERS = {
+    "constant": lambda T: LaurentSeries.one(T),
+    "substitute": lambda T: LaurentSeries([1]).substitute(T + 1),
+    "bilateral": lambda T: bilateral(PENTAGONAL, T),
+    "euler_f_product": lambda T: euler_f_product(1, T),
+    "euler_f": lambda T: euler_f.__wrapped__(2, T, 7),
+    # the divisor f_1 at length T // 4 is below the cap; the expansion is not
+    "expand_factors": lambda T: expand_factors(((4, -1),), T, 9),
+    "alpha": lambda T: cubic_theta_alpha.__wrapped__(T),
+    "h": lambda T: h_level12.__wrapped__(T),
+    "count_table": lambda T: count_table([Parts()], T),
+}
+
+
+@pytest.mark.parametrize("build", WINDOW_BUILDERS.values(), ids=WINDOW_BUILDERS)
+def test_builders_refuse_a_window_over_the_cap_before_allocating(build,
+                                                                 monkeypatch):
+    monkeypatch.setattr(series_module, "MAX_WINDOW", 100)
+    build(100)
+    with pytest.raises(ValueError, match=r"window through q\^101 is above the "
+                                         r"cap q\^100$"):
+        build(101)
+
+
+def test_window_cap_admits_the_prime_families_below_224(monkeypatch):
+    """B through q^1005005: every admissible prime below 224, n_max kept."""
+    monkeypatch.setattr(theorems, "MAX_SAMPLED_PRIME", 223)
+    primes = [p for p in range(5, 224) if theorems.is_sampled_prime(p)]
+    need = max(c.max_argument() for c in theorems.default_claims(primes))
+    assert need == 1005005 <= MAX_WINDOW
 
 
 def test_prefix_cache_keeps_the_longest_expansion_of_each_key():
