@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from . import identities, partitions, theorems
-from .expr import FQuot, Named, Scale, evaluate, fq, predicted_valuation
+from .expr import FQuot, Named, Scale, evaluate, fq
 from .partitions import FAMILIES
 from .products import FQuotientSpec
 from .series import MAX_WINDOW, SeriesError
@@ -23,7 +23,7 @@ from .series import MAX_WINDOW, SeriesError
 def defaults_table():
     """The built-in orders and ranges, read from the constants that set them."""
     gamma = identities.get("gamma0_28_decomposition")
-    T, v = gamma.default_order, predicted_valuation(gamma.lhs)
+    T, v = gamma.default_order, gamma.lhs.valuation()
     rows = {
         "exact identity order": identities.EXACT_ORDER,
         "modular identity order": identities.MOD_ORDER,

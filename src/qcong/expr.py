@@ -1,12 +1,12 @@
 """Expression trees over the named series, with a precision-planning evaluator.
 
 An identity is stated as a pair of trees; ``evaluate(tree, T)`` expands it
-exactly through at least q^T.  A pre-pass predicts every node's valuation
-(exact for quotient-type leaves, a safe lower bound elsewhere) and from it
-derives the order each child must be computed to.  If a prediction was too
-low for an inverted subtree, the result window falls short and the final
-coverage check raises InsufficientPrecision -- a wrong answer is never
-returned.
+exactly through at least q^T.  Each node's ``valuation()`` predicts its
+valuation (exact for quotient-type leaves, a safe lower bound elsewhere),
+and its ``expand(T, m)`` derives from its children's predictions the order
+each child must be computed to.  If a prediction was too low for an
+inverted subtree, the result window falls short and the final coverage
+check raises InsufficientPrecision -- a wrong answer is never returned.
 
 ``Dissect(child, m, j)`` through q^T asks its child for whole blocks of m
 coefficients, through q^(m T + m - 1) whatever j is, so the classes of one
@@ -16,6 +16,8 @@ still exactly [0, T].
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .series import InsufficientPrecision, LaurentSeries
 from .products import (BILATERAL_SUMS, FQuotientSpec, bilateral,
                        cubic_theta_alpha, fquotient, h_level12)
@@ -24,13 +26,44 @@ from .records import FrozenRecord
 
 class SeriesExpr(FrozenRecord):
     """Base class; nodes are frozen records (``records.FrozenRecord``),
-    whose ``_fields`` the JSON form walks in declared order."""
+    whose ``_fields`` the JSON form walks in declared order.  A field
+    that does not hold its annotated kind (``_KINDS``) raises ValueError."""
 
     __slots__ = ()
+
+    def __post_init__(self):
+        for name, kind in type(self).__annotations__.items():
+            if not _KINDS[kind](getattr(self, name)):
+                raise ValueError(f"{type(self).__name__.lower()} node: {name} "
+                                 f"must be {kind}, got {getattr(self, name)!r}")
+
+    def valuation(self):
+        raise TypeError(f"not a series expression: {self!r}")
+
+    def expand(self, T, m):
+        raise TypeError(f"not a series expression: {self!r}")
+
+
+#: a node field's annotation (its text: this module postpones annotations)
+#: -> the test the field's value passes; a bool is not an int
+_KINDS = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "tuple": lambda v: type(v) is tuple and v != () and all(
+        isinstance(t, SeriesExpr) for t in v),
+    "SeriesExpr": lambda v: isinstance(v, SeriesExpr),
+    "FQuotientSpec": lambda v: isinstance(v, FQuotientSpec),
+}
 
 
 class FQuot(SeriesExpr):
     spec: FQuotientSpec
+
+    def valuation(self):
+        return self.spec.qshift
+
+    def expand(self, T, m):
+        return fquotient(self.spec, max(T, self.spec.qshift), m)
 
 
 #: the series a ``Named`` node can name: name -> (valuation, builder), where
@@ -49,47 +82,121 @@ class Named(SeriesExpr):
     name: str
 
     def __post_init__(self):
+        super().__post_init__()
         if self.name not in NAMED_SERIES:
             raise ValueError(f"named node: unknown series {self.name!r}; "
                              f"known: {', '.join(NAMED_SERIES)}")
+
+    def valuation(self):
+        return NAMED_SERIES[self.name][0]
+
+    def expand(self, T, m):
+        v, build = NAMED_SERIES[self.name]
+        return build(max(T, v), m)
 
 
 class Literal(SeriesExpr):
     value: int
 
+    def valuation(self):
+        return 0
+
+    def expand(self, T, m):
+        return LaurentSeries.constant(self.value, max(T, 0), m)
+
 
 class Add(SeriesExpr):
     terms: tuple
 
+    def valuation(self):
+        return min(t.valuation() for t in self.terms)
+
+    def expand(self, T, m):
+        return reduce(LaurentSeries.add, [t.expand(T, m) for t in self.terms])
+
 
 class Mul(SeriesExpr):
     factors: tuple
+
+    def valuation(self):
+        return sum(f.valuation() for f in self.factors)
+
+    def expand(self, T, m):
+        vs = [f.valuation() for f in self.factors]
+        return reduce(LaurentSeries.mul, [f.expand(T - (sum(vs) - v), m)
+                                          for f, v in zip(self.factors, vs)])
 
 
 class Pow(SeriesExpr):
     base: SeriesExpr
     exponent: int
 
+    def valuation(self):
+        return self.exponent * self.base.valuation()
+
+    def expand(self, T, m):
+        # one plan for both signs: LaurentSeries.pow inverts when e < 0
+        e = self.exponent
+        if e == 0:
+            return LaurentSeries.one(max(T, 0), m)
+        return self.base.expand(T - (e - 1) * self.base.valuation(), m).pow(e)
+
 
 class Scale(SeriesExpr):
     by: int
     child: SeriesExpr
+
+    def valuation(self):
+        return self.child.valuation()
+
+    def expand(self, T, m):
+        return self.child.expand(T, m).scale(self.by)
 
 
 class Shift(SeriesExpr):
     by: int
     child: SeriesExpr
 
+    def valuation(self):
+        return self.by + self.child.valuation()
+
+    def expand(self, T, m):
+        return self.child.expand(T - self.by, m).shift(self.by)
+
 
 class Subst(SeriesExpr):
     power: int
     child: SeriesExpr
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.power < 1:
+            raise ValueError(f"subst node: power must be >= 1, got {self.power}")
+
+    def valuation(self):
+        return self.power * self.child.valuation()
+
+    def expand(self, T, m):
+        return self.child.expand(max(T // self.power, 0), m).substitute(self.power)
 
 
 class Dissect(SeriesExpr):
     child: SeriesExpr
     mod: int
     residue: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.residue < self.mod:
+            raise ValueError(f"dissect node: need 0 <= residue < mod, got "
+                             f"residue {self.residue}, mod {self.mod}")
+
+    def valuation(self):
+        return 0
+
+    def expand(self, T, m):
+        k = self.mod
+        return self.child.expand(max(k * T + k - 1, 0), m).dissect(k, self.residue)
 
 
 def fq(factors, qshift=0):
@@ -123,79 +230,11 @@ def poly_in(base, coeffs):
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-def predicted_valuation(e):
-    """Valuation prediction used for precision planning.
-
-    Exact for f-quotients, the named series, and products/powers of them;
-    a lower bound wherever an addition might cancel leading terms.
-    """
-    if isinstance(e, FQuot):
-        return e.spec.qshift
-    if isinstance(e, Named):
-        return NAMED_SERIES[e.name][0]
-    if isinstance(e, Literal):
-        return 0
-    if isinstance(e, Add):
-        return min(predicted_valuation(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return sum(predicted_valuation(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return e.exponent * predicted_valuation(e.base)
-    if isinstance(e, Scale):
-        return predicted_valuation(e.child)
-    if isinstance(e, Shift):
-        return e.by + predicted_valuation(e.child)
-    if isinstance(e, Subst):
-        return e.power * predicted_valuation(e.child)
-    if isinstance(e, Dissect):
-        return 0
-    raise TypeError(f"not a series expression: {e!r}")
-
-
-def _eval(e, T, m):
-    if isinstance(e, FQuot):
-        return fquotient(e.spec, max(T, e.spec.qshift), m)
-    if isinstance(e, Named):
-        v, build = NAMED_SERIES[e.name]
-        return build(max(T, v), m)
-    if isinstance(e, Literal):
-        return LaurentSeries.constant(e.value, max(T, 0), m)
-    if isinstance(e, Add):
-        parts = [_eval(t, T, m) for t in e.terms]
-        r = parts[0]
-        for p in parts[1:]:
-            r = r.add(p)
-        return r
-    if isinstance(e, Mul):
-        vs = [predicted_valuation(f) for f in e.factors]
-        vtot = sum(vs)
-        r = None
-        for f, v in zip(e.factors, vs):
-            s = _eval(f, T - (vtot - v), m)
-            r = s if r is None else r.mul(s)
-        return r
-    if isinstance(e, Pow):
-        vb = predicted_valuation(e.base)
-        if e.exponent == 0:
-            return LaurentSeries.one(max(T, 0), m)
-        if e.exponent > 0:
-            return _eval(e.base, T - (e.exponent - 1) * vb, m).pow(e.exponent)
-        n = -e.exponent
-        return _eval(e.base, (T + 2 * n * vb) - (n - 1) * vb, m).pow(n).invert()
-    if isinstance(e, Scale):
-        return _eval(e.child, T, m).scale(e.by)
-    if isinstance(e, Shift):
-        return _eval(e.child, T - e.by, m).shift(e.by)
-    if isinstance(e, Subst):
-        return _eval(e.child, max(T // e.power, 0), m).substitute(e.power)
-    if isinstance(e, Dissect):
-        return _eval(e.child, max(e.mod * T + e.mod - 1, 0), m).dissect(e.mod, e.residue)
-    raise TypeError(f"not a series expression: {e!r}")
-
-
 def evaluate(e, T, modulus=None):
     """Expand the expression exactly through at least q^T."""
-    s = _eval(e, T, modulus)
+    if not isinstance(e, SeriesExpr):
+        raise TypeError(f"not a series expression: {e!r}")
+    s = e.expand(T, modulus)
     if s.known_through < T:
         raise InsufficientPrecision(
             f"insufficient precision: evaluation reached q^{s.known_through}, "
@@ -229,6 +268,8 @@ def expr_to_dict(e):
 
 def expr_from_dict(d):
     """Parse the JSON form back; a malformed node raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expression node is not an object: {d!r}")
     op = d.get("op")
     if op != "fquot" and op not in _NODES:
         raise ValueError(f"unknown expression op {op!r}")
@@ -238,7 +279,12 @@ def expr_from_dict(d):
     if missing:
         raise ValueError(f"{op} node without {', '.join(missing)}: {d!r}")
     if op == "fquot":
-        return fq({int(k): v for k, v in d["factors"].items()}, d.get("qshift", 0))
+        factors, qshift = d["factors"], d.get("qshift", 0)
+        if not (isinstance(factors, dict) and type(qshift) is int
+                and all(type(r) is int for r in factors.values())):
+            raise ValueError(f"fquot node: factors must map d to an int "
+                             f"exponent and qshift be an int: {d!r}")
+        return fq({int(k): v for k, v in factors.items()}, qshift)
     return cls(*(expr_from_dict(v) if isinstance(v, dict) else
                  tuple(map(expr_from_dict, v)) if isinstance(v, list) else v
                  for v in map(d.__getitem__, cls._fields)))

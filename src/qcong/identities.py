@@ -17,7 +17,7 @@ import json
 
 from .expr import (Add, Dissect, Literal, Named, Pow, Scale, SeriesExpr,
                    Shift, Subst, add, alpha_q, evaluate, expr_from_dict,
-                   expr_to_dict, fq, mul, poly_in, predicted_valuation)
+                   expr_to_dict, fq, mul, poly_in)
 from .partitions import FAMILIES
 from .records import FrozenRecord, Record
 
@@ -436,7 +436,7 @@ def perturbed(entry, exponent=None):
     if isinstance(entry, str):
         entry = get(entry)
     if exponent is None:
-        exponent = max(predicted_valuation(entry.rhs), 0) + 2
+        exponent = max(entry.rhs.valuation(), 0) + 2
     return IdentitySpec(entry.name + "__perturbed", entry.lhs,
                         Add((entry.rhs, Shift(exponent, Literal(1)))),
                         entry.modulus, entry.default_order, entry.ref)

@@ -11,9 +11,11 @@ from qcong import (BILATERAL_SUMS, Add, Dissect, InsufficientPrecision,
                    count_triples, evaluate,
                    expr_from_dict, expr_to_dict, fq, get, perturbed, registry,
                    registry_from_json, registry_to_json, verify, verify_all)
-from qcong.expr import NAMED_SERIES, predicted_valuation
+from qcong.expr import NAMED_SERIES, FQuot, SeriesExpr
 from qcong.partitions import FAMILIES
-from qcong.products import _expand_factors
+from qcong.products import (_expand_factors, bilateral, cubic_theta_alpha,
+                            fquotient, h_level12)
+from qcong.series import LaurentSeries
 
 B = fq(FAMILIES["B"].gf)
 
@@ -62,18 +64,18 @@ def test_evaluate_laurent_product():
 
 
 def test_predicted_valuations():
-    assert predicted_valuation(B) == 0
-    assert predicted_valuation(Named("h")) == 1
-    assert predicted_valuation(Pow(Named("h"), -1)) == -1
-    assert predicted_valuation(fq({28: -4}, qshift=-3)) == -3
-    assert predicted_valuation(Pow(fq({1: 1}, qshift=-3), 6)) == -18
-    assert predicted_valuation(Shift(2, Named("alpha"))) == 2
-    assert predicted_valuation(Subst(4, Named("h"))) == 4
+    assert B.valuation() == 0
+    assert Named("h").valuation() == 1
+    assert Pow(Named("h"), -1).valuation() == -1
+    assert fq({28: -4}, qshift=-3).valuation() == -3
+    assert Pow(fq({1: 1}, qshift=-3), 6).valuation() == -18
+    assert Shift(2, Named("alpha")).valuation() == 2
+    assert Subst(4, Named("h")).valuation() == 4
 
 
 @pytest.mark.parametrize("name", ["alpha", "h", *BILATERAL_SUMS])
 def test_named_valuation_is_exact(name):
-    assert predicted_valuation(Named(name)) == \
+    assert Named(name).valuation() == \
         evaluate(Named(name), 60).normalize().v
 
 
@@ -127,6 +129,168 @@ def test_pow_of_sum_with_stable_leading_term():
     expr = Pow(Add((Pow(Named("h"), -1), Literal(-2), Named("h"))), -1)
     s = evaluate(expr, 20)
     assert s.normalize().v == 1
+
+
+# -- the node methods against the isinstance chains they replaced -------------
+# ``reference_valuation`` and ``reference_eval`` are the two walks over node
+# kinds that ``valuation()`` and ``expand()`` replaced, kept as the slow
+# reference route.
+
+def reference_valuation(e):
+    if isinstance(e, FQuot):
+        return e.spec.qshift
+    if isinstance(e, Named):
+        return NAMED_SERIES[e.name][0]
+    if isinstance(e, Literal):
+        return 0
+    if isinstance(e, Add):
+        return min(reference_valuation(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return sum(reference_valuation(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return e.exponent * reference_valuation(e.base)
+    if isinstance(e, Scale):
+        return reference_valuation(e.child)
+    if isinstance(e, Shift):
+        return e.by + reference_valuation(e.child)
+    if isinstance(e, Subst):
+        return e.power * reference_valuation(e.child)
+    if isinstance(e, Dissect):
+        return 0
+    raise TypeError(f"not a series expression: {e!r}")
+
+
+def reference_eval(e, T, m):
+    if isinstance(e, FQuot):
+        return fquotient(e.spec, max(T, e.spec.qshift), m)
+    if isinstance(e, Named):
+        v = NAMED_SERIES[e.name][0]
+        T = max(T, v)
+        if e.name == "alpha":
+            return cubic_theta_alpha(T, m)
+        if e.name == "h":
+            return h_level12(T, m)
+        return bilateral(BILATERAL_SUMS[e.name], T, m)
+    if isinstance(e, Literal):
+        return LaurentSeries.constant(e.value, max(T, 0), m)
+    if isinstance(e, Add):
+        parts = [reference_eval(t, T, m) for t in e.terms]
+        r = parts[0]
+        for p in parts[1:]:
+            r = r.add(p)
+        return r
+    if isinstance(e, Mul):
+        vs = [reference_valuation(f) for f in e.factors]
+        vtot = sum(vs)
+        r = None
+        for f, v in zip(e.factors, vs):
+            s = reference_eval(f, T - (vtot - v), m)
+            r = s if r is None else r.mul(s)
+        return r
+    if isinstance(e, Pow):
+        vb = reference_valuation(e.base)
+        if e.exponent == 0:
+            return LaurentSeries.one(max(T, 0), m)
+        if e.exponent > 0:
+            return reference_eval(e.base, T - (e.exponent - 1) * vb,
+                                  m).pow(e.exponent)
+        n = -e.exponent
+        return reference_eval(e.base, (T + 2 * n * vb) - (n - 1) * vb,
+                              m).pow(n).invert()
+    if isinstance(e, Scale):
+        return reference_eval(e.child, T, m).scale(e.by)
+    if isinstance(e, Shift):
+        return reference_eval(e.child, T - e.by, m).shift(e.by)
+    if isinstance(e, Subst):
+        return reference_eval(e.child, max(T // e.power, 0),
+                              m).substitute(e.power)
+    if isinstance(e, Dissect):
+        return reference_eval(e.child, max(e.mod * T + e.mod - 1, 0),
+                              m).dissect(e.mod, e.residue)
+    raise TypeError(f"not a series expression: {e!r}")
+
+
+def reference_evaluate(e, T, modulus=None):
+    s = reference_eval(e, T, modulus)
+    if s.known_through < T:
+        raise InsufficientPrecision(f"reached q^{s.known_through}, needed q^{T}")
+    return s
+
+
+def outcome(evaluator, e, T, modulus):
+    """The series ``evaluator`` returns, or the type of what it raises."""
+    try:
+        return evaluator(e, T, modulus)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_walk(e, T, modulus):
+    assert e.valuation() == reference_valuation(e)
+    new = outcome(evaluate, e, T, modulus)
+    ref = outcome(reference_evaluate, e, T, modulus)
+    # LaurentSeries equality: the same v, window, ring and coefficients
+    assert new == ref, (e, T, modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(3), st.integers(0, 40), st.sampled_from([None, 9]))
+def test_node_methods_match_the_reference_walk(tree, T, modulus):
+    assert_same_walk(tree, T, modulus)
+
+
+def test_node_methods_match_the_reference_walk_on_the_catalog():
+    for entry in registry():
+        for side in (entry.lhs, entry.rhs):
+            assert_same_walk(side, entry.default_order, entry.modulus)
+
+
+def test_node_methods_look_up_builders_and_never_re_enter_evaluate(monkeypatch):
+    """The per-layer tracer rebinds these names in ``qcong.expr``: a node
+    method that held on to a builder, or called ``evaluate`` itself, would
+    hide calls from it or count them twice."""
+    from qcong import expr
+    calls = []
+    for name in ("evaluate", "fquotient", "bilateral", "cubic_theta_alpha",
+                 "h_level12"):
+        def wrapper(*args, _name=name, _real=getattr(expr, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(expr, name, wrapper)
+    # all ten node kinds
+    tree = Add((fq({2: 4, 1: -2}, qshift=1), Named("h"), Literal(-2),
+                Named("cube"),
+                Mul((Pow(Named("alpha"), 2),
+                     Scale(3, Shift(1, Subst(4, Dissect(fq({1: 1}), 7, 2))))))))
+    expr.evaluate(tree, 30)
+    assert sorted(calls) == ["bilateral", "cubic_theta_alpha", "evaluate",
+                             "fquotient", "fquotient", "h_level12"]
+
+
+def subtrees(e):
+    """``e`` and every node under it."""
+    yield e
+    for name in e._fields:
+        v = getattr(e, name)
+        for child in v if type(v) is tuple else (v,):
+            if isinstance(child, SeriesExpr):
+                yield from subtrees(child)
+
+
+def test_valuation_bounds_every_catalog_node():
+    """Over its entry's ring, every node of every catalog entry has
+    ``valuation()`` at most its actual valuation, and equal to it on
+    f-quotient and named leaves."""
+    pairs = {(node, e.modulus) for e in registry()
+             for side in (e.lhs, e.rhs) for node in subtrees(side)}
+    assert len(pairs) > 200
+    for node, modulus in pairs:
+        s = evaluate(node, max(node.valuation(), 0) + 20, modulus).normalize()
+        # a window-zero series collapses to one zero at the window's top
+        actual = s.v if s.coeffs[0] else s.v + 1
+        assert node.valuation() <= actual, (node, modulus)
+        if isinstance(node, (FQuot, Named)):
+            assert node.valuation() == actual, (node, modulus)
 
 
 # -- registry content -----------------------------------------------------------
@@ -259,6 +423,37 @@ def test_expr_json_rejects_unknown_input():
         expr_from_dict({"op": "fquot", "qshift": 1})
     with pytest.raises(TypeError):
         expr_to_dict(B.spec)
+
+
+H = {"op": "named", "name": "h"}
+
+
+@pytest.mark.parametrize("node", [
+    {"op": "add", "terms": [1]},
+    {"op": "fquot", "factors": [1]},
+    {"op": "fquot", "factors": {"1": 1.5}},
+    {"op": "fquot", "factors": {"1": 1}, "qshift": "1"},
+    [H],
+    "h",
+    {"op": "add", "terms": []},
+    {"op": "mul", "factors": []},
+    {"op": "add", "terms": H},
+    {"op": "subst", "power": 0, "child": H},
+    {"op": "subst", "power": -2, "child": H},
+    {"op": "scale", "by": 2, "child": 5},
+    {"op": "scale", "by": 2, "child": [H]},
+    {"op": "scale", "by": 2.0, "child": H},
+    {"op": "pow", "base": H, "exponent": "2"},
+    {"op": "pow", "base": H, "exponent": True},
+    {"op": "literal", "value": None},
+    {"op": "named", "name": ["h"]},
+    {"op": "dissect", "child": H, "mod": 0, "residue": 0},
+    {"op": "dissect", "child": H, "mod": 3, "residue": 3},
+    {"op": "dissect", "child": H, "mod": 3, "residue": -1},
+])
+def test_expr_json_rejects_malformed_nodes(node):
+    with pytest.raises(ValueError):
+        expr_from_dict(node)
 
 
 def test_registry_json_schema():

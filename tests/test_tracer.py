@@ -51,3 +51,8 @@ def test_tracer_installs_on_the_package():
     assert result["layers"]["expr.evaluate.calls"] > 0
     assert result["layers"]["products.fquotient.calls"] > 0
     assert result["layers"]["products.fquotient.hit_ratio"] > 0
+    # the expression walk enters ``evaluate`` once per top-level tree and
+    # looks ``fquotient`` up in the module at each call: a node method that
+    # re-entered ``evaluate`` or held on to a builder would change these
+    assert result["layers"]["expr.evaluate.calls"] == 4
+    assert result["layers"]["products.fquotient.calls"] == 5
