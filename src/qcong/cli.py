@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from . import identities, partitions, theorems
-from .expr import FQuot, Named, Scale, evaluate, fq
+from .expr import NAMED_SERIES, FQuot, Named, Scale, evaluate
 from .partitions import FAMILIES
 from .products import FQuotientSpec
 from .series import MAX_WINDOW, SeriesError
@@ -160,7 +160,7 @@ def _series_for(args, order):
     elif order < 0:
         raise ValueError(f"order must be >= 0 for a named series, got {order}")
     elif args.name in FAMILIES:
-        node = fq(FAMILIES[args.name].gf)
+        node = FQuot(FAMILIES[args.name].gf)
     else:
         node = Named(args.name)
     return evaluate(node, order, args.mod)
@@ -282,7 +282,7 @@ def cmd_scan(args):
     if args.spec:
         scalar, spec = parse_quotient(args.spec)
     else:
-        scalar, spec = 1, FQuotientSpec.of(FAMILIES[args.name].gf)
+        scalar, spec = 1, FAMILIES[args.name].gf
     hits = theorems.scan(spec, args.amax, set(args.moduli), args.nmax, scalar)
     if args.json:
         print(json.dumps([vars(h) for h in hits], indent=2))
@@ -302,11 +302,11 @@ def build_parser():
                     help="print the table of built-in orders and ranges")
     sub = ap.add_subparsers(dest="command")
 
-    def series_flags(p, order_flag=True):
+    def series_flags(p):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--spec", help="quotient such as 'f2^4/(f1^2*f4^3)'")
-        g.add_argument("--name", choices=(*FAMILIES, "alpha", "h"), metavar="NAME",
-                       help=f"named series: {', '.join(FAMILIES)}, alpha, h")
+        g.add_argument("--name", choices=(*FAMILIES, *NAMED_SERIES), metavar="NAME",
+                       help=f"named series: {', '.join((*FAMILIES, *NAMED_SERIES))}")
         p.add_argument("--mod", type=int, default=None,
                        help="expand over Z/mZ instead of Z")
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 
-from .expr import (Add, Dissect, Literal, Named, Pow, Scale, SeriesExpr,
-                   Shift, Subst, add, alpha_q, evaluate, expr_from_dict,
-                   expr_to_dict, fq, mul, poly_in)
+from .expr import (Add, Dissect, FQuot, Literal, Named, Pow, Scale,
+                   SeriesExpr, Shift, Subst, add, alpha_q, evaluate,
+                   expr_from_dict, expr_to_dict, fq, mul, poly_in)
 from .partitions import FAMILIES
 from .records import FrozenRecord, Record
 
@@ -53,8 +53,8 @@ class VerificationReport(Record):
                 f"(lhs {self.lhs_coeff}, rhs {self.rhs_coeff})")
 
 
-B = fq(FAMILIES["B"].gf)
-B_LIN = fq(FAMILIES["b"].gf)
+B = FQuot(FAMILIES["B"].gf)
+B_LIN = FQuot(FAMILIES["b"].gf)
 
 # Basis data for the Gamma0(28) decomposition of the B(7n+2) series: three
 # eta quotients of orders -3, -4, -5 at infinity and the integer polynomials
@@ -79,20 +79,20 @@ def _entries():
     # ---- classical single-family dissections ------------------------------
 
     exact("p_5n4",
-          Dissect(fq(FAMILIES["p"].gf), 5, 4),
+          Dissect(FQuot(FAMILIES["p"].gf), 5, 4),
           Scale(5, fq({5: 5, 1: -6})),
           "Ramanujan: the p(5n+4) generating function")
     exact("p_7n5",
-          Dissect(fq(FAMILIES["p"].gf), 7, 5),
+          Dissect(FQuot(FAMILIES["p"].gf), 7, 5),
           add(Scale(7, fq({7: 3, 1: -4})),
               Scale(49, Shift(1, fq({7: 7, 1: -8})))),
           "Ramanujan: the p(7n+5) generating function")
     exact("cubic_3n2",
-          Dissect(fq(FAMILIES["a"].gf), 3, 2),
+          Dissect(FQuot(FAMILIES["a"].gf), 3, 2),
           Scale(3, fq({3: 3, 6: 3, 1: -4, 2: -4})),
           "Chan: the cubic-partition a(3n+2) generating function")
     exact("overcubic_3n2",
-          Dissect(fq(FAMILIES["abar"].gf), 3, 2),
+          Dissect(FQuot(FAMILIES["abar"].gf), 3, 2),
           Scale(6, fq({3: 6, 4: 3, 1: -8, 2: -3})),
           "Kim: the overcubic a(3n+2) generating function")
     exact("lin_b_3n2",
@@ -181,53 +181,40 @@ def _entries():
           fq({2: 12, 12: 3, 1: -6, 4: -10}),
           "derived: the B(3n+2) generating function")
 
+    altsum = fq({2: 12, 12: 3, 1: -6, 4: -9})  # the signed-sum series
     exact("altsum_series_exact",
-          fq({2: 12, 12: 3, 1: -6, 4: -9}),
+          altsum,
           mul(Dissect(B, 3, 2), Subst(4, Named("pentagonal"))),
           "the B(3n+2) series times f4 generates the signed pentagonal B-sums")
 
-    congr("altsum_series_mod3",
-          fq({2: 12, 12: 3, 1: -6, 4: -9}),
-          fq({6: 4, 3: -2}),
+    congr("altsum_series_mod3", altsum, fq({6: 4, 3: -2}),
           3, "the signed-sum series collapses to f6^4/f3^2 mod 3")
-    congr("altsum_class1_vanishes",
-          Dissect(fq({2: 12, 12: 3, 1: -6, 4: -9}), 3, 1), Literal(0),
+    congr("altsum_class1_vanishes", Dissect(altsum, 3, 1), Literal(0),
           3, "f6^4/f3^2 mod 3 has only cube powers: class 1 is empty")
-    congr("altsum_class2_vanishes",
-          Dissect(fq({2: 12, 12: 3, 1: -6, 4: -9}), 3, 2), Literal(0),
+    congr("altsum_class2_vanishes", Dissect(altsum, 3, 2), Literal(0),
           3, "f6^4/f3^2 mod 3 has only cube powers: class 2 is empty")
-    congr("altsum_class0_mod3",
-          Dissect(fq({2: 12, 12: 3, 1: -6, 4: -9}), 3, 0),
-          fq({2: 4, 1: -2}),
+    congr("altsum_class0_mod3", Dissect(altsum, 3, 0), fq({2: 4, 1: -2}),
           3, "cube-power branch of the signed-sum series mod 3")
 
     # ---- the level-12 h algebra --------------------------------------------
-
-    exact("h_sum_recip",
-          add(Pow(Named("h"), -1), Named("h")),
-          fq({3: 3, 4: 1, 1: -1, 12: -3}, qshift=-1),
-          "level-12 continued fraction: 1/h + h as an eta quotient")
-    exact("h_sum_recip_m1",
-          add(Pow(Named("h"), -1), Literal(-1), Named("h")),
-          fq({4: 4, 6: 2, 2: -2, 12: -4}, qshift=-1),
-          "level-12 continued fraction: 1/h - 1 + h")
-    exact("h_sum_recip_m2",
-          add(Pow(Named("h"), -1), Literal(-2), Named("h")),
-          fq({1: 1, 4: 2, 6: 9, 2: -3, 3: -3, 12: -6}, qshift=-1),
-          "level-12 continued fraction: 1/h - 2 + h")
-    exact("h_sum_recip_m4",
-          add(Pow(Named("h"), -1), Literal(-4), Named("h")),
-          fq({1: 3, 4: 1, 6: 2, 2: -2, 3: -1, 12: -3}, qshift=-1),
-          "level-12 continued fraction: 1/h - 4 + h")
-    exact("eta_triple_balance",
-          add(fq({12: 3, 2: 3, 3: 6}), fq({1: 2, 4: 1, 6: 9})),
-          Scale(2, fq({1: 1, 2: 1, 3: 3, 4: 3, 6: 2, 12: 2})),
-          "derived: six-eta balance obtained from the h algebra")
 
     h1 = fq({3: 3, 4: 1, 1: -1, 12: -3}, qshift=-1)          # 1/h + h
     h2e = fq({4: 4, 6: 2, 2: -2, 12: -4}, qshift=-1)         # 1/h - 1 + h
     h3 = fq({1: 1, 4: 2, 6: 9, 2: -3, 3: -3, 12: -6}, qshift=-1)   # 1/h - 2 + h
     h4 = fq({1: 3, 4: 1, 6: 2, 2: -2, 3: -1, 12: -3}, qshift=-1)   # 1/h - 4 + h
+    exact("h_sum_recip", add(Pow(Named("h"), -1), Named("h")), h1,
+          "level-12 continued fraction: 1/h + h as an eta quotient")
+    exact("h_sum_recip_m1", add(Pow(Named("h"), -1), Literal(-1), Named("h")),
+          h2e, "level-12 continued fraction: 1/h - 1 + h")
+    exact("h_sum_recip_m2", add(Pow(Named("h"), -1), Literal(-2), Named("h")),
+          h3, "level-12 continued fraction: 1/h - 2 + h")
+    exact("h_sum_recip_m4", add(Pow(Named("h"), -1), Literal(-4), Named("h")),
+          h4, "level-12 continued fraction: 1/h - 4 + h")
+    exact("eta_triple_balance",
+          add(fq({12: 3, 2: 3, 3: 6}), fq({1: 2, 4: 1, 6: 9})),
+          Scale(2, fq({1: 1, 2: 1, 3: 3, 4: 3, 6: 2, 12: 2})),
+          "derived: six-eta balance obtained from the h algebra")
+
     combo = add(Scale(2, h1), Scale(-3, h3), Literal(-3),
                 Scale(2, fq({2: 3, 3: 3, 12: 6, 1: -1, 4: -2, 6: -9}, qshift=1)))
     exact("h_algebra_product",
@@ -285,10 +272,9 @@ def _entries():
           Scale(2, fq({1: 2, 2: 4, 4: -1})),
           9, "derived: the B(3n+1) generating function mod 9")
 
-    exact("split3_f1f4_over_f2",
-          fq({1: 1, 4: 1, 2: -1}),
-          add(fq({3: 1, 12: 1, 18: 5, 6: -2, 9: -2, 36: -2}),
-              Scale(-1, Shift(1, fq({9: 1, 36: 1, 18: -1})))),
+    rhs_414 = add(fq({3: 1, 12: 1, 18: 5, 6: -2, 9: -2, 36: -2}),
+                  Scale(-1, Shift(1, fq({9: 1, 36: 1, 18: -1}))))
+    exact("split3_f1f4_over_f2", fq({1: 1, 4: 1, 2: -1}), rhs_414,
           "3-dissection of f1 f4/f2")
     exact("split3_f1sq_over_f2",
           fq({1: 2, 2: -1}),
@@ -296,8 +282,6 @@ def _entries():
               Scale(-2, Shift(1, fq({3: 1, 18: 2, 6: -1, 9: -1})))),
           "3-dissection of f1^2/f2")
 
-    rhs_414 = add(fq({3: 1, 12: 1, 18: 5, 6: -2, 9: -2, 36: -2}),
-                  Scale(-1, Shift(1, fq({9: 1, 36: 1, 18: -1}))))
     rhs_415_sub2 = add(fq({18: 2, 36: -1}),
                        Scale(-2, Shift(2, fq({6: 1, 36: 2, 12: -1, 18: -1}))))
     congr("gf_b_3n1_9adic_composition",
@@ -333,19 +317,15 @@ def _entries():
           Scale(2, fq({1: 2, 2: 4})),
           mul(Dissect(B, 3, 1), Subst(4, Named("pentagonal"))),
           9, "the B(3n+1) series times f4 generates the signed pentagonal sums mod 9")
+    pentweight = Scale(3, fq({1: 1, 3: 3, 4: 7, 6: 2, 2: -4, 12: -1}))
+    contracted = Scale(3, mul(fq({3: 3, 6: 1, 12: 1}), fq({1: 1, 4: 1, 2: -1})))
     congr("weighted_sum_27n16_mod9",
           mul(Dissect(Dissect(Dissect(B, 3, 1), 3, 2), 3, 1),
               Subst(2, Named("slope_3k1"))),
-          Scale(3, fq({1: 1, 3: 3, 4: 7, 6: 2, 2: -4, 12: -1})),
-          9, "the B(27n+16) series times f4^5/f2^2 mod 9")
-    congr("weighted_sum_27n16_reduced",
-          Scale(3, fq({1: 1, 3: 3, 4: 7, 6: 2, 2: -4, 12: -1})),
-          Scale(3, mul(fq({3: 3, 6: 1, 12: 1}), fq({1: 1, 4: 1, 2: -1}))),
+          pentweight, 9, "the B(27n+16) series times f4^5/f2^2 mod 9")
+    congr("weighted_sum_27n16_reduced", pentweight, contracted,
           9, "derived: the weighted-sum series contracts to 3 f3^3 f6 f12 f1f4/f2 mod 9")
-    congr("weighted_sum_class2_vanishes",
-          Dissect(Scale(3, mul(fq({3: 3, 6: 1, 12: 1}), fq({1: 1, 4: 1, 2: -1}))),
-                  3, 2),
-          Literal(0),
+    congr("weighted_sum_class2_vanishes", Dissect(contracted, 3, 2), Literal(0),
           9, "class 2 mod 3 of the contracted weighted-sum series vanishes mod 9")
 
     congr("gf_b_7n2_mod7",
@@ -362,16 +342,16 @@ def _entries():
           "modular-function decomposition of the B(7n+2) series on Gamma0(28)",
           order=130)  # 150 coefficients above the common valuation -20
 
+    hexweight = fq({1: 1, 14: 3, 7: -1, 28: -1})  # the 6k+1-weighted series
     congr("hexweight_series_mod7",
-          fq({1: 1, 14: 3, 7: -1, 28: -1}),
+          hexweight,
           mul(Dissect(B, 7, 2), Subst(2, Named("slope_6k1"))),
           7, "the B(7n+2) series times f2^5/f4^2 generates the 6k+1-weighted sums mod 7")
     for j in (3, 4, 6):
-        congr(f"hexweight_class{j}_vanishes",
-              Dissect(fq({1: 1, 14: 3, 7: -1, 28: -1}), 7, j), Literal(0),
+        congr(f"hexweight_class{j}_vanishes", Dissect(hexweight, 7, j), Literal(0),
               7, f"class {j} mod 7 of the weighted-sum series vanishes mod 7")
     congr("hexweight_7n2_mod7",
-          Dissect(fq({1: 1, 14: 3, 7: -1, 28: -1}), 7, 2),
+          Dissect(hexweight, 7, 2),
           Scale(-1, fq({2: 3, 7: 1, 1: -1, 4: -1})),
           7, "class 2 mod 7 of the weighted-sum series; the sign comes from "
              "the -q^2 term in the 7-dissection of f1")

@@ -9,6 +9,7 @@ knapsack.  ``FAMILIES`` is the one table of the named counting families.
 
 from __future__ import annotations
 
+from .products import FQuotientSpec, fquotient
 from .records import FrozenRecord
 from .series import _check_window
 
@@ -55,14 +56,17 @@ def count_triples(N):
 
 
 class Family(FrozenRecord):
-    """A counting family: its generating function prod f_d^(r_d) as
-    ``{d: r_d}``, the part lists its oracle table is folded from (None: no
-    oracle, counted from the series) and the literature congruences
-    ``(A, r, m)``, coefficient(An + r) = 0 (mod m)."""
+    """A counting family: its generating function, given as ``{d: r_d}``
+    and held as its ``FQuotientSpec``, the part lists its oracle table is
+    folded from (None: no oracle, counted from the series) and the
+    literature congruences ``(A, r, m)``, coefficient(An + r) = 0 (mod m)."""
 
-    gf: dict
+    gf: FQuotientSpec
     parts: tuple | None
     known: frozenset = frozenset()
+
+    def __post_init__(self):
+        vars(self)["gf"] = FQuotientSpec.of(self.gf)
 
 
 DISTINCT_ODD = Parts(odd=True, distinct=True)
@@ -97,7 +101,5 @@ def count_family(name, N):
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
     if family.parts is None:
-        from .products import fquotient
-        s = fquotient(family.gf, N)
-        return s.coeff_window(0, N)
+        return fquotient(family.gf, N).coeff_window(0, N)
     return count_table(family.parts, N)

@@ -30,31 +30,46 @@ from .series import LaurentSeries, _check_modulus, _check_window, _in_ring
 class FQuotientSpec(FrozenRecord):
     """A finite product q^qshift * prod f_d^(r_d).
 
-    ``factors`` is a sorted tuple of (d, r_d) pairs with distinct d >= 1
-    and r_d != 0.  The denoted series has valuation exactly qshift, since
-    every f_d has leading coefficient 1.
+    ``factors`` is a tuple of (d, r_d) pairs sorted by d, with distinct
+    ints d >= 1 and nonzero ints r_d, and ``qshift`` is an int (a bool is
+    not); a record that breaks this raises ValueError when built.  The
+    series has valuation exactly qshift: every f_d has leading term 1.
     """
 
     factors: tuple[tuple[int, int], ...]
     qshift: int = 0
 
+    def __post_init__(self):
+        fs = self.factors
+        if type(self.qshift) is not int:
+            raise ValueError(f"q-power shift must be an integer, got {self.qshift!r}")
+        if type(fs) is not tuple or not all(type(p) is tuple and len(p) == 2
+                                            for p in fs):
+            raise ValueError(f"factors must be a tuple of (d, r_d) pairs, got {fs!r}")
+        for i, (d, r) in enumerate(fs):
+            if type(d) is not int or d < 1:
+                raise ValueError(f"f-index must be a positive integer, got {d!r}")
+            if type(r) is not int or r == 0:
+                raise ValueError(f"exponent of f{d} must be a nonzero integer, "
+                                 f"got {r!r}")
+            if i and d <= fs[i - 1][0]:
+                raise ValueError(f"f-indices must be distinct and increasing, "
+                                 f"got {fs!r}")
+
     @classmethod
     def of(cls, factors, qshift=0):
+        """The spec of ``{d: r_d}`` or of (d, r_d) pairs, sorted, without
+        the int exponents 0; the record checks the rest (0.0, False raise)."""
         if isinstance(factors, FQuotientSpec):
             return factors
-        if isinstance(factors, dict):
-            items = factors.items()
-        else:
-            items = tuple(factors)
-        seen = {}
-        for d, r in items:
-            if not isinstance(d, int) or d < 1:
-                raise ValueError(f"f-index must be a positive integer, got {d!r}")
-            if d in seen:
-                raise ValueError(f"duplicate f-index {d}")
-            if r != 0:
-                seen[d] = int(r)
-        return cls(tuple(sorted(seen.items())), int(qshift))
+        pairs = [(d, r) for d, r in
+                 (factors.items() if isinstance(factors, dict) else factors)
+                 if r != 0 or type(r) is not int]
+        try:
+            pairs.sort()
+        except TypeError:
+            pass  # an index or exponent that is not an int: the record raises
+        return cls(tuple(pairs), qshift)
 
     def __str__(self):
         num = "*".join(f"f{d}" + (f"^{r}" if r != 1 else "")
@@ -89,7 +104,6 @@ def euler_f_product(m, T, modulus=None):
 
 WEIGHT_RULES = {
     "1": lambda k: 1,
-    "2k+1": lambda k: 2 * k + 1,
     "(-1)^k": lambda k: -1 if k & 1 else 1,
     "(-1)^k(2k+1)": lambda k: -(2 * k + 1) if k & 1 else 2 * k + 1,
     "(-1)^k(3k+1)": lambda k: -(3 * k + 1) if k & 1 else 3 * k + 1,

@@ -48,6 +48,7 @@ unknown exponent, and read 0 below the valuation.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from itertools import accumulate, compress, count, islice
 from operator import itemgetter, ne, neg
@@ -389,23 +390,23 @@ class LaurentSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def add(self, other):
+    def _termwise(self, other, op):
+        """op of the coefficients at each exponent from the lower valuation
+        up to where either window ends (an operand is 0 below its own)."""
         self._require_same_ring(other)
         v = min(self.v, other.v)
         T = min(self.known_through, other.known_through)
-        out = []
-        for e in range(v, T + 1):
-            a = self.coeffs[e - self.v] if e >= self.v else 0
-            b = other.coeffs[e - other.v] if e >= other.v else 0
-            out.append(a + b)
-        return LaurentSeries(out, v, self.modulus)
+        return LaurentSeries(map(op, self.coeff_window(v, T),
+                                 other.coeff_window(v, T)), v, self.modulus)
+
+    def add(self, other):
+        return self._termwise(other, operator.add)
 
     def neg(self):
         return LaurentSeries([-c for c in self.coeffs], self.v, self.modulus)
 
     def sub(self, other):
-        self._require_same_ring(other)
-        return self.add(other.neg())
+        return self._termwise(other, operator.sub)
 
     def scale(self, c):
         return LaurentSeries([c * x for x in self.coeffs], self.v, self.modulus)

@@ -41,7 +41,7 @@ def b_table(N, modulus=None):
     if N < 0:
         raise ValueError("table size must be >= 0")
     T = N if modulus is not None else max(N, 400)
-    ser = expand_factors(FQuotientSpec.of(FAMILIES["B"].gf).factors, T, modulus)
+    ser = expand_factors(FAMILIES["B"].gf.factors, T, modulus)
     table = ser.coeff_window(0, T)
     if modulus is None:
         if table[:401] != partitions.count_triples(400):
@@ -394,7 +394,7 @@ def scan(gf, stride_max, moduli, n_max, scalar=1):
         ser = ser.scale(scalar)
     coeffs = ser.coeff_window(0, T)
     known = next((f.known for f in FAMILIES.values()
-                  if scalar in (1, -1) and FQuotientSpec.of(f.gf) == spec),
+                  if scalar in (1, -1) and f.gf == spec),
                  frozenset())
     hits = []
     for m in sorted(moduli):

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcong.cli import _parser, main, parse_quotient, SpecParseError
+from qcong.expr import NAMED_SERIES
+from qcong.partitions import FAMILIES
 from qcong.products import FQuotientSpec
 from qcong.series import MAX_WINDOW
 from qcong.identities import EXACT_ORDER, MOD_ORDER
@@ -80,6 +82,24 @@ def test_expand_spec_pentagonal(capsys):
     assert rc == 0
     rows = dict(tuple(map(int, line.split("\t"))) for line in out.splitlines())
     assert rows == {0: 1, 1: -1, 2: -1, 3: 0, 4: 0, 5: 1, 6: 0, 7: 1}
+
+
+def test_every_named_series_is_a_name_choice(capsys):
+    """--name takes each family and each series of ``NAMED_SERIES``: the
+    theta sums print what their product forms print, and an unknown name
+    still exits 2."""
+    rc, out, _ = run(capsys, "expand", "--name", "cube", "--order", "20")
+    assert rc == 0
+    assert (rc, out) == run(capsys, "expand", "--spec", "f1^3", "--order", "20")[:2]
+    for name in (*FAMILIES, *NAMED_SERIES):
+        assert run(capsys, "coeff", "--name", name, "--n", "3")[0] == 0
+    for argv in (["expand", "--name", "nope", "--order", "5"],
+                 ["coeff", "--name", "nope", "--n", "5"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "'signed_pentagonal'" in err
 
 
 def test_expand_parse_error_exit2_with_caret(capsys):

@@ -293,6 +293,45 @@ def test_valuation_bounds_every_catalog_node():
             assert node.valuation() == actual, (node, modulus)
 
 
+#: series the catalog names once: (its node, the entries that state it);
+#: the entries of one proof chain then read one node
+SHARED_SERIES = {
+    "altsum": (fq({2: 12, 12: 3, 1: -6, 4: -9}),
+               ["altsum_series_exact", "altsum_series_mod3",
+                "altsum_class1_vanishes", "altsum_class2_vanishes",
+                "altsum_class0_mod3"]),
+    "hexweight": (fq({1: 1, 14: 3, 7: -1, 28: -1}),
+                  ["hexweight_series_mod7", "hexweight_class3_vanishes",
+                   "hexweight_class4_vanishes", "hexweight_class6_vanishes",
+                   "hexweight_7n2_mod7"]),
+    "1/h + h": (fq({3: 3, 4: 1, 1: -1, 12: -3}, -1),
+                ["h_sum_recip", "h_algebra_product", "h_algebra_factored"]),
+    "1/h - 1 + h": (fq({4: 4, 6: 2, 2: -2, 12: -4}, -1),
+                    ["h_sum_recip_m1", "h_algebra_factored"]),
+    "1/h - 2 + h": (fq({1: 1, 4: 2, 6: 9, 2: -3, 3: -3, 12: -6}, -1),
+                    ["h_sum_recip_m2", "h_algebra_product", "h_algebra_factored"]),
+    "1/h - 4 + h": (fq({1: 3, 4: 1, 6: 2, 2: -2, 3: -1, 12: -3}, -1),
+                    ["h_sum_recip_m4", "h_algebra_factored"]),
+    "pentweight": (Scale(3, fq({1: 1, 3: 3, 4: 7, 6: 2, 2: -4, 12: -1})),
+                   ["weighted_sum_27n16_mod9", "weighted_sum_27n16_reduced"]),
+    "contracted": (get("weighted_sum_27n16_reduced").rhs,
+                   ["weighted_sum_27n16_reduced", "weighted_sum_class2_vanishes"]),
+    "rhs_414": (get("split3_f1f4_over_f2").rhs,
+                ["split3_f1f4_over_f2", "gf_b_3n1_9adic_composition"]),
+}
+
+
+@pytest.mark.parametrize("series, names", SHARED_SERIES.values(),
+                         ids=SHARED_SERIES)
+def test_named_series_are_one_node(series, names):
+    """Every node of the catalog equal to the series is one object, and
+    it appears in exactly the listed entries."""
+    found = {e.name: [n for side in (e.lhs, e.rhs) for n in subtrees(side)
+                      if n == series] for e in registry()}
+    assert sorted(k for k, v in found.items() if v) == sorted(names)
+    assert len({id(n) for v in found.values() for n in v}) == 1
+
+
 # -- registry content -----------------------------------------------------------
 
 def test_registry_size_and_names():

@@ -14,7 +14,8 @@ from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
 from qcong import products as products_module
 from qcong import series as series_module
 from qcong import theorems
-from qcong.partitions import FAMILIES
+from qcong.expr import fq
+from qcong.partitions import FAMILIES, Family
 from qcong.products import (_expand_factors, _prefix_cache, _scaled,
                             expand_factors, plan_factors)
 from qcong.series import MAX_WINDOW, PACKED_CROSSOVER
@@ -82,6 +83,78 @@ def test_fquotient_spec_normalization():
         FQuotientSpec.of([(1, 2), (1, 3)])
     with pytest.raises(ValueError):
         FQuotientSpec.of({0: 1})
+
+
+#: each builds an f-quotient that is not a checked spec: a float, bool or
+#: str exponent or shift, or a factor tuple that is unsorted, repeats an
+#: index or holds a zero exponent
+BAD_SPECS = {
+    "float-exponent": lambda make: make({1: 1.5}),
+    "bool-exponent": lambda make: make({2: True}),
+    "false-exponent": lambda make: make({2: False}),
+    "str-exponent": lambda make: make({1: "1"}),
+    "float-zero-exponent": lambda make: make({1: 0.0}),
+    "float-shift": lambda make: make({1: 1}, 2.0),
+    "bool-shift": lambda make: make({1: 1}, True),
+    "str-shift": lambda make: make({1: 1}, "3"),
+    "bool-index": lambda make: make({True: 1}),
+    "str-index": lambda make: make({"x": 1, 2: 1}),
+    "repeated-index": lambda make: make([(1, 2), (1, 3)]),
+}
+#: factor tuples that ``of`` would sort or clean, given to the record itself
+BAD_TUPLES = {
+    "unsorted": ((2, 1), (1, 1)),
+    "repeated": ((1, 1), (1, 1)),
+    "zero-exponent": ((1, 0),),
+    "zero-exponent-between": ((1, 1), (2, 0), (3, 1)),
+    "not-a-pair": ((1, 1, 1),),
+    "list-pair": ([1, 1],),
+    "list-of-pairs": [(1, 1)],
+}
+SPEC_MAKERS = {
+    "fq": fq,
+    "of": FQuotientSpec.of,
+    "record": lambda f, s=0: FQuotientSpec(
+        tuple(f.items() if isinstance(f, dict) else f), s),
+    "fquotient": lambda f, s=0: fquotient(FQuotientSpec.of(f, s) if s else f, 10),
+}
+
+
+@pytest.mark.parametrize("make", SPEC_MAKERS.values(), ids=SPEC_MAKERS)
+@pytest.mark.parametrize("bad", BAD_SPECS.values(), ids=BAD_SPECS)
+def test_every_spec_constructor_rejects_what_is_not_an_f_quotient(bad, make):
+    with pytest.raises(ValueError):
+        bad(make)
+
+
+@pytest.mark.parametrize("factors", BAD_TUPLES.values(), ids=BAD_TUPLES)
+def test_spec_record_checks_its_factor_tuple(factors):
+    with pytest.raises(ValueError):
+        FQuotientSpec(factors)
+    with pytest.raises(ValueError):
+        FQuotientSpec(factors, 0)
+
+
+def test_of_sorts_and_drops_zero_integer_exponents():
+    assert FQuotientSpec.of([(4, -3), (1, -2), (3, 0), (2, 4)], -1) == \
+        FQuotientSpec(((1, -2), (2, 4), (4, -3)), -1)
+    spec = FQuotientSpec.of({2: 1})
+    assert FQuotientSpec.of(spec) is spec
+    assert FQuotientSpec.of({}) == FQuotientSpec(())
+
+
+def test_families_hold_their_specs():
+    """Each family's generating function is the spec of the dict it was
+    written as."""
+    written = {"B": {2: 4, 1: -2, 4: -3}, "b": {2: 2, 1: -1, 4: -3},
+               "p": {1: -1}, "a": {1: -1, 2: -1}, "abar": {4: 1, 1: -2, 2: -1}}
+    assert list(FAMILIES) == list(written)
+    for name, gf in written.items():
+        assert type(FAMILIES[name].gf) is FQuotientSpec
+        assert FAMILIES[name].gf == FQuotientSpec.of(gf)
+    assert Family({1: -1}, None).gf == FQuotientSpec(((1, -1),))
+    with pytest.raises(ValueError):
+        Family({1: 0.5}, None)
 
 
 def test_triangular_first_terms():

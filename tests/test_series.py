@@ -55,6 +55,32 @@ def test_add_disjoint_windows_uses_known_zeros():
     assert s.coeffs == (3, 4, 5, 6)  # a is exactly zero below q^5
 
 
+def loop_add(a, b):
+    """The exponent-by-exponent loop ``add`` was, kept as the reference."""
+    v = min(a.v, b.v)
+    T = min(a.known_through, b.known_through)
+    out = []
+    for e in range(v, T + 1):
+        x = a.coeffs[e - a.v] if e >= a.v else 0
+        y = b.coeffs[e - b.v] if e >= b.v else 0
+        out.append(x + y)
+    return LaurentSeries(out, v, a.modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=30),
+       ys=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=30),
+       va=st.integers(-8, 8), vb=st.integers(-8, 8),
+       mod=st.none() | st.integers(2, 50) | st.just(2 ** 31 - 1))
+def test_add_and_sub_match_the_loop(xs, ys, va, vb, mod):
+    """Different valuations and window lengths, over Z and Z/m: ``add`` is
+    the old loop, ``sub`` the old loop with the negated operand."""
+    a, b = series(xs, va, mod), series(ys, vb, mod)
+    assert a.add(b) == loop_add(a, b)
+    assert a.sub(b) == loop_add(a, b.neg())
+    assert b.sub(a) == loop_add(b, a.neg())
+
+
 def test_ring_mismatch_rejected():
     a = series([1, 2])
     b = series([1, 2], mod=7)
