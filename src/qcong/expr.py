@@ -266,6 +266,18 @@ def expr_to_dict(e):
     return d
 
 
+def _f_index(key):
+    """The f-index d of an ``fquot`` key, which must be ``str(d)``: ``"03"``,
+    ``" 3"``, ``"+3"`` or ``"1_0"`` would let two keys name one index."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"fquot node: factor key must be an integer written "
+                     f"as str(d), got {key!r}")
+
+
 def expr_from_dict(d):
     """Parse the JSON form back; a malformed node raises ValueError."""
     if not isinstance(d, dict):
@@ -282,7 +294,8 @@ def expr_from_dict(d):
         if not isinstance(d["factors"], dict):
             raise ValueError(f"fquot node: factors must map d to an exponent: {d!r}")
         # the spec record checks the exponents and the shift
-        return fq({int(k): v for k, v in d["factors"].items()}, d.get("qshift", 0))
+        return fq({_f_index(k): v for k, v in d["factors"].items()},
+                  d.get("qshift", 0))
     return cls(*(expr_from_dict(v) if isinstance(v, dict) else
                  tuple(map(expr_from_dict, v)) if isinstance(v, list) else v
                  for v in map(d.__getitem__, cls._fields)))

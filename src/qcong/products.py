@@ -11,9 +11,10 @@ identity catalog manipulates is assembled from:
   * the level-12 continued-fraction product h(q).
 
 The builders the evaluator calls (``euler_f``, ``fquotient`` through
-``_expand_factors``, ``cubic_theta_alpha``, ``h_level12``) are cached by
-``_prefix_cache``: one entry per series and ring, holding its longest
-expansion, from which every shorter request is truncated.
+``_expand_factors``, ``cubic_theta_alpha``, ``h_level12``), and the
+inverses of the quotients' denominators over Z/m (``_divisor_inverse``),
+are cached by ``_prefix_cache``: one entry per series and ring, holding its
+longest expansion, from which every shorter request is truncated.
 """
 
 from __future__ import annotations
@@ -59,8 +60,13 @@ class FQuotientSpec(FrozenRecord):
     @classmethod
     def of(cls, factors, qshift=0):
         """The spec of ``{d: r_d}`` or of (d, r_d) pairs, sorted, without
-        the int exponents 0; the record checks the rest (0.0, False raise)."""
+        the int exponents 0; the record checks the rest (0.0, False raise).
+        A spec is returned as it is; it carries its own shift, so a second
+        one raises ValueError."""
         if isinstance(factors, FQuotientSpec):
+            if type(qshift) is not int or qshift:
+                raise ValueError(f"{factors} carries its own q-power shift; the "
+                                 f"shift passed with it must be 0, got {qshift!r}")
             return factors
         pairs = [(d, r) for d, r in
                  (factors.items() if isinstance(factors, dict) else factors)
@@ -311,18 +317,32 @@ def _plan_series(block, d, W, modulus):
     return _scaled(bilateral(block, W // d, modulus), d, W)
 
 
-def _multiply_out(entries, g, W, modulus):
-    """The product of plan entries (block, d, n), each block at scale d/g
-    through q^(W // g) and taken n times, or None for no entries.  Each
-    block is built once, when it is first used, and dropped after its last
-    pass: a big series built and freed more often than that raises the peak
-    memory of the exact B tables."""
+def _multiply_out(entries, W, modulus):
+    """The product of plan entries (block, d, n), each taken n times, through
+    q^W, or None for no entries.  Each block is built once, when it is first
+    used, and dropped after its last pass: a big series built and freed more
+    often than that raises the peak memory of the exact B tables."""
     r = None
     for block, d, n in entries:
-        s = _plan_series(block, d // g, W // g, modulus)
+        s = _plan_series(block, d, W, modulus)
         for _ in range(n):
             r = s if r is None else r.mul(s)
     return r
+
+
+@_prefix_cache(maxsize=64, window="W")
+def _divisor_inverse(entries, W, modulus):
+    """1 / the product of plan entries (block, d, n) through q^W, over
+    Z/modulus: the divisor is multiplied out (sparse products) and inverted
+    once, by Newton doubling when it is dense enough, and freed.  The
+    entries are keyed at scale 1 (their scales have gcd 1), so every
+    quotient whose divisor is theirs under some q -> q^g, at any window,
+    truncates one inverse.  Cached per (entries, modulus), 64 entries."""
+    return _multiply_out(entries, W, modulus).invert()
+
+
+#: the ``_divisor_inverse`` key of the Euler factor f_1
+_F1 = ((None, 1, 1),)
 
 
 def expand_factors(factors, W, modulus=None):
@@ -331,29 +351,41 @@ def expand_factors(factors, W, modulus=None):
     Follows ``plan_factors``: multiplies out the numerator blocks, then
     takes out the denominator blocks.  Over Z each denominator block is
     divided out n times by the sequential kernel, so every pass is
-    O(W * nnz(block)).  Over Z/m the quotient takes one inverse: with g
-    the gcd of the denominator scales, the denominator blocks, each at
-    scale d/g through q^(W // g), multiply out (sparse products) into one
-    divisor D, which is inverted once (by Newton doubling on the packed
-    product when it is dense enough), substituted q -> q^g and multiplied
-    into the numerator once.  B's f_4^3 is inverted as f_1^3 at length
-    W/4; a = 1/(f_1 f_2) is one inverse at length W, abar one inverse and
-    one big product.  (Over Z that dense inverse would make the product
-    O(W^2).)  D is freed once inverted, before the final product, where
-    it would raise the peak memory.
+    O(W * nnz(block)); a dense inverse would make the product O(W^2).
+    Over Z/m every inverse comes from the cached ``_divisor_inverse``:
+      * the theta blocks of the denominator form one divisor: with g the
+        gcd of their scales, it is inverted at scale d/g through
+        q^(W // g), substituted q -> q^g and multiplied in once.  B's and
+        b's f_4^3 and a bare f_1^3 share the inverse of f_1^3;
+      * each Euler factor f_d^n is the one inverse of f_1 through
+        q^(W // d), substituted q -> q^d and multiplied in n times.  p, a
+        and abar share it: a = 1/(f_1 f_2) is one product of 1/f_1 by
+        1/f_1(q^2), and abar three products into f_4.
+    A theta divisor keeps its own inverse, which costs less than a power of
+    the cached 1/f_1: at length 25361 mod 630 (B's table at N = 101441),
+    1/f_1^3 takes 0.09-0.13 s, 1/f_1 and its cube 0.18-0.21 s (shared
+    2-core x86-64 host, Python 3.11).
     """
     _check_window(W)
     num, den = plan_factors(factors)
-    r = _multiply_out(num, 1, W, modulus)
+    r = _multiply_out(num, W, modulus)
     if modulus is None:
         for block, d, n in den:
             s = _plan_series(block, d, W, modulus)
             for _ in range(n):
                 r = s.invert() if r is None else r.divide(s)
-    elif den:
-        g = gcd(*(d for _, d, _ in den))
-        s = _scaled(_multiply_out(den, g, W, modulus).invert(), g, W)
+        return LaurentSeries.one(W, modulus) if r is None else r
+    theta = [e for e in den if e[0] is not None]
+    if theta:
+        g = gcd(*(d for _, d, _ in theta))
+        key = tuple((block, d // g, n) for block, d, n in theta)
+        s = _scaled(_divisor_inverse(key, W // g, modulus), g, W)
         r = s if r is None else r.mul(s)
+    for block, d, n in den:
+        if block is None:
+            s = _scaled(_divisor_inverse(_F1, W // d, modulus), d, W)
+            for _ in range(n):
+                r = s if r is None else r.mul(s)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

@@ -21,9 +21,10 @@ product by the inverse, and an inverse whose ``_divide_block`` would spend
 more than ``PACKED_CROSSOVER`` multiply-adds per coefficient is taken by
 Newton doubling on ``_product`` (``_inverse``).  A caller that knows its
 divisor is a series in q^g inverts it in q and substitutes, as the theta
-planner of ``products`` does: it multiplies the denominator of a quotient
-into one divisor in q^g, g the gcd of the denominator's scales, and takes
-one inverse (B's f_4^3 at length N/4).  ``_product`` finds each
+planner of ``products`` does: it takes each inverse at scale 1 from one
+cache, so B's f_4^3 is f_1^3 inverted at length N/4, and every Euler
+factor f_d of a denominator is the one inverse of f_1 under q -> q^d.
+This module does not look for the scale.  ``_product`` finds each
 operand's support once, at C speed, and shares it between the crossover
 count and ``_convolve``, which sums a square's pairs i < j once.  The
 packed kernel sizes its slot by what the product can hold,

@@ -297,7 +297,7 @@ def test_successive_main_calls_match_fresh_processes(capsys, tmp_path):
 
 
 ORDERS = """
-import contextlib, io, json
+import contextlib, io, json, os
 from qcong import cli, identities
 
 def run(argv):
@@ -310,19 +310,31 @@ everything = ["verify-identity", "--all", "--json"]
 cold = run(everything)
 names = [e.name for e in reversed(identities.registry())]
 each = [run(["verify-identity", "--name", n, "--json"]) for n in names]
-print(json.dumps({"cold": cold, "each": each, "warm": run(everything)}))
+warm = run(everything)
+scans = [run(argv) for argv in json.loads(os.environ["SCANS"])]
+print(json.dumps({"cold": cold, "each": each, "warm": warm, "scans": scans}))
 """
+
+#: every scan family forward through q^1211, then backward through q^2423
+#: (Newton inverses both, mod 210): later families share the inverses of
+#: earlier ones, truncated in the first pass and rebuilt in the second
+SCANS = ([["scan", "--name", x, "--amax", "12", "--nmax", "100"] for x in FAMILIES]
+         + [["scan", "--name", x, "--amax", "12", "--nmax", "200"]
+            for x in reversed(FAMILIES)])
 
 
 def test_stdout_does_not_depend_on_cache_state():
     """The catalog cold, then entry by entry in reverse order, then whole
-    again, in one process: the builders' caches serve the later runs, and
-    every report is the same byte for byte."""
+    again, then ``SCANS``, in one process: the builders' caches serve the
+    later runs, every report is the same byte for byte, and each scan
+    prints what it prints in a new process."""
     proc = subprocess.run([sys.executable, "-c", ORDERS], capture_output=True,
                           text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+                          env={**os.environ, "PYTHONPATH": str(SRC),
+                               "SCANS": json.dumps(SCANS)})
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
+    assert [tuple(r) for r in runs["scans"]] == [fresh_process(*a) for a in SCANS]
     assert runs["warm"] == runs["cold"] and runs["cold"][0] == 0
     reports = [r for rc, out in reversed(runs["each"]) for r in json.loads(out)]
     assert {rc for rc, _ in runs["each"]} == {0}

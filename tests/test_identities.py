@@ -489,6 +489,11 @@ H = {"op": "named", "name": "h"}
     {"op": "dissect", "child": H, "mod": 0, "residue": 0},
     {"op": "dissect", "child": H, "mod": 3, "residue": 3},
     {"op": "dissect", "child": H, "mod": 3, "residue": -1},
+    {"op": "fquot", "factors": {"3": 1, "03": 2}},   # two keys name f3
+    {"op": "fquot", "factors": {"1_0": 1}},
+    {"op": "fquot", "factors": {" 3": 1}},
+    {"op": "fquot", "factors": {"+2": 1}},
+    {"op": "fquot", "factors": {"\u0663": 1}},       # an Arabic-Indic 3
 ])
 def test_expr_json_rejects_malformed_nodes(node):
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Named-series builders: Euler products, quotients, theta sums, alpha, h."""
 
+from contextlib import contextmanager
 from functools import lru_cache
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +16,8 @@ from qcong import series as series_module
 from qcong import theorems
 from qcong.expr import fq
 from qcong.partitions import FAMILIES, Family
-from qcong.products import (_expand_factors, _prefix_cache, _scaled,
-                            expand_factors, plan_factors)
+from qcong.products import (_divisor_inverse, _expand_factors, _prefix_cache,
+                            _scaled, expand_factors, plan_factors)
 from qcong.series import MAX_WINDOW, PACKED_CROSSOVER
 
 
@@ -140,7 +140,17 @@ def test_of_sorts_and_drops_zero_integer_exponents():
         FQuotientSpec(((1, -2), (2, 4), (4, -3)), -1)
     spec = FQuotientSpec.of({2: 1})
     assert FQuotientSpec.of(spec) is spec
+    assert FQuotientSpec.of(spec, 0) is spec
     assert FQuotientSpec.of({}) == FQuotientSpec(())
+
+
+@pytest.mark.parametrize("qshift", [5, -1, "3", 0.0, True])
+def test_of_a_spec_refuses_a_second_shift(qshift):
+    """A spec carries its own shift: ``fq(spec, 5)`` is not silently f1."""
+    with pytest.raises(ValueError, match="carries its own q-power shift"):
+        FQuotientSpec.of(FQuotientSpec(((1, 1),), 0), qshift)
+    with pytest.raises(ValueError):
+        fq(FQuotientSpec(((1, 1),), 2), qshift)
 
 
 def test_families_hold_their_specs():
@@ -229,15 +239,37 @@ def test_family_series_mod_m_is_the_exact_series_reduced(name, modulus):
     assert fquotient(gf, 3000, modulus) == fquotient(gf, 3000).reduce_mod(modulus)
 
 
+@contextmanager
+def cold_divisor_cache():
+    """Run the block on a cold cache of denominator inverses, which it
+    yields; the package's own cache is put back after it."""
+    kept = products_module._divisor_inverse
+    products_module._divisor_inverse = _prefix_cache(
+        maxsize=64, window="W")(kept.__wrapped__)
+    try:
+        yield products_module._divisor_inverse
+    finally:
+        products_module._divisor_inverse = kept
+
+
+#: the top-level inverse lengths of each family's expansion through q^400
+#: over Z/m on a cold cache: the theta divisor f_4^3 of B and b is f_1^3
+#: through q^100, and p, a and abar take 1/f_1 through q^400 (a's and
+#: abar's 1/f_2 is its truncation under q -> q^2)
+COLD_INVERSES = {"B": [101], "b": [101], "p": [401], "a": [401],
+                 "abar": [401], "1/(f2*f4^3)": [101, 201]}
+
+
 def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
     """B = (f_2^2/f_1)^2 / f_4^3 through q^400: over Z/9 the planner inverts
     f_4^3 as f_1^3 through q^100 and divides by no series of length 401;
-    over Z it divides once by f_4^3 itself.  For every family with a
-    denominator, over Z/m the planner takes one inverse, of the divisor at
-    scale d/g through q^(400 // g) (g the gcd of the denominator scales),
-    and no sequential division costs more than the crossover (the rest is
-    Newton doubling); over Z each denominator pass of the plan is one
-    sequential division through q^400."""
+    over Z it divides once by f_4^3 itself.  Over Z/m, on a cold cache,
+    each family takes one inverse of its theta divisor at scale 1 and one
+    of f_1 for all its Euler factors (``COLD_INVERSES``), and no
+    sequential division costs more than the crossover (the rest is Newton
+    doubling); once p has run, a and abar take no inverse.  Over Z each
+    denominator pass of the plan is one sequential division through
+    q^400."""
     divisors = []
     block = series_module._divide_block
     monkeypatch.setattr(series_module, "_divide_block",
@@ -257,27 +289,79 @@ def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
 
     monkeypatch.setattr(series_module, "_inverse", top_level_inverse)
     factors = FQuotientSpec.of(FAMILIES["B"].gf).factors
-    mod9 = expand_factors(factors, 400, 9)
+    with cold_divisor_cache():
+        mod9 = expand_factors(factors, 400, 9)
     assert [len(dc) for dc, _ in divisors] == [101]
     assert inverses == [101]
     divisors.clear()
     assert expand_factors(factors, 400).reduce_mod(9) == mod9
     assert [len(dc) for dc, _ in divisors] == [401]
-    for family in FAMILIES.values():
-        factors = FQuotientSpec.of(family.gf).factors
-        den = plan_factors(factors)[1]
-        want = [400 // gcd(*(d for _, d, _ in den)) + 1] if den else []
+    specs = {name: family.gf.factors for name, family in FAMILIES.items()}
+    specs["1/(f2*f4^3)"] = ((2, -1), (4, -3))
+    for name, want in COLD_INVERSES.items():
+        factors = specs[name]
         for m in (9, 210):
             divisors.clear()
             inverses.clear()
-            expand_factors(factors, 400, m)
+            with cold_divisor_cache():
+                expand_factors(factors, 400, m)
             assert inverses == want
             assert all(sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
                        <= PACKED_CROSSOVER * n for dc, n in divisors)
         divisors.clear()
         expand_factors(factors, 400)
-        passes = sum(n for _, _, n in den)
+        passes = sum(n for _, _, n in plan_factors(factors)[1])
         assert [(len(dc), n) for dc, n in divisors] == [(401, 401)] * passes
+    inverses.clear()
+    with cold_divisor_cache():
+        for name in ("p", "a", "abar"):
+            expand_factors(specs[name], 400, 210)
+    assert inverses == [401]
+
+
+#: how a drawn denominator part changes the exponents {d: r_d}: Jacobi's
+#: f_d^3 and Gauss's f_2d^2/f_d are theta divisors, f_d an Euler factor
+DENOMINATOR_PARTS = {"cube": lambda d: {d: -3}, "gauss": lambda d: {d: 1, 2 * d: -2},
+                     "euler": lambda d: {d: -1}}
+
+
+@st.composite
+def mixed_denominator_specs(draw):
+    """Sorted (d, r_d) pairs with a theta divisor part, an Euler factor and
+    up to two more parts in the denominator, at scales up to 6, over a
+    numerator of up to two f_d (about 70 % of them plan to divide by a
+    theta divisor and by Euler factors; the rest fold into one kind)."""
+    r = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=2))
+    # one theta divisor part, one Euler factor, and up to two of any kind
+    choices = ([("cube", "gauss"), ("euler",)]
+               + [tuple(DENOMINATOR_PARTS)] * draw(st.integers(0, 2)))
+    for kinds in choices:
+        part = DENOMINATOR_PARTS[draw(st.sampled_from(kinds))]
+        for d, e in part(draw(st.integers(1, 6))).items():
+            r[d] = r.get(d, 0) + e
+    return FQuotientSpec.of(r).factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(mixed_denominator_specs(), min_size=1, max_size=3),
+       modulus=st.sampled_from([2, 9, 210, 630, 2 ** 31 - 1]),
+       windows=st.lists(st.integers(0, 600), min_size=2, max_size=5),
+       order=st.sampled_from(["increasing", "decreasing", "random"]))
+def test_shared_divisor_inverses_give_the_cold_and_the_exact_series(
+        specs, modulus, windows, order):
+    """Quotients that share denominator inverses, through windows in
+    increasing, decreasing or random order on one warm cache: each result
+    equals the expansion on a cold cache and the exact series reduced mod
+    m (the route the shared inverses replace)."""
+    if order != "random":
+        windows.sort(reverse=order == "decreasing")
+    with cold_divisor_cache():
+        for W in windows:
+            for factors in specs:
+                got = expand_factors(factors, W, modulus)
+                with cold_divisor_cache():
+                    assert expand_factors(factors, W, modulus) == got
+                assert got == expand_factors(factors, W).reduce_mod(modulus)
 
 
 @pytest.mark.parametrize("modulus", [9, 210, 2 ** 31 - 1])
@@ -494,11 +578,12 @@ def test_prefix_cache_drops_the_least_recently_used_key():
 
 
 def test_builders_share_one_cache_mechanism():
-    """No ``lru_cache`` is left in ``products``: the four cached builders
+    """No ``lru_cache`` is left in ``products``: the five cached builders
     keep their sizes, and 1/h, which asks for h through q^(T+2), serves h
     through q^T from the same expansion."""
-    caches = (euler_f, _expand_factors, cubic_theta_alpha, h_level12)
-    assert [c.cache_info().maxsize for c in caches] == [256, 128, 64, 64]
+    caches = (euler_f, _expand_factors, _divisor_inverse, cubic_theta_alpha,
+              h_level12)
+    assert [c.cache_info().maxsize for c in caches] == [256, 128, 64, 64, 64]
     assert not any(hasattr(v, "cache_parameters")   # an lru_cache wrapper
                    for v in vars(products_module).values())
     before = h_level12.cache_info()
