@@ -17,7 +17,7 @@ from . import identities, partitions, theorems
 from .expr import NAMED_SERIES, FQuot, Named, Scale, evaluate
 from .partitions import FAMILIES
 from .products import FQuotientSpec
-from .series import MAX_WINDOW, SeriesError
+from .series import MAX_EXPONENT, MAX_WINDOW, SeriesError
 
 
 def defaults_table():
@@ -35,6 +35,7 @@ def defaults_table():
         "scan caps": f"stride <= {theorems.MAX_SCAN_STRIDE}, "
                      f"n_max >= {theorems.MIN_SCAN_NMAX}",
         "window cap": f"series built through q^{MAX_WINDOW} at most",
+        "exponent cap": f"f-quotient exponents |r_d| <= {MAX_EXPONENT}",
     }
     return "defaults\n" + "".join(f"  {k:<28}{v}\n" for k, v in rows.items())
 

@@ -12,29 +12,35 @@ identity catalog manipulates is assembled from:
 
 The builders the evaluator calls (``euler_f``, ``fquotient`` through
 ``_expand_factors``, ``cubic_theta_alpha``, ``h_level12``), and the
-inverses of the quotients' denominators over Z/m (``_divisor_inverse``),
-are cached by ``_prefix_cache``: one entry per series and ring, holding its
-longest expansion, from which every shorter request is truncated.
+inverse over Z/m of each block a quotient's denominator is planned into
+(``_divisor_inverse``), are cached by ``_prefix_cache``: one entry per
+series and ring, holding its longest expansion, from which every shorter
+request is truncated.  A quotient has one denominator rule: each entry
+(block, d, n) of its plan is divided out n times, over Z by the sequential
+kernel and over Z/m as a product by the n-th power of the block's inverse
+at scale 1 under q -> q^d.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from functools import wraps
-from math import gcd, isqrt
+from math import isqrt
 from threading import Lock
 
 from .records import FrozenRecord, bind
-from .series import LaurentSeries, _check_modulus, _check_window, _in_ring
+from .series import (MAX_EXPONENT, LaurentSeries, _check_modulus, _check_window,
+                     _in_ring)
 
 
 class FQuotientSpec(FrozenRecord):
     """A finite product q^qshift * prod f_d^(r_d).
 
     ``factors`` is a tuple of (d, r_d) pairs sorted by d, with distinct
-    ints d >= 1 and nonzero ints r_d, and ``qshift`` is an int (a bool is
-    not); a record that breaks this raises ValueError when built.  The
-    series has valuation exactly qshift: every f_d has leading term 1.
+    ints d >= 1 and nonzero ints r_d with |r_d| <= ``MAX_EXPONENT``, and
+    ``qshift`` is an int (a bool is not); a record that breaks this raises
+    ValueError when built.  The series has valuation exactly qshift: every
+    f_d has leading term 1.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -53,6 +59,9 @@ class FQuotientSpec(FrozenRecord):
             if type(r) is not int or r == 0:
                 raise ValueError(f"exponent of f{d} must be a nonzero integer, "
                                  f"got {r!r}")
+            if abs(r) > MAX_EXPONENT:
+                raise ValueError(f"exponent {r} of f{d} is above the cap "
+                                 f"|r_d| <= {MAX_EXPONENT}")
             if i and d <= fs[i - 1][0]:
                 raise ValueError(f"f-indices must be distinct and increasing, "
                                  f"got {fs!r}")
@@ -252,17 +261,6 @@ def _prefix_cache(maxsize, window):
     return decorate
 
 
-def _scaled(s, d, W):
-    """s(q^d) through q^W, for a series s in q on the window [0, W // d]:
-    the coefficients are placed at every d-th exponent of one list, so the
-    series in q^d is constructed once."""
-    if d == 1:
-        return s
-    cs = [0] * (W + 1)
-    cs[::d] = s.coeffs
-    return _in_ring(cs, 0, s.modulus)
-
-
 @_prefix_cache(maxsize=256, window="T")
 def euler_f(m, T, modulus=None):
     """f_m through q^T by Euler's pentagonal number theorem: the bilateral
@@ -272,7 +270,7 @@ def euler_f(m, T, modulus=None):
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
     _check_window(T)
-    return _scaled(bilateral(PENTAGONAL, T // m, modulus), m, T)
+    return bilateral(PENTAGONAL, T // m, modulus).substitute(m, T)
 
 
 # -- f-quotients through theta blocks -----------------------------------------
@@ -314,78 +312,56 @@ def _plan_series(block, d, W, modulus):
     """One entry of a plan through q^W: f_d, or a theta block under q -> q^d."""
     if block is None:
         return euler_f(d, W, modulus)
-    return _scaled(bilateral(block, W // d, modulus), d, W)
-
-
-def _multiply_out(entries, W, modulus):
-    """The product of plan entries (block, d, n), each taken n times, through
-    q^W, or None for no entries.  Each block is built once, when it is first
-    used, and dropped after its last pass: a big series built and freed more
-    often than that raises the peak memory of the exact B tables."""
-    r = None
-    for block, d, n in entries:
-        s = _plan_series(block, d, W, modulus)
-        for _ in range(n):
-            r = s if r is None else r.mul(s)
-    return r
+    return bilateral(block, W // d, modulus).substitute(d, W)
 
 
 @_prefix_cache(maxsize=64, window="W")
-def _divisor_inverse(entries, W, modulus):
-    """1 / the product of plan entries (block, d, n) through q^W, over
-    Z/modulus: the divisor is multiplied out (sparse products) and inverted
-    once, by Newton doubling when it is dense enough, and freed.  The
-    entries are keyed at scale 1 (their scales have gcd 1), so every
-    quotient whose divisor is theirs under some q -> q^g, at any window,
-    truncates one inverse.  Cached per (entries, modulus), 64 entries."""
-    return _multiply_out(entries, W, modulus).invert()
-
-
-#: the ``_divisor_inverse`` key of the Euler factor f_1
-_F1 = ((None, 1, 1),)
+def _divisor_inverse(block, W, modulus):
+    """1 / the plan entry ``block`` at scale 1 (f_1 for None) through q^W,
+    over Z/modulus, by Newton doubling when the block is dense enough.  A
+    quotient that divides by the block under q -> q^d reads this inverse
+    through q^(W // d), so every scale, window and power of one block
+    shares one inverse.  Cached per (block, modulus), 64 entries."""
+    return _plan_series(block, 1, W, modulus).invert()
 
 
 def expand_factors(factors, W, modulus=None):
     """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
 
-    Follows ``plan_factors``: multiplies out the numerator blocks, then
-    takes out the denominator blocks.  Over Z each denominator block is
-    divided out n times by the sequential kernel, so every pass is
-    O(W * nnz(block)); a dense inverse would make the product O(W^2).
-    Over Z/m every inverse comes from the cached ``_divisor_inverse``:
-      * the theta blocks of the denominator form one divisor: with g the
-        gcd of their scales, it is inverted at scale d/g through
-        q^(W // g), substituted q -> q^g and multiplied in once.  B's and
-        b's f_4^3 and a bare f_1^3 share the inverse of f_1^3;
-      * each Euler factor f_d^n is the one inverse of f_1 through
-        q^(W // d), substituted q -> q^d and multiplied in n times.  p, a
-        and abar share it: a = 1/(f_1 f_2) is one product of 1/f_1 by
-        1/f_1(q^2), and abar three products into f_4.
-    A theta divisor keeps its own inverse, which costs less than a power of
-    the cached 1/f_1: at length 25361 mod 630 (B's table at N = 101441),
-    1/f_1^3 takes 0.09-0.13 s, 1/f_1 and its cube 0.18-0.21 s (shared
-    2-core x86-64 host, Python 3.11).
+    Follows ``plan_factors``: each numerator entry (block, d, n) is
+    multiplied in n times, then each denominator entry is divided out n
+    times.  Over Z the division is the sequential kernel, so every pass is
+    O(W * nnz(block)); a dense inverse would make the product O(W^2).  Over
+    Z/m it is one product by the n-th power of the block's inverse at
+    scale 1 through q^(W // d), from the cache ``_divisor_inverse``, under
+    q -> q^d: B's and b's f_4^3 and a bare f_1^3 share one inverse of
+    f_1^3, and every f_d of p, a and abar one inverse of f_1.  The power is
+    taken at scale 1, where its products are d times shorter than the n
+    products through q^W it replaces (the catalog's
+    f_2^12 f_12^3/(f_1^6 f_4^9) mod 3 through q^3002, cold: 9.8 ms against
+    13.1 ms).  A theta block keeps its own inverse, which costs less than
+    a power of the cached 1/f_1: at length 25361 mod 630 (B's table at
+    N = 101441), 1/f_1^3 takes 0.09-0.13 s, 1/f_1 and its cube
+    0.18-0.21 s (shared 2-core x86-64 host, Python 3.11).  Each series is
+    built when its entry is reached and dropped after its last pass: a big
+    series built and freed more often than that raises the peak memory of
+    the exact B tables.
     """
     _check_window(W)
     num, den = plan_factors(factors)
-    r = _multiply_out(num, W, modulus)
-    if modulus is None:
-        for block, d, n in den:
+    r = None
+    for block, d, n in num:
+        s = _plan_series(block, d, W, modulus)
+        for _ in range(n):
+            r = s if r is None else r.mul(s)
+    for block, d, n in den:
+        if modulus is None:
             s = _plan_series(block, d, W, modulus)
             for _ in range(n):
                 r = s.invert() if r is None else r.divide(s)
-        return LaurentSeries.one(W, modulus) if r is None else r
-    theta = [e for e in den if e[0] is not None]
-    if theta:
-        g = gcd(*(d for _, d, _ in theta))
-        key = tuple((block, d // g, n) for block, d, n in theta)
-        s = _scaled(_divisor_inverse(key, W // g, modulus), g, W)
-        r = s if r is None else r.mul(s)
-    for block, d, n in den:
-        if block is None:
-            s = _scaled(_divisor_inverse(_F1, W // d, modulus), d, W)
-            for _ in range(n):
-                r = s if r is None else r.mul(s)
+        else:
+            s = _divisor_inverse(block, W // d, modulus).pow(n).substitute(d, W)
+            r = s if r is None else r.mul(s)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

@@ -1,5 +1,6 @@
 """Named-series builders: Euler products, quotients, theta sums, alpha, h."""
 
+import re
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -14,11 +15,12 @@ from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
 from qcong import products as products_module
 from qcong import series as series_module
 from qcong import theorems
-from qcong.expr import fq
+from qcong.cli import main
+from qcong.expr import expr_from_dict, fq
 from qcong.partitions import FAMILIES, Family
 from qcong.products import (_divisor_inverse, _expand_factors, _prefix_cache,
-                            _scaled, expand_factors, plan_factors)
-from qcong.series import MAX_WINDOW, PACKED_CROSSOVER
+                            expand_factors, plan_factors)
+from qcong.series import MAX_EXPONENT, MAX_WINDOW, PACKED_CROSSOVER
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +146,27 @@ def test_of_sorts_and_drops_zero_integer_exponents():
     assert FQuotientSpec.of({}) == FQuotientSpec(())
 
 
+@pytest.mark.parametrize("r", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1,
+                               10 ** 11, -10 ** 11])
+def test_every_spec_constructor_refuses_an_exponent_over_the_cap(r, capsys):
+    """Each unit of an exponent is a pass of the expansion, so f_1^(10^11)
+    would run for hours: the record, ``fq``, the JSON form and the command
+    line (exit 2) all refuse it before expanding anything."""
+    cap = rf"exponent {r} of f2 is above the cap \|r_d\| <= {MAX_EXPONENT}"
+    for make in (lambda: FQuotientSpec(((1, 3), (2, r))),
+                 lambda: fq({1: 3, 2: r}),
+                 lambda: expr_from_dict({"op": "fquot",
+                                         "factors": {"1": 3, "2": r}})):
+        with pytest.raises(ValueError, match=cap):
+            make()
+    text = f"f1^3*f2^{r}" if r > 0 else f"f1^3/f2^{-r}"
+    assert main(["expand", "--spec", text, "--order", "5", "--mod", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {cap}\n", err)
+    # the cap itself is admitted: f_1^7 = f_7 mod 7, and 10^4 = 4 mod 7
+    assert fquotient({1: MAX_EXPONENT}, 5, 7) == fquotient({1: 4}, 5, 7)
+
+
 @pytest.mark.parametrize("qshift", [5, -1, "3", 0.0, True])
 def test_of_a_spec_refuses_a_second_shift(qshift):
     """A spec carries its own shift: ``fq(spec, 5)`` is not silently f1."""
@@ -191,7 +214,7 @@ def test_theta_block_equals_its_product_form(name, d):
     block = bilateral(spec, 2000 // d).substitute(d).truncate(2000)
     scaled = tuple((d * a, e) for a, e in spec.product)
     assert block.coeffs == one_factor_at_a_time(scaled, 2000).coeffs
-    assert _scaled(bilateral(spec, 2000 // d), d, 2000) == block
+    assert bilateral(spec, 2000 // d).substitute(d, 2000) == block
 
 
 def test_b_plan_is_two_gauss_blocks_over_one_jacobi_cube():
@@ -253,7 +276,7 @@ def cold_divisor_cache():
 
 
 #: the top-level inverse lengths of each family's expansion through q^400
-#: over Z/m on a cold cache: the theta divisor f_4^3 of B and b is f_1^3
+#: over Z/m on a cold cache: B's and b's f_4^3 is the block f_1^3 inverted
 #: through q^100, and p, a and abar take 1/f_1 through q^400 (a's and
 #: abar's 1/f_2 is its truncation under q -> q^2)
 COLD_INVERSES = {"B": [101], "b": [101], "p": [401], "a": [401],
@@ -320,19 +343,20 @@ def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
 
 
 #: how a drawn denominator part changes the exponents {d: r_d}: Jacobi's
-#: f_d^3 and Gauss's f_2d^2/f_d are theta divisors, f_d an Euler factor
+#: f_d^3 and Gauss's f_2d^2/f_d are theta blocks, f_d an Euler factor
 DENOMINATOR_PARTS = {"cube": lambda d: {d: -3}, "gauss": lambda d: {d: 1, 2 * d: -2},
                      "euler": lambda d: {d: -1}}
 
 
 @st.composite
 def mixed_denominator_specs(draw):
-    """Sorted (d, r_d) pairs with a theta divisor part, an Euler factor and
-    up to two more parts in the denominator, at scales up to 6, over a
-    numerator of up to two f_d (about 70 % of them plan to divide by a
-    theta divisor and by Euler factors; the rest fold into one kind)."""
+    """Sorted (d, r_d) pairs with a theta block, an Euler factor and up to
+    two more parts in the denominator, at scales up to 6, over a numerator
+    of up to two f_d (about 70 % of them plan to divide by a theta block
+    and by Euler factors; the rest fold into one kind), so one block's
+    inverse is read at several scales, windows and powers."""
     r = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=2))
-    # one theta divisor part, one Euler factor, and up to two of any kind
+    # one theta block, one Euler factor, and up to two of any kind
     choices = ([("cube", "gauss"), ("euler",)]
                + [tuple(DENOMINATOR_PARTS)] * draw(st.integers(0, 2)))
     for kinds in choices:
@@ -364,16 +388,37 @@ def test_shared_divisor_inverses_give_the_cold_and_the_exact_series(
                 assert got == expand_factors(factors, W).reduce_mod(modulus)
 
 
+def test_a_theta_block_inverse_serves_every_power_of_it(monkeypatch):
+    """f_2^12 f_12^3 / (f_1^6 f_4^9) divides by the block f_1^3 under
+    q -> q^4 three times.  Once B mod 9 through q^400 has inverted f_1^3
+    through q^100, it takes no inverse of its own: the cache is keyed by
+    the block, not by its power or the blocks it is divided with."""
+    calls = []
+    inverse = series_module._inverse
+    monkeypatch.setattr(series_module, "_inverse",
+                        lambda dc, n, m: calls.append(n) or inverse(dc, n, m))
+    factors = FQuotientSpec.of({1: -6, 2: 12, 4: -9, 12: 3}).factors
+    with cold_divisor_cache() as cache:
+        expand_factors(FAMILIES["B"].gf.factors, 400, 9)
+        assert calls[:1] == [101]
+        calls.clear()
+        got = expand_factors(factors, 400, 9)
+        assert calls == []
+        assert cache.cache_info()[:2] == (1, 1)
+    assert got == expand_factors(factors, 400).reduce_mod(9)
+
+
 @pytest.mark.parametrize("modulus", [9, 210, 2 ** 31 - 1])
 @pytest.mark.parametrize("factors", [
-    {1: -1, 2: -1},                     # a: f_1 f_2, one inverse at length W
-    {4: 1, 1: -2, 2: -1},               # abar: f_1^2 f_2, one inverse
-    {2: -2, 6: -1, 4: 1},               # f_2^2 f_6 at g = 2
-    {4: 4, 14: 2, 2: -2, 28: -4},       # a Gauss block at scale 14
+    {1: -1, 2: -1},                     # a: 1/f_1 at q and at q^2
+    {4: 1, 1: -2, 2: -1},               # abar: 1/f_1 twice at q, once at q^2
+    {2: -2, 6: -1, 4: 1},               # 1/f_1 twice at q^2, once at q^6
+    {4: 4, 14: 2, 2: -2, 28: -4},       # a Gauss block twice at q^14
 ])
 def test_mixed_scale_quotient_mod_m_is_the_exact_series_reduced(factors, modulus):
-    """Over Z/m the planner multiplies the denominator blocks of different
-    scales into one divisor, at scale d/g, and inverts it once."""
+    """Over Z/m the planner divides by each denominator block at its own
+    scale d, as one product by the block's inverse at scale 1, raised to
+    the plan's power there and substituted q -> q^d."""
     assert (fquotient(factors, 3000, modulus)
             == fquotient(factors, 3000).reduce_mod(modulus))
 
@@ -520,6 +565,8 @@ def test_prefix_cache_keys_bind_defaults_and_keywords():
 WINDOW_BUILDERS = {
     "constant": lambda T: LaurentSeries.one(T),
     "substitute": lambda T: LaurentSeries([1]).substitute(T + 1),
+    # the image of a window through q^(T // 2) stopped at q^T
+    "substitute_through": lambda T: LaurentSeries.one(T // 2).substitute(2, T),
     "bilateral": lambda T: bilateral(PENTAGONAL, T),
     "euler_f_product": lambda T: euler_f_product(1, T),
     "euler_f": lambda T: euler_f.__wrapped__(2, T, 7),

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
-from qcong.products import _scaled
 from qcong.series import (PACKED_CROSSOVER, _convolve, _divide_block, _inverse,
                           _packed)
 
@@ -218,6 +217,17 @@ def test_substitute_simple():
     s = series([1, 1]).substitute(3)
     assert s.terms() == [(0, 1), (3, 1)]
     assert s.known_through == 5
+
+
+def test_substitute_through_a_window_is_the_image_truncated():
+    s = series([1, 2, 3], 1)            # [1, 3]: its image is known on [2, 7]
+    for T in range(2, 8):
+        assert s.substitute(2, T) == s.substitute(2).truncate(T)
+    assert s.substitute(1, 2) == s.truncate(2)
+    assert s.substitute(1, 3) is s
+    for k, T in ((2, 1), (2, 8), (1, 4)):
+        with pytest.raises(ValueError, match=r"q -> q\^\d is known on"):
+            s.substitute(k, T)
 
 
 def test_substitute_alpha_lattice():
@@ -724,4 +734,6 @@ def test_kernel_results_are_in_the_ring(data, m, crossover):
     j = data.draw(st.integers(0, min(k, len(xs)) - 1))
     in_ring(c.dissect(k, j), LaurentSeries(xs[j::k], 0, m))
     W = k * (len(xs) - 1) + data.draw(st.integers(0, k - 1))
-    in_ring(_scaled(c, k, W), LaurentSeries(spread[:W + 1] + [0] * (W + 1 - len(spread)), 0, m))
+    padded = LaurentSeries(spread[:W + 1] + [0] * (W + 1 - len(spread)), 0, m)
+    in_ring(c.substitute(k, W), padded)
+    in_ring(c.substitute(k).truncate(W), padded)
