@@ -329,39 +329,41 @@ def expand_factors(factors, W, modulus=None):
     """prod f_d^(r_d) through q^W, for sorted (d, r_d) pairs.
 
     Follows ``plan_factors``: each numerator entry (block, d, n) is
-    multiplied in n times, then each denominator entry is divided out n
-    times.  Over Z the division is the sequential kernel, so every pass is
-    O(W * nnz(block)); a dense inverse would make the product O(W^2).  Over
-    Z/m it is one product by the n-th power of the block's inverse at
-    scale 1 through q^(W // d), from the cache ``_divisor_inverse``, under
-    q -> q^d: B's and b's f_4^3 and a bare f_1^3 share one inverse of
-    f_1^3, and every f_d of p, a and abar one inverse of f_1.  The power is
-    taken at scale 1, where its products are d times shorter than the n
-    products through q^W it replaces (the catalog's
-    f_2^12 f_12^3/(f_1^6 f_4^9) mod 3 through q^3002, cold: 9.8 ms against
-    13.1 ms).  A theta block keeps its own inverse, which costs less than
-    a power of the cached 1/f_1: at length 25361 mod 630 (B's table at
-    N = 101441), 1/f_1^3 takes 0.09-0.13 s, 1/f_1 and its cube
-    0.18-0.21 s (shared 2-core x86-64 host, Python 3.11).  Each series is
-    built when its entry is reached and dropped after its last pass: a big
-    series built and freed more often than that raises the peak memory of
-    the exact B tables.
+    multiplied in n times, and each denominator entry divided out n times.
+    Over Z, in plan order, by series under q -> q^d, with the sequential
+    division, so every pass is O(W * nnz(block)); a dense inverse would make
+    the product O(W^2).  Over Z/m every entry stays at scale 1, through
+    q^(W // d), and is multiplied in by ``r.mul(s, d)``, class by class,
+    scale-1 entries first: a series is substituted only when all have d > 1.
+    A denominator entry is one product by the n-th power of the block's
+    inverse from the cache ``_divisor_inverse``, whose products are d times
+    shorter than n products through q^W; a theta block's own inverse costs
+    less than a power of 1/f_1 (the README has both timings).  B's and b's
+    f_4^3 and a bare f_1^3 share one inverse of f_1^3, and every f_d of p, a
+    and abar one inverse of f_1.  Each series is built when its entry is
+    reached and dropped after its last pass, since a big series built and
+    freed more often raises the exact B tables' peak memory.
     """
     _check_window(W)
     num, den = plan_factors(factors)
+    plan = [e + (False,) for e in num] + [e + (True,) for e in den]
     r = None
-    for block, d, n in num:
-        s = _plan_series(block, d, W, modulus)
-        for _ in range(n):
-            r = s if r is None else r.mul(s)
-    for block, d, n in den:
-        if modulus is None:
-            s = _plan_series(block, d, W, modulus)
+    if modulus is None:
+        for block, d, n, inverse in plan:
+            s = _plan_series(block, d, W, None)
             for _ in range(n):
-                r = s.invert() if r is None else r.divide(s)
-        else:
-            s = _divisor_inverse(block, W // d, modulus).pow(n).substitute(d, W)
-            r = s if r is None else r.mul(s)
+                if r is None:
+                    r = s.invert() if inverse else s
+                else:
+                    r = r.divide(s) if inverse else r.mul(s)
+    else:
+        for block, d, n, inverse in sorted(plan, key=lambda e: e[1] > 1):
+            if inverse:
+                s, n = _divisor_inverse(block, W // d, modulus).pow(n), 1
+            else:
+                s = _plan_series(block, 1, W // d, modulus)
+            for _ in range(n):
+                r = (s.substitute(d, W) if d > 1 else s) if r is None else r.mul(s, d)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

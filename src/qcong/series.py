@@ -14,24 +14,21 @@ between threads.
 Every product runs the sparse sequential kernel ``_convolve``, whose cost
 is a multiply-add per pair of nonzero coefficients, except that over Z/mZ a
 product whose ``_convolve`` would spend more than ``PACKED_CROSSOVER``
-multiply-adds per output coefficient is packed into one decimal integer
+multiply-adds per output coefficient is packed into decimal integers
 instead (``_packed``).  Over Z every quotient runs the sparse sequential
 kernel ``_divide_block`` of the same cost.  Over Z/mZ a quotient is a
 product by the inverse, and an inverse whose ``_divide_block`` would spend
 more than ``PACKED_CROSSOVER`` multiply-adds per coefficient is taken by
-Newton doubling on ``_product`` (``_inverse``).  A caller that knows its
-divisor is a series in q^d inverts it in q and substitutes, as the theta
-planner of ``products`` does with each block of a denominator: it takes
-the block's inverse at scale 1 from one cache, so B's f_4^3 is f_1^3
-inverted at length N/4, and every f_d is the one inverse of f_1 under
-q -> q^d.  This module does not look for the scale.  ``_product`` finds
-each operand's support once, at C speed, and shares it between the
-crossover count and ``_convolve``, which sums a square's pairs i < j once.
-The packed kernel sizes its slot by what the product can hold,
-t max(a) max(b) with t the smaller nonzero count (no slot can carry), so a
-sparse operand packs narrower than a dense one; it packs and unpacks its
-slots with C-level string, ``map`` and ``struct`` calls, so libmpdec's
-multiply is most of its time.
+Newton doubling on ``_product`` (``_inverse``).  A caller that knows a
+factor is a series in q^d keeps it at scale 1 and passes d, as the theta
+planner of ``products`` does over Z/m: ``a.mul(b, d)`` is a b(q^d), whose
+class j mod d is b times the class a[j::d] of a, so b(q^d) is never built.
+This module does not look for the scale.  ``_product`` finds each class's
+support once, at C speed, and shares it between the crossover count and
+``_convolve``, which sums a square's pairs i < j once.  The packed kernel
+packs b once, sizes its slot by an L1 bound on what a slot holds (no slot
+can carry), and packs and unpacks slots with C-level string, ``map`` and
+``struct`` calls, so libmpdec's multiply is most of its time.
 
 The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
@@ -51,8 +48,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from itertools import accumulate, compress, count, islice
-from operator import itemgetter, ne, neg
+from itertools import accumulate, chain, compress, count, islice
+from operator import ne, neg
 from struct import Struct
 
 MAX_MODULUS = 1 << 31
@@ -173,30 +170,39 @@ def _above_crossover(ops, n):
     return any(s > cap for s in accumulate(ops))
 
 
-def _packed(ac, bc, n, m):
-    """First ``n`` >= 1 coefficients of the product of two blocks with
-    entries in [0, m), by Kronecker substitution: each block becomes one
-    decimal integer with a slot of w digits per coefficient, and libmpdec
-    multiplies the two (number-theoretic transform for large operands).
-    A block shorter than ``n`` is zero beyond its end.
+def _slot_digits(classes, sizes, b):
+    """Digits of the L1 bound of ``_packed`` on every slot it reads."""
+    sb, mb = sum(b), max(b, default=0)
+    return len(str(max(min(sum(a[:k]) * mb, sb * max(a[:k], default=0))
+                       for a, k in zip(classes, sizes))))
 
-    The slot holds t max(a) max(b), t the smaller of the blocks' nonzero
-    counts below n: slot k of the product is the sum of a_i b_(k-i), and
-    each i with a_i != 0 pairs with one j = k - i, so at most t terms are
-    nonzero and no slot reaches 10^w or carries into the next.  (A sparse
-    divisor's first Newton product, f_1^3 at length 25361 mod 630, takes
-    8 digits a slot where n (m-1)^2 would take 11.)
+
+def _packed(classes, bc, n, m):
+    """First ``n`` >= 1 coefficients of a(q) b(q^d), a = sum_j q^j a_j(q^d)
+    with a_j = ``classes[j]`` and b = ``bc``, entries in [0, m), by
+    Kronecker substitution: each block becomes one decimal integer with a
+    slot of w digits per coefficient, b is packed once, libmpdec multiplies
+    it by each class, and slot k of a_j b, below the class's window
+    len(range(j, n, d)), is coefficient j + d k of the product.  A block
+    shorter than its window is zero beyond its end.
+
+    The slot holds B, the largest min(sum(a_j) max(b), sum(b) max(a_j)):
+    slot k of a_j b sums terms a_(j,i) b_(k-i) >= 0, so it is at most both
+    products, and no slot reaches 10^w or carries into the next.  (B mod
+    630's four classes times 1/f_1^3 take 8 digits a slot.)
 
     Coefficient 0 takes the lowest slot, so a block is packed reversed and
-    the n low slots are the last n w digits of the product; only those are
-    sliced off and unpacked, by ``struct`` at C speed.  A slot is packed
+    the k low slots are the last k w digits of a product, unpacked by one
+    ``Struct``.  A square (one class that is b) is packed once and handed
+    to libmpdec as one operand, which it transforms once.  A slot is packed
     from a table of the m formatted residues when m <= n (the table costs
     no more than one block), else by %-formatting (m can be 2^31 - 1)."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    ac, bc = ac[:n], bc[:n]
-    t = min(len(ac) - ac.count(0), len(bc) - bc.count(0))
-    w = len(str(t * max(ac, default=0) * max(bc, default=0)))
+    d = len(classes)
+    sizes = [len(range(j, n, d)) for j in range(d)]
+    b = bc[:sizes[0]]
+    w = _slot_digits(classes, sizes, b)
     if m <= n:
         table = [f"%0{w}d" % c for c in range(m)]
 
@@ -209,22 +215,32 @@ def _packed(ac, bc, n, m):
     def pack(cs):
         return ctx.create_decimal(slots(cs) or "0")
 
-    low = str(ctx.multiply(pack(ac), pack(bc)))[-n * w:].zfill(n * w).encode()
-    out = list(map(int, map(itemgetter(0), Struct(f"{w}s").iter_unpack(low))))
-    out.reverse()
+    pb = pack(b)
+    out = [0] * n
+    for j, (a, k) in enumerate(zip(classes, sizes)):
+        low = str(ctx.multiply(pb if a is bc else pack(a[:k]), pb))[-k * w:]
+        out[j::d] = map(int, reversed(Struct(f"{w}s" * k).unpack(
+            low.zfill(k * w).encode())))
     return out
 
 
-def _product(ac, bc, n, m):
-    """First ``n`` coefficients of the product, by the cheaper kernel; the
-    supports are found once, for the count and for ``_convolve``, and
-    dropped before a packed product, whose peak memory they would raise
-    (one int object per nonzero position)."""
-    supports = _supports(ac, bc, n)
-    if m is None or not _above_crossover(_convolve_ops(*supports, n), n):
-        return _convolve(ac, bc, n, supports)
-    del supports
-    return _packed(ac, bc, n, m)
+def _product(ac, bc, n, m, d=1):
+    """First ``n`` coefficients of a(q) b(q^d), class by class: one crossover
+    count over all classes sends them to ``_convolve`` each or to one
+    ``_packed`` call.  The supports are found once, for the count and for
+    ``_convolve``, and dropped before a packed product lifts peak memory."""
+    d = min(d, n)  # d >= n reads only b_0, as d = n does, and no class is empty
+    classes = [ac] if d == 1 else [ac[j:n:d] for j in range(d)]
+    sizes = [len(range(j, n, d)) for j in range(d)]
+    supports = [_supports(a, bc, k) for a, k in zip(classes, sizes)]
+    if m is not None and _above_crossover(chain.from_iterable(
+            _convolve_ops(*s, k) for s, k in zip(supports, sizes)), n):
+        del supports
+        return _packed(classes, bc, n, m)
+    out = [0] * n
+    for j, (a, s, k) in enumerate(zip(classes, supports, sizes)):
+        out[j::d] = _convolve(a, bc, k, s)
+    return out
 
 
 def _divide_block(uc, dc, n, m):
@@ -419,13 +435,16 @@ class LaurentSeries:
     def scale(self, c):
         return LaurentSeries([c * x for x in self.coeffs], self.v, self.modulus)
 
-    def mul(self, other):
+    def mul(self, other, d=1):
+        """self times other(q^d), as ``self.mul(other.substitute(d))``."""
         self._require_same_ring(other)
-        n = min(len(self.coeffs), len(other.coeffs))
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"substitution power must be a positive integer, got {d!r}")
+        n = min(len(self.coeffs), d * len(other.coeffs))
         m = self.modulus
-        out = _product(self.coeffs, other.coeffs, n, m)
+        out = _product(self.coeffs, other.coeffs, n, m, d)
         return _in_ring(out if m is None else map(m.__rmod__, out),
-                        self.v + other.v, m)
+                        self.v + d * other.v, m)
 
     def divide(self, other):
         """self / other, where other has a unit leading coefficient; over

@@ -27,14 +27,13 @@ def b_table(N, modulus=None):
     Expands B's f-quotient through the theta planner: the plan is
     (f_2^2/f_1)^2 / f_4^3, two sparse theta blocks over a sparse divisor.
     Over Z every pass is sparse and sequential, O(N^1.5) coefficient
-    operations.  Over Z/m the planner inverts the divisor f_4^3 as f_1^3 at
-    length N/4 (Newton doubling on the packed product of ``series``),
-    substitutes q -> q^4 and multiplies it in by the packed kernel (about
-    0.3 s at N = 101441, m = 630, on a shared 2-core x86-64 host with
-    Python 3.11).  The uncached ``expand_factors`` is
-    used, so no cache keeps the big series of B alive after the table is
-    read; the inverse of f_1^3 mod m, a quarter of its length, stays in the
-    planner's cache of denominator inverses.
+    operations.  Over Z/m the planner inverts f_1^3 at length N/4 (Newton
+    doubling on the packed product of ``series``) and multiplies the square
+    of f_2^2/f_1 by it under q -> q^4, one packed product of four classes
+    of N/4 coefficients.  The uncached ``expand_factors`` is used, so no
+    cache keeps the big series of B alive after the table is read; the
+    inverse of f_1^3 mod m stays in the planner's cache of denominator
+    inverses.
     Every call is cross-checked on the prefix [0, 400]: an exact table is
     expanded through at least q^400 and compared with the combinatorial
     triple-counting oracle, a residue table with the exact ``b_table(400)``
@@ -225,9 +224,9 @@ SAMPLED_PRIMES = (7, 11, 19, 23)
 
 #: the largest prime ``default_claims`` accepts: a prime p needs B through
 #: N = 20.25 p^2 or so (101441 at p = 71), and the table of B mod 630 is
-#: two theta blocks, a Newton inverse at length N/4 and one packed product,
-#: whose cost grows a little faster than N: about 0.3 s at p = 71 and
-#: 0.5-0.7 s at p = 100 on a shared 2-core x86-64 host with Python 3.11
+#: two theta blocks, a Newton inverse at length N/4 and one packed product
+#: of four classes, whose cost grows a little faster than N: 0.2-0.3 s at
+#: p = 71 and 0.4 s at p = 100, cold (shared 2-core x86-64, Python 3.11)
 MAX_SAMPLED_PRIME = 100
 
 

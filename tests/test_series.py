@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from itertools import compress
 from math import gcd
 from operator import mul
@@ -137,6 +138,12 @@ def test_mul_window_rule():
     prod = a.mul(b)
     assert prod.v == 2
     assert prod.known_through == min(10 + 2, 6 + 0)
+
+
+@pytest.mark.parametrize("d", [0, -1, 1.0, "2"])
+def test_mul_rejects_a_scale_that_is_not_a_positive_integer(d):
+    with pytest.raises(ValueError, match="positive integer"):
+        series([1, 2, 3]).mul(series([1, 1]), d)
 
 
 # -- invert / divide -----------------------------------------------------------
@@ -455,7 +462,7 @@ def test_mul_over_z_m_matches_convolve(data, m, n):
     ones below it; either way ``mul`` equals the schoolbook kernel."""
     a, b = data.draw(blocks(n, m)), data.draw(blocks(n, m))
     want = _convolve(a, b, n)
-    assert _packed(a, b, n, m) == want
+    assert _packed([a], b, n, m) == want
     assert (list(LaurentSeries(a, 0, m).mul(LaurentSeries(b, 3, m)).coeffs)
             == [x % m for x in want])
 
@@ -477,9 +484,9 @@ def test_invert_and_divide_over_z_m_match_divide_block(data, m, n, g, v):
 def test_packed_pads_a_block_shorter_than_n():
     a, b = [3, 0, 5, 1, 2, 4, 0, 6], [6, 5]
     want = _convolve(a, b, 8)
-    assert _packed(a, b, 8, 7) == want
-    assert _packed(b, a, 8, 7) == want
-    assert _packed(b, [], 8, 7) == [0] * 8
+    assert _packed([a], b, 8, 7) == want
+    assert _packed([b], a, 8, 7) == want
+    assert _packed([b], [], 8, 7) == [0] * 8
 
 
 @pytest.mark.parametrize("a,b,n,m", [
@@ -498,8 +505,8 @@ def test_packed_matches_convolve_at_the_edges(a, b, n, m):
     """Both packing routes (a table of slots when m <= n, %-formatting
     when m > n) at the edges of the slot layout."""
     want = _convolve(a, b, n)
-    assert _packed(a, b, n, m) == want
-    assert _packed(b, a, n, m) == want
+    assert _packed([a], b, n, m) == want
+    assert _packed([b], a, n, m) == want
 
 
 @pytest.mark.parametrize("n,m", [(15030, 210), (101441, 630)])
@@ -510,14 +517,14 @@ def test_packed_matches_convolve_at_the_benchmark_sizes(n, m):
     full."""
     rnd = random.Random(n)
     a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
-    got = _packed(a, b, n, m)
+    got = _packed([a], b, n, m)
     assert got[:400] == _convolve(a, b, 400)
     for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
         assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1])))
     sparse = [0] * n
     for k in rnd.sample(range(n), 12) + [0, n - 1]:
         sparse[k] = rnd.randrange(1, m)
-    assert _packed(a, sparse, n, m) == _convolve(a, sparse, n)
+    assert _packed([a], sparse, n, m) == _convolve(a, sparse, n)
 
 
 # -- the packed slot holds what the product can hold ---------------------------
@@ -550,9 +557,111 @@ def full_slots(draw, table_route):
 def test_packed_slot_holds_the_fullest_slot(data, table_route):
     a, b, n, m = data.draw(full_slots(table_route))
     want = _convolve(a, b, n)
-    assert _packed(a, b, n, m) == want
-    assert _packed(b, a, n, m) == want
-    assert _packed(a, a, n, m) == _convolve(a, list(a), n)
+    assert _packed([a], b, n, m) == want
+    assert _packed([b], a, n, m) == want
+    assert _packed([a], a, n, m) == _convolve(a, list(a), n)
+
+
+def scaled(classes, b, n):
+    """a(q) b(q^d) through q^(n-1) from ``_convolve`` on each class a_j of a."""
+    d = len(classes)
+    out = [0] * n
+    for j, a in enumerate(classes):
+        out[j::d] = _convolve(a, b, len(range(j, n, d)))
+    return out
+
+
+def fill(rnd, k, total, top):
+    """k entries in [0, top] that sum to ``total`` <= k top, spread at random."""
+    out = []
+    for left in range(k - 1, -1, -1):
+        c = rnd.randint(max(0, total - left * top), min(top, total))
+        out.append(c)
+        total -= c
+    rnd.shuffle(out)
+    return out
+
+
+@st.composite
+def l1_slots(draw, table_route, several):
+    """(classes, b, n, m, S) with b all m - 1 and the class of slot n - 1
+    summing to S, at one side or the other of a digit-length step of
+    S (m-1), and every other class to at most S: slot n - 1 is S (m-1),
+    the L1 bound min(sum(a_j) max(b), sum(b) max(a_j)) itself.  S >= 10,
+    so a slot one digit narrower still holds every residue.  The table
+    route has m <= n, the %-format route m > n."""
+    n = draw(st.integers(2, 600))
+    d = draw(st.integers(2, min(n, 5))) if several else 1
+    m = draw(st.integers(2, n) if table_route else st.integers(n + 1, 10 ** 6))
+    sizes = [len(range(j, n, d)) for j in range(d)]
+    top = (n - 1) % d
+    hi = sizes[top] * (m - 1)
+    # the least S whose S (m-1) has e + 1 digits, and the S before it
+    firsts = [-(-10 ** e // (m - 1)) for e in range(1, len(str(hi * (m - 1))) + 1)]
+    edges = sorted({s for f in firsts for s in (f - 1, f) if 10 <= s <= hi})
+    assume(edges)
+    S = draw(st.sampled_from(edges))
+    rnd = draw(st.randoms(use_true_random=False))
+    classes = [fill(rnd, k, S if j == top else rnd.randint(0, min(S, k * (m - 1))), m - 1)
+               for j, k in enumerate(sizes)]
+    return classes, [m - 1] * sizes[0], n, m, S
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_packed_slot_is_the_l1_bound(data, table_route, several):
+    """Slot n - 1 reaches the L1 bound exactly, on both packing routes, with
+    one class and several; a slot one digit narrower than the bound's
+    width (patched here only) leaves slot n - 1 wrong."""
+    classes, b, n, m, S = data.draw(l1_slots(table_route, several))
+    sizes = [len(range(j, n, len(classes))) for j in range(len(classes))]
+    want = scaled(classes, b, n)
+    assert want[n - 1] == S * (m - 1)
+    assert series_module._slot_digits(classes, sizes, b) == len(str(S * (m - 1)))
+    assert _packed(classes, b, n, m) == want
+    digits = series_module._slot_digits
+    with patch.object(series_module, "_slot_digits", lambda *args: digits(*args) - 1):
+        assert _packed(classes, b, n, m)[n - 1] != want[n - 1]
+
+
+def test_scaled_mul_is_the_product_by_the_substituted_series():
+    """a.mul(b, d) equals a.mul(b.substitute(d)): coefficients, valuation,
+    window and ring, and both equal ``_convolve`` on the substituted
+    operand; a square a.mul(a) equals ``_convolve`` too.  Sparse and dense
+    operands of lengths 1 to 300 at valuations -6 to 6, over Z and Z/m; a
+    count of ``_packed`` calls shows that scaled products over Z/m take
+    both the packed and the sequential route."""
+    routes = Counter()
+    packed = series_module._packed
+
+    def counted(*args):
+        routes["packed"] += 1
+        return packed(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 7), st.sampled_from([None, 2, 9, 210, 630, 2 ** 31 - 1]))
+    def check(data, d, m):
+        la, lb = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        xs, ys = (data.draw(blocks(k, 101 if m is None else m)) for k in (la, lb))
+        if m is None:
+            xs, ys = ([c - 50 for c in cs] for cs in (xs, ys))
+        va, vb = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+        a, b = LaurentSeries(xs, va, m), LaurentSeries(ys, vb, m)
+        calls = routes["packed"]
+        got = a.mul(b, d)
+        if m is not None and d > 1:
+            routes["packed route" if routes["packed"] > calls else "sequential route"] += 1
+        sub = b.substitute(d)
+        want = a.mul(sub)
+        assert got == want
+        assert (got.v, got.known_through, got.modulus) == (want.v, want.known_through, m)
+        n = min(la, len(sub.coeffs))
+        assert got == LaurentSeries(_convolve(xs, list(sub.coeffs), n), va + d * vb, m)
+        assert a.mul(a) == LaurentSeries(_convolve(a.coeffs, list(a.coeffs), la), 2 * va, m)
+
+    with patch.object(series_module, "_packed", counted):
+        check()
+    assert routes["packed route"] and routes["sequential route"], routes
 
 
 @pytest.mark.parametrize("n,m", [(50, 7), (50, 630), (3, 2 ** 31 - 1)])
@@ -561,9 +670,9 @@ def test_packed_with_an_all_zero_operand(n, m):
     rnd = random.Random(m)
     a = [rnd.randrange(m) for _ in range(n)]
     for z in ([0] * n, [0] * (n // 2), []):
-        assert _packed(a, z, n, m) == [0] * n
-        assert _packed(z, a, n, m) == [0] * n
-        assert _packed(z, z, n, m) == [0] * n
+        assert _packed([a], z, n, m) == [0] * n
+        assert _packed([z], a, n, m) == [0] * n
+        assert _packed([z], z, n, m) == [0] * n
 
 
 def test_packed_sparse_times_dense_at_newtons_first_product():
@@ -575,8 +684,8 @@ def test_packed_sparse_times_dense_at_newtons_first_product():
     sparse = list(bilateral(CUBE, n - 1, m).coeffs)
     dense = [rnd.randrange(m) for _ in range(n)]
     assert len(str((n - sparse.count(0)) * (m - 1) ** 2)) == 8
-    got = _packed(sparse, dense, n, m)
-    assert got == _packed(dense, sparse, n, m)
+    got = _packed([sparse], dense, n, m)
+    assert got == _packed([dense], sparse, n, m)
     for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
         assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1])))
 
