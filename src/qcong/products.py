@@ -18,14 +18,17 @@ series and ring, holding its longest expansion, from which every shorter
 request is truncated.  A quotient has one denominator rule: each entry
 (block, d, n) of its plan is divided out n times, over Z by the sequential
 kernel and over Z/m as a product by the n-th power of the block's inverse
-at scale 1 under q -> q^d.
+at scale 1 under q -> q^d.  Over Z/m the entries of one scale d are
+multiplied together through q^(W // d), and the scale groups are merged
+from the largest scale down, each pair at the scale of its common factor,
+so no product is longer than the operands' scales need.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from functools import wraps
-from math import isqrt
+from math import gcd, isqrt
 from threading import Lock
 
 from .records import FrozenRecord, bind
@@ -332,17 +335,25 @@ def expand_factors(factors, W, modulus=None):
     multiplied in n times, and each denominator entry divided out n times.
     Over Z, in plan order, by series under q -> q^d, with the sequential
     division, so every pass is O(W * nnz(block)); a dense inverse would make
-    the product O(W^2).  Over Z/m every entry stays at scale 1, through
-    q^(W // d), and is multiplied in by ``r.mul(s, d)``, class by class,
-    scale-1 entries first: a series is substituted only when all have d > 1.
-    A denominator entry is one product by the n-th power of the block's
-    inverse from the cache ``_divisor_inverse``, whose products are d times
-    shorter than n products through q^W; a theta block's own inverse costs
-    less than a power of 1/f_1 (the README has both timings).  B's and b's
-    f_4^3 and a bare f_1^3 share one inverse of f_1^3, and every f_d of p, a
-    and abar one inverse of f_1.  Each series is built when its entry is
-    reached and dropped after its last pass, since a big series built and
-    freed more often raises the exact B tables' peak memory.
+    the product O(W^2).  Each series is built when its entry is reached and
+    dropped after its last pass, since a big series built and freed more
+    often raises the exact B tables' peak memory.
+
+    Over Z/m an entry at scale d is a series at scale 1 through q^(W // d):
+    a numerator block taken n times, or the n-th power of the block's
+    inverse from the cache ``_divisor_inverse``, taken once.  A theta
+    block's own inverse costs less than a power of 1/f_1 (the README has
+    both timings); B's and b's f_4^3 and a bare f_1^3 share one inverse of
+    f_1^3, and every f_d of p, a and abar one inverse of f_1.  The entries
+    of one scale are multiplied together at that length, in plan order, so
+    sparse theta blocks meet before a dense inverse.  Then the group of the
+    largest scale d is merged into the group d' with the largest
+    g = gcd(d, d'), one that divides d first (it needs no substitution):
+    t(q^(d'/g)) times s(q^(d/g)), at scale g through q^(W // g), by
+    ``t.mul(s, d // g)``.  The last group is substituted q -> q^d through
+    q^W.  The hexweight series f_1 f_14^3/(f_7 f_28) mod 7 through q^7006
+    takes products of lengths 501, 1001 and 7007, where multiplying each
+    entry into the whole window would take three of 7007.
     """
     _check_window(W)
     num, den = plan_factors(factors)
@@ -357,13 +368,25 @@ def expand_factors(factors, W, modulus=None):
                 else:
                     r = r.divide(s) if inverse else r.mul(s)
     else:
-        for block, d, n, inverse in sorted(plan, key=lambda e: e[1] > 1):
+        groups = {}
+        for block, d, n, inverse in plan:
             if inverse:
                 s, n = _divisor_inverse(block, W // d, modulus).pow(n), 1
             else:
                 s = _plan_series(block, 1, W // d, modulus)
             for _ in range(n):
-                r = (s.substitute(d, W) if d > 1 else s) if r is None else r.mul(s, d)
+                groups[d] = groups[d].mul(s) if d in groups else s
+        while len(groups) > 1:
+            d = max(groups)
+            s = groups.pop(d)
+            e = max(groups, key=lambda c: (gcd(d, c), d % c == 0))
+            g, t = gcd(d, e), groups.pop(e)
+            if e != g:
+                t = t.substitute(e // g, W // g)
+            groups[g] = t.mul(s, d // g)
+        if groups:
+            (d, r), = groups.items()
+            r = r.substitute(d, W)
     return LaurentSeries.one(W, modulus) if r is None else r
 
 

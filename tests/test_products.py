@@ -3,9 +3,11 @@
 import re
 from contextlib import contextmanager
 from functools import lru_cache
+from math import gcd
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
                    SLOPE_3K1, SLOPE_6K1, TRIANGULAR, FQuotientSpec,
@@ -421,6 +423,78 @@ def test_mixed_scale_quotient_mod_m_is_the_exact_series_reduced(factors, modulus
     the plan's power there and substituted q -> q^d."""
     assert (fquotient(factors, 3000, modulus)
             == fquotient(factors, 3000).reduce_mod(modulus))
+
+
+@contextmanager
+def product_lengths():
+    """Yield the list of the length n of every ``series._product`` call in
+    the block, in call order."""
+    lengths = []
+    product = series_module._product
+    with patch.object(series_module, "_product", lambda ac, bc, n, m, d=1:
+                      lengths.append(n) or product(ac, bc, n, m, d)):
+        yield lengths
+
+
+def test_planner_multiplies_a_quotient_in_q4_at_scale_4(monkeypatch):
+    """f_4^3 f_12 / f_8^2 is a series in q^4: over Z/9 through q^4000 its
+    scale groups 4 and 12 are multiplied and merged at length 1001, and
+    the result is the one substitution q -> q^4 through q^4000."""
+    substitutions = []
+    substitute = LaurentSeries.substitute
+
+    def counted(s, k, T=None):
+        if k > 1:
+            substitutions.append((k, T))
+        return substitute(s, k, T)
+
+    monkeypatch.setattr(LaurentSeries, "substitute", counted)
+    factors = FQuotientSpec.of({4: 3, 8: -2, 12: 1}).factors
+    W = 4000
+    with cold_divisor_cache(), product_lengths() as lengths:
+        got = expand_factors(factors, W, 9)
+    assert max(lengths) == W // 4 + 1
+    assert substitutions == [(4, W)]
+    monkeypatch.undo()
+    assert got == expand_factors(factors, W).reduce_mod(9)
+
+
+def test_hexweight_series_takes_one_product_through_the_window():
+    """f_1 f_14^3 / (f_7 f_28) mod 7 through q^7006 merges the group at
+    q^28 into q^14 (length 501), that into q^7 (1001), and only then
+    multiplies by f_1 through the whole window: one product of length
+    7007, where multiplying every entry in at scale 1 takes three."""
+    factors = FQuotientSpec.of({1: 1, 7: -1, 14: 3, 28: -1}).factors
+    with product_lengths() as lengths:
+        got = expand_factors(factors, 7006, 7)
+    assert lengths.count(7007) == 1
+    assert max(lengths) == 7007
+    assert got == expand_factors(factors, 7006).reduce_mod(7)
+
+
+PLAN_SCALES = [1, 2, 3, 4, 6, 7, 12, 14, 28]
+
+
+@settings(max_examples=40, deadline=None)
+@given(num=st.dictionaries(st.sampled_from(PLAN_SCALES), st.integers(1, 3), max_size=3),
+       den=st.dictionaries(st.sampled_from(PLAN_SCALES), st.integers(1, 3), max_size=3),
+       W=st.integers(0, 1500),
+       modulus=st.sampled_from([2, 9, 210, 630, 2 ** 31 - 1]))
+@example(num={2: 2, 6: 1}, den={4: 3, 14: 1}, W=1500, modulus=630)
+@example(num={14: 3, 1: 1}, den={7: 1, 28: 1}, W=1400, modulus=9)
+def test_scale_groups_give_the_exact_series_reduced(num, den, W, modulus):
+    """Quotients over scales up to 28, on a cold cache of inverses and then
+    on the warm one, equal the exact series reduced mod m; no product is
+    longer than W // g + 1, g the gcd of the scales, since each scale
+    group is multiplied at its own length and merged at a common one."""
+    r = {d: num.get(d, 0) - den.get(d, 0) for d in {*num, *den}}
+    factors = FQuotientSpec.of(r).factors
+    want = expand_factors(factors, W).reduce_mod(modulus)
+    g = gcd(*(d for d, _ in factors)) if factors else 1
+    with cold_divisor_cache(), product_lengths() as lengths:
+        assert expand_factors(factors, W, modulus) == want
+        assert expand_factors(factors, W, modulus) == want
+    assert all(n <= W // g + 1 for n in lengths)
 
 
 def test_alpha_first_coefficients():

@@ -2,7 +2,6 @@
 
 import random
 from bisect import bisect_left
-from collections import Counter
 from itertools import compress
 from math import gcd
 from operator import mul
@@ -628,40 +627,48 @@ def test_scaled_mul_is_the_product_by_the_substituted_series():
     """a.mul(b, d) equals a.mul(b.substitute(d)): coefficients, valuation,
     window and ring, and both equal ``_convolve`` on the substituted
     operand; a square a.mul(a) equals ``_convolve`` too.  Sparse and dense
-    operands of lengths 1 to 300 at valuations -6 to 6, over Z and Z/m; a
-    count of ``_packed`` calls shows that scaled products over Z/m take
-    both the packed and the sequential route."""
-    routes = Counter()
+    operands of lengths 1 to 300 at valuations -6 to 6, over Z and Z/m,
+    and two fixed scaled products over Z/m, which a count of ``_packed``
+    calls shows take the packed route (dense, above the crossover) and
+    the sequential one (sparse, below it) on every seed."""
+    calls = []
     packed = series_module._packed
 
     def counted(*args):
-        routes["packed"] += 1
+        calls.append(args)
         return packed(*args)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 7), st.sampled_from([None, 2, 9, 210, 630, 2 ** 31 - 1]))
-    def check(data, d, m):
-        la, lb = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
-        xs, ys = (data.draw(blocks(k, 101 if m is None else m)) for k in (la, lb))
-        if m is None:
-            xs, ys = ([c - 50 for c in cs] for cs in (xs, ys))
-        va, vb = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    def check(xs, ys, va, vb, d, m):
+        """The equalities above; whether a.mul(b, d) took ``_packed``."""
         a, b = LaurentSeries(xs, va, m), LaurentSeries(ys, vb, m)
-        calls = routes["packed"]
+        before = len(calls)
         got = a.mul(b, d)
-        if m is not None and d > 1:
-            routes["packed route" if routes["packed"] > calls else "sequential route"] += 1
+        took_packed = len(calls) > before
         sub = b.substitute(d)
         want = a.mul(sub)
         assert got == want
         assert (got.v, got.known_through, got.modulus) == (want.v, want.known_through, m)
-        n = min(la, len(sub.coeffs))
+        n = min(len(xs), len(sub.coeffs))
         assert got == LaurentSeries(_convolve(xs, list(sub.coeffs), n), va + d * vb, m)
-        assert a.mul(a) == LaurentSeries(_convolve(a.coeffs, list(a.coeffs), la), 2 * va, m)
+        assert a.mul(a) == LaurentSeries(_convolve(a.coeffs, list(a.coeffs), len(xs)),
+                                         2 * va, m)
+        return took_packed
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 7), st.sampled_from([None, 2, 9, 210, 630, 2 ** 31 - 1]))
+    def drawn(data, d, m):
+        la, lb = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        xs, ys = (data.draw(blocks(k, 101 if m is None else m)) for k in (la, lb))
+        if m is None:
+            xs, ys = ([c - 50 for c in cs] for cs in (xs, ys))
+        check(xs, ys, data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6)), d, m)
+
+    dense = [(7 * i + 1) % 630 for i in range(300)]
+    sparse = [1] + [0] * 298 + [5]
     with patch.object(series_module, "_packed", counted):
-        check()
-    assert routes["packed route"] and routes["sequential route"], routes
+        assert check(dense, dense[::-1], -3, 2, 3, 630)
+        assert not check(sparse, [2, 0, 0, 7], 0, 1, 2, 9)
+        drawn()
 
 
 @pytest.mark.parametrize("n,m", [(50, 7), (50, 630), (3, 2 ** 31 - 1)])
