@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from functools import wraps
 from math import gcd, isqrt
-from threading import Lock
 
 from .records import FrozenRecord, bind
 from .series import (MAX_EXPONENT, LaurentSeries, _check_modulus, _check_window,
@@ -226,15 +225,13 @@ def _prefix_cache(maxsize, window):
     builder's positional-or-keyword parameters, read from its ``__code__``
     and ``__defaults__``, with no binding step for a call that passes every
     argument by position.  ``cache_info()`` reads the hits, misses,
-    maxsize and currsize, as ``lru_cache``'s does; as there, a build runs
-    outside the lock, so two threads may both build a key."""
+    maxsize and currsize, as ``lru_cache``'s does."""
     def decorate(build):
         code = build.__code__
         names = code.co_varnames[:code.co_argcount]
         defaults = dict(zip(reversed(names), reversed(build.__defaults__ or ())))
         at = names.index(window)
         entries = OrderedDict()
-        lock = Lock()
         hits = misses = 0
 
         @wraps(build)
@@ -244,19 +241,17 @@ def _prefix_cache(maxsize, window):
                 args = bind(build.__name__, names, defaults, args, kwargs)
             key = (*args[:at], *args[at + 1:])
             T = args[at]
-            with lock:
-                s = entries.get(key)
-                if s is not None and s.v <= T <= s.known_through:
-                    entries.move_to_end(key)
-                    hits += 1
-                    return s if T == s.known_through else s.truncate(T)
-                misses += 1
-            s = build(*args)
-            with lock:
-                entries[key] = s
+            s = entries.get(key)
+            if s is not None and s.v <= T <= s.known_through:
                 entries.move_to_end(key)
-                if len(entries) > maxsize:
-                    entries.popitem(last=False)
+                hits += 1
+                return s if T == s.known_through else s.truncate(T)
+            misses += 1
+            s = build(*args)
+            entries[key] = s
+            entries.move_to_end(key)
+            if len(entries) > maxsize:
+                entries.popitem(last=False)
             return s
 
         cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize, len(entries))

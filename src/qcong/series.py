@@ -8,8 +8,7 @@ InsufficientPrecision.
 
 Coefficients are Python integers (arbitrary precision).  A series over
 Z/mZ keeps every stored coefficient reduced to [0, m).  Series are
-immutable; all operations return new objects and are safe to share
-between threads.
+immutable; all operations return new objects.
 
 Every product runs the sparse sequential kernel ``_convolve``, whose cost
 is a multiply-add per pair of nonzero coefficients, except that over Z/mZ a
@@ -23,12 +22,19 @@ Newton doubling on ``_product`` (``_inverse``).  A caller that knows a
 factor is a series in q^d keeps it at scale 1 and passes d, as the theta
 planner of ``products`` does over Z/m: ``a.mul(b, d)`` is a b(q^d), whose
 class j mod d is b times the class a[j::d] of a, so b(q^d) is never built.
-This module does not look for the scale.  ``_product`` finds each class's
-support once, at C speed, and shares it between the crossover count and
-``_convolve``, which sums a square's pairs i < j once.  The packed kernel
-packs b once, sizes its slot by an L1 bound on what a slot holds (no slot
-can carry), and packs and unpacks slots with C-level string, ``map`` and
-``struct`` calls, so libmpdec's multiply is most of its time.
+This module does not look for the scale.  Over Z/mZ ``_product`` first
+bounds the count from below by nonzero counts of the operands' low
+halves, taken at C speed with no copy, and sends a product whose bound
+is already above the crossover to ``_packed`` without finding any
+support; otherwise it finds each class's support once, at C speed, and
+shares it between the exact count and ``_convolve``, which sums a
+square's pairs i < j once.  The packed kernel packs b once, sizes its
+slot by an L1 bound on what a slot holds (no slot can carry), and packs
+and unpacks slots with C-level string, ``map`` and ``struct`` calls; it
+converts only the low digits of each product that hold the slots of its
+window, and unpacks only the slots from a first coefficient ``lo`` on,
+which Newton doubling sets to skip the coefficients it already knows.
+So libmpdec's multiply is most of its time.
 
 The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
@@ -170,21 +176,27 @@ def _above_crossover(ops, n):
     return any(s > cap for s in accumulate(ops))
 
 
+def _head(x, k):
+    """The first ``k`` entries of ``x``: ``x`` itself when it has no more,
+    so a block that is already its window's length is not copied."""
+    return x if len(x) <= k else x[:k]
+
+
 def _slot_digits(classes, sizes, b):
     """Digits of the L1 bound of ``_packed`` on every slot it reads."""
     sb, mb = sum(b), max(b, default=0)
-    return len(str(max(min(sum(a[:k]) * mb, sb * max(a[:k], default=0))
-                       for a, k in zip(classes, sizes))))
+    return len(str(max(min(sum(a) * mb, sb * max(a, default=0))
+                       for a in map(_head, classes, sizes))))
 
 
-def _packed(classes, bc, n, m):
-    """First ``n`` >= 1 coefficients of a(q) b(q^d), a = sum_j q^j a_j(q^d)
-    with a_j = ``classes[j]`` and b = ``bc``, entries in [0, m), by
-    Kronecker substitution: each block becomes one decimal integer with a
-    slot of w digits per coefficient, b is packed once, libmpdec multiplies
-    it by each class, and slot k of a_j b, below the class's window
-    len(range(j, n, d)), is coefficient j + d k of the product.  A block
-    shorter than its window is zero beyond its end.
+def _packed(classes, bc, n, m, lo=0):
+    """Coefficients ``lo`` to ``n`` - 1 (n > lo >= 0) of a(q) b(q^d),
+    a = sum_j q^j a_j(q^d) with a_j = ``classes[j]`` and b = ``bc``, entries
+    in [0, m), by Kronecker substitution: each block becomes one decimal
+    integer with a slot of w digits per coefficient, b is packed once,
+    libmpdec multiplies it by each class, and slot k of a_j b, below the
+    class's window len(range(j, n, d)), is coefficient j + d k of the
+    product.  A block shorter than its window is zero beyond its end.
 
     The slot holds B, the largest min(sum(a_j) max(b), sum(b) max(a_j)):
     slot k of a_j b sums terms a_(j,i) b_(k-i) >= 0, so it is at most both
@@ -192,55 +204,76 @@ def _packed(classes, bc, n, m):
     630's four classes times 1/f_1^3 take 8 digits a slot.)
 
     Coefficient 0 takes the lowest slot, so a block is packed reversed and
-    the k low slots are the last k w digits of a product, unpacked by one
-    ``Struct``.  A square (one class that is b) is packed once and handed
-    to libmpdec as one operand, which it transforms once.  A slot is packed
-    from a table of the m formatted residues when m <= n (the table costs
-    no more than one block), else by %-formatting (m can be 2^31 - 1)."""
+    the k slots of a class's window are the low k w digits of its product.
+    Only those digits are converted to a string (a ``shift`` by 0 at
+    precision k w drops the high ones), and one ``Struct`` unpacks the
+    slots of coefficients >= ``lo`` and skips the rest as pad bytes.  A
+    square (one class that is b) is packed once and handed to libmpdec as
+    one operand, which it transforms once.  A slot is packed from a table
+    of the m formatted residues when m <= n (the table costs no more than
+    one block), else by %-formatting (m can be 2^31 - 1)."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     d = len(classes)
     sizes = [len(range(j, n, d)) for j in range(d)]
-    b = bc[:sizes[0]]
+    b = _head(bc, sizes[0])
     w = _slot_digits(classes, sizes, b)
+    fmt = f"%0{w}d"
     if m <= n:
-        table = [f"%0{w}d" % c for c in range(m)]
+        table = list(map(fmt.__mod__, range(m)))
 
         def slots(cs):
             return "".join(map(table.__getitem__, reversed(cs)))
     else:
         def slots(cs):
-            return f"%0{w}d" * len(cs) % tuple(reversed(cs))
+            return fmt * len(cs) % tuple(reversed(cs))
 
     def pack(cs):
         return ctx.create_decimal(slots(cs) or "0")
 
     pb = pack(b)
-    out = [0] * n
+    out = [0] * (n - lo)
     for j, (a, k) in enumerate(zip(classes, sizes)):
-        low = str(ctx.multiply(pb if a is bc else pack(a[:k]), pb))[-k * w:]
-        out[j::d] = map(int, reversed(Struct(f"{w}s" * k).unpack(
-            low.zfill(k * w).encode())))
+        low = Context(prec=k * w, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(
+            ctx.multiply(pb if a is bc else pack(_head(a, k)), pb), 0)
+        s = len(range(j, lo, d))  # the class's slots below lo
+        out[(j - lo) % d::d] = map(int, reversed(Struct(
+            f"{w}s" * (k - s) + f"{s * w}x").unpack(str(low).zfill(k * w).encode())))
     return out
 
 
-def _product(ac, bc, n, m, d=1):
-    """First ``n`` coefficients of a(q) b(q^d), class by class: one crossover
-    count over all classes sends them to ``_convolve`` each or to one
-    ``_packed`` call.  The supports are found once, for the count and for
-    ``_convolve``, and dropped before a packed product lifts peak memory."""
+def _nonzeros(x, h):
+    """The nonzero entries among the first ``h`` of ``x``, counted at C
+    speed without a slice copy."""
+    return min(h, len(x)) - operator.countOf(islice(x, h), 0)
+
+
+def _product(ac, bc, n, m, d=1, lo=0):
+    """Coefficients ``lo`` to ``n`` - 1 of a(q) b(q^d), class by class: one
+    crossover count over all classes sends them to ``_convolve`` each or to
+    one ``_packed`` call.  Over Z/m the count starts from a lower bound
+    that needs no supports: class a_j of window k, h = ceil(k/2), has at
+    least nnz(a_j[:h]) nnz(b[:h]) multiply-adds, since every such pair
+    i + j < k, so classes whose bounds sum above the crossover go to
+    ``_packed`` at once.  Otherwise the supports are found once, for the
+    exact count and for ``_convolve``, and dropped before a packed product
+    lifts peak memory.  Newton passes ``lo`` for the coefficients it
+    reads, and ``_packed`` unpacks no slot below it."""
     d = min(d, n)  # d >= n reads only b_0, as d = n does, and no class is empty
     classes = [ac] if d == 1 else [ac[j:n:d] for j in range(d)]
     sizes = [len(range(j, n, d)) for j in range(d)]
+    if m is not None and sum(_nonzeros(a, h) * _nonzeros(bc, h) for a, h in zip(
+            classes, ((k + 1) // 2 for k in sizes))) > PACKED_CROSSOVER * n:
+        return _packed(classes, bc, n, m, lo)
     supports = [_supports(a, bc, k) for a, k in zip(classes, sizes)]
     if m is not None and _above_crossover(chain.from_iterable(
             _convolve_ops(*s, k) for s, k in zip(supports, sizes)), n):
         del supports
-        return _packed(classes, bc, n, m)
+        return _packed(classes, bc, n, m, lo)
     out = [0] * n
     for j, (a, s, k) in enumerate(zip(classes, supports, sizes)):
         out[j::d] = _convolve(a, bc, k, s)
-    return out
+    return out[lo:] if lo else out
 
 
 def _divide_block(uc, dc, n, m):
@@ -284,7 +317,8 @@ def _inverse(dc, n, m):
     Over Z/m, when ``_divide_block`` would spend more than PACKED_CROSSOVER
     multiply-adds per coefficient, by Newton doubling: with g = 1/dc through
     q^(k-1), k = ceil(n/2), the error e = dc g - 1 vanishes below q^k and
-    1/dc = g - g e through q^(n-1), two products by ``_product``.  Over Z
+    1/dc = g - g e through q^(n-1), two products by ``_product``, the first
+    read from q^k on (``lo``), since its k low coefficients are known.  Over Z
     (where a dense inverse would make every later product dense) and below
     the crossover, by ``_divide_block``.
     """
@@ -292,7 +326,7 @@ def _inverse(dc, n, m):
         return _divide_block((1,), dc, n, m)
     k = (n + 1) // 2
     g = _inverse(dc, k, m)
-    e = list(map(m.__rmod__, _product(dc, g, n, m)[k:]))
+    e = list(map(m.__rmod__, _product(dc, g, n, m, lo=k)))
     g.extend(map(m.__rmod__, map(neg, _product(g, e, n - k, m))))
     return g
 

@@ -225,8 +225,9 @@ SAMPLED_PRIMES = (7, 11, 19, 23)
 #: the largest prime ``default_claims`` accepts: a prime p needs B through
 #: N = 20.25 p^2 or so (101441 at p = 71), and the table of B mod 630 is
 #: two theta blocks, a Newton inverse at length N/4 and one packed product
-#: of four classes, whose cost grows a little faster than N: 0.2-0.3 s at
-#: p = 71 and 0.4 s at p = 100, cold (shared 2-core x86-64, Python 3.11)
+#: of four classes, whose cost grows a little faster than N: 0.23-0.31 s
+#: at p = 71 and 0.56 s at p = 100 (N = 202500), cold, wall time of three
+#: runs each (shared 2-core x86-64, Python 3.11)
 MAX_SAMPLED_PRIME = 100
 
 

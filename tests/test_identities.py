@@ -369,7 +369,7 @@ def test_verify_all_at_reduced_orders():
     assert not failures, failures
 
 
-def test_verify_all_helper_and_threads():
+def test_verify_all_helper():
     reports = verify_all(order=25)
     assert len(reports) == len(registry())
     assert [r.name for r in reports] == [e.name for e in registry()]

@@ -431,9 +431,41 @@ def product_lengths():
     the block, in call order."""
     lengths = []
     product = series_module._product
-    with patch.object(series_module, "_product", lambda ac, bc, n, m, d=1:
-                      lengths.append(n) or product(ac, bc, n, m, d)):
+    with patch.object(series_module, "_product", lambda ac, bc, n, m, d=1, lo=0:
+                      lengths.append(n) or product(ac, bc, n, m, d, lo)):
         yield lengths
+
+
+#: the kernel and length n of every call a cold ``b_table(101441, 630)``
+#: makes, in call order, as the kernels were routed before the router
+#: counted nonzeros: ψ² (sparse, sequential), 1/f_1^3 through q^25360 by
+#: Newton doubling from a sequential inverse at length 100 (each step's
+#: product by f_1^3 at length n and by the error at n - ceil(n/2)), the
+#: product of four classes, and the exact ``b_table(400)`` of the prefix
+#: check
+B_MOD_630_KERNELS = [
+    ("_convolve", 101442), ("_divide_block", 100), ("_convolve", 199),
+    ("_packed", 99), ("_packed", 397), ("_packed", 198), ("_packed", 793),
+    ("_packed", 396), ("_packed", 1586), ("_packed", 793), ("_packed", 3171),
+    ("_packed", 1585), ("_packed", 6341), ("_packed", 3170),
+    ("_packed", 12681), ("_packed", 6340), ("_packed", 25361),
+    ("_packed", 12680), ("_packed", 101442), ("_convolve", 401),
+    ("_divide_block", 401)]
+
+
+def test_b_table_mod_630_takes_the_same_kernels():
+    calls = []
+
+    def counted(name):
+        kernel = getattr(series_module, name)
+        return lambda *args: calls.append((name, args[2])) or kernel(*args)
+
+    with cold_divisor_cache(), \
+            patch.object(series_module, "_packed", counted("_packed")), \
+            patch.object(series_module, "_convolve", counted("_convolve")), \
+            patch.object(series_module, "_divide_block", counted("_divide_block")):
+        theorems.b_table(101441, 630)
+    assert calls == B_MOD_630_KERNELS
 
 
 def test_planner_multiplies_a_quotient_in_q4_at_scale_4(monkeypatch):

@@ -738,6 +738,90 @@ def test_product_routes_as_before(data, m, n, square):
         parent_convolve_ops(a, b, n), n))
 
 
+def routed(a, b, n, m, d):
+    """``_product(a, b, n, m, d)``, whether it took ``_packed`` and whether it
+    found any support first."""
+    taken = []
+    packed, supports = series_module._packed, series_module._supports
+    with patch.object(series_module, "_packed",
+                      lambda *args: taken.append("packed") or packed(*args)), \
+            patch.object(series_module, "_supports",
+                         lambda *args: taken.append("supports") or supports(*args)):
+        got = series_module._product(a, b, n, m, d)
+    return got, "packed" in taken, "supports" in taken
+
+
+def check_route(a, b, n, m, d):
+    """``_product`` equals ``_convolve`` class by class and goes packed
+    exactly when the exact count of every class's pairs
+    (``parent_convolve_ops``) is above the crossover; returns whether it
+    found supports first."""
+    d = min(d, n)
+    classes = [a[j:n:d] for j in range(d)]
+    got, took_packed, found_supports = routed(a, b, n, m, d)
+    assert got == scaled(classes, b, n)
+    exact = sum(sum(parent_convolve_ops(c, b, len(range(j, n, d))))
+                for j, c in enumerate(classes))
+    assert took_packed == (exact > PACKED_CROSSOVER * n)
+    return found_supports
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 7), st.sampled_from([2, 9, 630, 2 ** 31 - 1]))
+def test_nonzero_bound_routes_only_products_above_the_crossover(data, d, m):
+    """Over Z/m ``_product`` sends a product to ``_packed`` before finding
+    supports when nnz(a_j[:h]) nnz(b[:h]), h = ceil(k_j / 2), summed over
+    the classes, is above the crossover.  That bound never exceeds the
+    exact count, so every product, with blocks of lengths 0 to 300 (b
+    often shorter than h), dense or sparse, at scales 1 to 7, takes the
+    kernel the exact count chooses."""
+    n = data.draw(st.integers(1, 300))
+    a = data.draw(blocks(data.draw(st.integers(0, 300)), m))
+    b = data.draw(blocks(data.draw(st.integers(0, 300)), m))
+    check_route(a, b, n, m, d)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_nonzero_bound_sends_dense_products_packed_without_supports(d):
+    """Dense blocks cross on the bound alone and find no support.  A dense
+    a by a dense b of 10 entries, shorter than h, is below the crossover,
+    although h^2 per class (what counting h minus the zeros, not the
+    entries present, would give) sums above it."""
+    rnd = random.Random(d)
+    dense = [rnd.randrange(1, 630) for _ in range(300)]
+    assert not check_route(dense, dense[::-1], 300, 630, d)
+    assert check_route(dense, dense[:10], 300, 630, d)
+
+
+@pytest.mark.parametrize("a,b,n,m,lo", [
+    ([3, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], 6, 7, 2),   # read part 0, low part not
+    ([3, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], 6, 5, 2),   # the same, table route
+    ([1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0], 8, 2, 1),  # leading zeros
+    ([0] * 8, [1] * 8, 8, 3, 3),                          # all-zero product
+    ([0] * 8, [1] * 8, 8, 11, 3),                         # the same, m > n
+    ([4, 5, 6], [6, 5, 4], 3, 7, 2),                      # the top slot alone
+])
+def test_packed_from_lo_at_the_edges(a, b, n, m, lo):
+    want = _convolve(a, b, n)[lo:]
+    assert _packed([a], b, n, m, lo) == want == _packed([a], b, n, m)[lo:]
+    assert _packed([a], a, n, m, lo) == _convolve(a, list(a), n)[lo:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans(), st.integers(1, 4))
+def test_packed_from_lo_is_the_tail_of_the_product(data, table_route, d):
+    """``_packed(..., lo)`` is the product from coefficient ``lo`` on, with
+    one class and several, on both packing routes (a table of slots when
+    m <= n, %-formatting when m > n)."""
+    n = data.draw(st.integers(max(2, d), 300))
+    m = data.draw(st.integers(2, n) if table_route else st.integers(n + 1, 10 ** 6))
+    lo = data.draw(st.integers(0, n - 1))
+    classes = [data.draw(blocks(len(range(j, n, d)), m)) for j in range(d)]
+    b = data.draw(blocks(data.draw(st.integers(0, n)), m))
+    want = scaled(classes, b, n)[lo:]
+    assert _packed(classes, b, n, m, lo) == want == _packed(classes, b, n, m)[lo:]
+
+
 def divide_ops(dc, n):
     """Multiply-adds ``_divide_block`` spends on n coefficients of 1/dc."""
     return sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
