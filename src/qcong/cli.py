@@ -46,6 +46,12 @@ class SpecParseError(Exception):
         self.pos = pos
 
 
+class SpecValueError(SpecParseError, ValueError):
+    """A spec that parses to an f-quotient its record refuses (an exponent
+    above the cap, summed over its terms): the command line reports it as
+    bad input, like any ValueError, with no caret."""
+
+
 def parse_quotient(text):
     """Parse a quotient spec like ``5*q^2*f2^4/(f1^2*f4^3)``.
 
@@ -149,7 +155,10 @@ def parse_quotient(text):
         msg = "only one fraction bar is allowed" if text[i] == '/' and seen_bar \
             else f"unexpected character {text[i]!r}"
         raise SpecParseError(msg, i)
-    return scalar, FQuotientSpec.of(factors, qshift)
+    try:
+        return scalar, FQuotientSpec.of(factors, qshift)
+    except ValueError as ex:
+        raise SpecValueError(str(ex), 0) from None
 
 
 def _series_for(args, order):
@@ -380,15 +389,15 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
+    except ValueError as ex:  # before SpecParseError: a SpecValueError is both
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     except SpecParseError as ex:
         spec_text = args.spec if getattr(args, "spec", None) else ""
         print(f"parse error: {ex}", file=sys.stderr)
         if spec_text:
             print(f"  {spec_text}", file=sys.stderr)
             print(f"  {' ' * ex.pos}^", file=sys.stderr)
-        return 2
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
         return 2
     except SeriesError as ex:
         print(f"error: {ex}", file=sys.stderr)

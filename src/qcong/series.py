@@ -12,29 +12,26 @@ immutable; all operations return new objects.
 
 Every product runs the sparse sequential kernel ``_convolve``, whose cost
 is a multiply-add per pair of nonzero coefficients, except that over Z/mZ a
-product whose ``_convolve`` would spend more than ``PACKED_CROSSOVER``
-multiply-adds per output coefficient is packed into decimal integers
-instead (``_packed``).  Over Z every quotient runs the sparse sequential
-kernel ``_divide_block`` of the same cost.  Over Z/mZ a quotient is a
-product by the inverse, and an inverse whose ``_divide_block`` would spend
-more than ``PACKED_CROSSOVER`` multiply-adds per coefficient is taken by
-Newton doubling on ``_product`` (``_inverse``).  A caller that knows a
-factor is a series in q^d keeps it at scale 1 and passes d, as the theta
-planner of ``products`` does over Z/m: ``a.mul(b, d)`` is a b(q^d), whose
-class j mod d is b times the class a[j::d] of a, so b(q^d) is never built.
-This module does not look for the scale.  Over Z/mZ ``_product`` first
-bounds the count from below by nonzero counts of the operands' low
-halves, taken at C speed with no copy, and sends a product whose bound
-is already above the crossover to ``_packed`` without finding any
-support; otherwise it finds each class's support once, at C speed, and
-shares it between the exact count and ``_convolve``, which sums a
-square's pairs i < j once.  The packed kernel packs b once, sizes its
-slot by an L1 bound on what a slot holds (no slot can carry), and packs
-and unpacks slots with C-level string, ``map`` and ``struct`` calls; it
-converts only the low digits of each product that hold the slots of its
-window, and unpacks only the slots from a first coefficient ``lo`` on,
-which Newton doubling sets to skip the coefficients it already knows.
-So libmpdec's multiply is most of its time.
+product is packed into decimal integers (``_packed``) when twice a lower
+bound on that cost is above ``PACKED_CROSSOVER`` multiply-adds per output
+coefficient.  The bound, from ``_nonzeros`` of the operands' low halves,
+is counted at C speed with no copy and no list of nonzero positions.  Over
+Z every quotient runs the sparse sequential kernel ``_divide_block`` of the
+same cost.  Over Z/mZ a quotient is a product by the inverse, and an
+inverse is taken by Newton doubling on ``_product`` (``_inverse``) when
+twice the same kind of bound on its ``_divide_block`` cost is above the
+crossover.  A caller that knows a factor is a series in q^d keeps it at
+scale 1 and passes d, as the theta planner of ``products`` does over Z/m:
+``a.mul(b, d)`` is a b(q^d), whose class j mod d is b times the class
+a[j::d] of a, so b(q^d) is never built.  This module does not look for the
+scale.  ``_convolve`` finds its operands' nonzero positions itself, at C
+speed, and sums a square's pairs i < j once.  The packed kernel packs b
+once, sizes its slot by an L1 bound on what a slot holds (no slot can
+carry), and packs and unpacks slots with C-level string, ``map`` and
+``struct`` calls; it converts only the low digits of each product that
+hold the slots of its window, and unpacks only the slots from a first
+coefficient ``lo`` on, which Newton doubling sets to skip the coefficients
+it already knows.  So libmpdec's multiply is most of its time.
 
 The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
@@ -54,7 +51,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, count, islice
+from itertools import compress, count, islice
 from operator import ne, neg
 from struct import Struct
 
@@ -73,8 +70,10 @@ MAX_WINDOW = 10 ** 7
 MAX_EXPONENT = 10 ** 4
 
 #: sequential multiply-adds per output coefficient above which a product
-#: over Z/m takes the packed kernel, and an inverse over Z/m Newton doubling
-#: (measured in CHANGES.md while it also routed divisions by a series in q^g)
+#: over Z/m takes the packed kernel, and an inverse over Z/m Newton doubling;
+#: the kernels' ``_nonzeros`` bounds count about half of the multiply-adds
+#: (the pairs in the operands' low halves), so twice a bound is compared
+#: with it (measured in CHANGES.md)
 PACKED_CROSSOVER = 12
 
 
@@ -121,22 +120,16 @@ def _unit_inverse(u, m):
         raise NotInvertible(f"not invertible: gcd({u}, {m}) != 1") from None
 
 
-def _supports(ac, bc, n):
-    """The positions below ``n`` of the nonzero entries of each block, found
-    at C speed by ``compress``; one list for both when ``bc is ac``."""
-    ia = list(compress(range(n), ac))
-    return ia, ia if bc is ac else list(compress(range(n), bc))
-
-
-def _convolve(ac, bc, n, supports=None):
+def _convolve(ac, bc, n):
     """First ``n`` coefficients of the Cauchy product of two blocks.
 
     Schoolbook, but iterates over the nonzero entries of the sparser
-    operand, so multiplying by a theta-type series costs O(n * nnz).
-    ``supports`` are the blocks' ``_supports`` when the caller has them.
-    A square (``bc is ac``) sums each pair i < j once and doubles it.
+    operand, so multiplying by a theta-type series costs O(n * nnz).  The
+    nonzero positions are found at C speed by ``compress``, once for a
+    square (``bc is ac``), which sums each pair i < j once and doubles it.
     """
-    ia, ib = supports or _supports(ac, bc, n)
+    ia = list(compress(range(n), ac))
+    ib = ia if bc is ac else list(compress(range(n), bc))
     if len(ib) < len(ia):
         ac, bc, ia, ib = bc, ac, ib, ia
     bval = list(map(bc.__getitem__, ib))
@@ -156,24 +149,6 @@ def _convolve(ac, bc, n, supports=None):
         for t in range(bisect_left(ib, n - i)):
             out[i + ib[t]] += c * bval[t]
     return out
-
-
-def _convolve_ops(ia, ib, n):
-    """Multiply-adds ``_convolve`` spends on blocks with the supports ``ia``
-    and ``ib``, one count per nonzero position i of the sparser block: the
-    nonzero positions j of the other with i + j < n.  (A square spends
-    about half of that, but is routed by the same count.)"""
-    if len(ib) < len(ia):
-        ia, ib = ib, ia
-    return (bisect_left(ib, n - i) for i in ia)
-
-
-def _above_crossover(ops, n):
-    """Whether the counts ``ops`` sum to more than PACKED_CROSSOVER
-    multiply-adds per coefficient of ``n``; reads them only until they do
-    (a dense operand crosses within the first few)."""
-    cap = PACKED_CROSSOVER * n
-    return any(s > cap for s in accumulate(ops))
 
 
 def _head(x, k):
@@ -250,29 +225,21 @@ def _nonzeros(x, h):
 
 def _product(ac, bc, n, m, d=1, lo=0):
     """Coefficients ``lo`` to ``n`` - 1 of a(q) b(q^d), class by class: one
-    crossover count over all classes sends them to ``_convolve`` each or to
-    one ``_packed`` call.  Over Z/m the count starts from a lower bound
-    that needs no supports: class a_j of window k, h = ceil(k/2), has at
+    bound over all classes sends them to ``_convolve`` each or, over Z/m,
+    to one ``_packed`` call.  Class a_j of window k, h = ceil(k/2), has at
     least nnz(a_j[:h]) nnz(b[:h]) multiply-adds, since every such pair
-    i + j < k, so classes whose bounds sum above the crossover go to
-    ``_packed`` at once.  Otherwise the supports are found once, for the
-    exact count and for ``_convolve``, and dropped before a packed product
-    lifts peak memory.  Newton passes ``lo`` for the coefficients it
-    reads, and ``_packed`` unpacks no slot below it."""
+    i + j < k; the classes go packed when twice the sum of these bounds is
+    above PACKED_CROSSOVER per coefficient.  Newton passes ``lo`` for the
+    coefficients it reads, and ``_packed`` unpacks no slot below it."""
     d = min(d, n)  # d >= n reads only b_0, as d = n does, and no class is empty
     classes = [ac] if d == 1 else [ac[j:n:d] for j in range(d)]
     sizes = [len(range(j, n, d)) for j in range(d)]
-    if m is not None and sum(_nonzeros(a, h) * _nonzeros(bc, h) for a, h in zip(
+    if m is not None and 2 * sum(_nonzeros(a, h) * _nonzeros(bc, h) for a, h in zip(
             classes, ((k + 1) // 2 for k in sizes))) > PACKED_CROSSOVER * n:
         return _packed(classes, bc, n, m, lo)
-    supports = [_supports(a, bc, k) for a, k in zip(classes, sizes)]
-    if m is not None and _above_crossover(chain.from_iterable(
-            _convolve_ops(*s, k) for s, k in zip(supports, sizes)), n):
-        del supports
-        return _packed(classes, bc, n, m, lo)
     out = [0] * n
-    for j, (a, s, k) in enumerate(zip(classes, supports, sizes)):
-        out[j::d] = _convolve(a, bc, k, s)
+    for j, (a, k) in enumerate(zip(classes, sizes)):
+        out[j::d] = _convolve(a, bc, k)
     return out[lo:] if lo else out
 
 
@@ -305,29 +272,25 @@ def _divide_block(uc, dc, n, m):
     return c
 
 
-def _divide_ops(dc, n):
-    """Multiply-adds ``_divide_block`` spends on ``n`` coefficients, one
-    count per nonzero d_j (1 <= j < n): the n - j outputs k >= j."""
-    return (n - j for j in compress(range(1, n), dc[1:n]))
-
-
 def _inverse(dc, n, m):
     """First ``n`` coefficients of 1/dc; dc[0] must be a unit.
 
-    Over Z/m, when ``_divide_block`` would spend more than PACKED_CROSSOVER
-    multiply-adds per coefficient, by Newton doubling: with g = 1/dc through
-    q^(k-1), k = ceil(n/2), the error e = dc g - 1 vanishes below q^k and
-    1/dc = g - g e through q^(n-1), two products by ``_product``, the first
-    read from q^k on (``lo``), since its k low coefficients are known.  Over Z
-    (where a dense inverse would make every later product dense) and below
-    the crossover, by ``_divide_block``.
+    Over Z/m, when twice the bound (nnz(dc[:h]) - 1) (n - h), h = ceil(n/2),
+    is above PACKED_CROSSOVER multiply-adds per coefficient, by Newton
+    doubling: each nonzero d_j, 1 <= j < h, costs ``_divide_block`` at
+    least the n - h outputs k >= h.  With g = 1/dc through q^(h-1), the
+    error e = dc g - 1 vanishes below q^h and 1/dc = g - g e through
+    q^(n-1), two products by ``_product``, the first read from q^h on
+    (``lo``), since its h low coefficients are known.  Over Z (where a
+    dense inverse would make every later product dense) and below the
+    crossover, by ``_divide_block``.
     """
-    if m is None or not _above_crossover(_divide_ops(dc, n), n):
+    h = (n + 1) // 2
+    if m is None or 2 * (_nonzeros(dc, h) - 1) * (n - h) <= PACKED_CROSSOVER * n:
         return _divide_block((1,), dc, n, m)
-    k = (n + 1) // 2
-    g = _inverse(dc, k, m)
-    e = list(map(m.__rmod__, _product(dc, g, n, m, lo=k)))
-    g.extend(map(m.__rmod__, map(neg, _product(g, e, n - k, m))))
+    g = _inverse(dc, h, m)
+    e = list(map(m.__rmod__, _product(dc, g, n, m, lo=h)))
+    g.extend(map(m.__rmod__, map(neg, _product(g, e, n - h, m))))
     return g
 
 
@@ -422,8 +385,9 @@ class LaurentSeries:
         return not any(self.coeffs)
 
     def __repr__(self):
-        head = ", ".join(f"{c}*q^{e}" for e, c in self.terms()[:6]) or "0"
-        tail = ", ..." if len(self.terms()) > 6 else ""
+        terms = self.terms()
+        head = ", ".join(f"{c}*q^{e}" for e, c in terms[:6]) or "0"
+        tail = ", ..." if len(terms) > 6 else ""
         ring = f" mod {self.modulus}" if self.modulus is not None else ""
         return f"<LaurentSeries [{self.v},{self.known_through}]{ring}: {head}{tail}>"
 

@@ -1,0 +1,71 @@
+"""The committed mutation suite: each mutant changes one exact snippet of
+one source file, and names the tier-1 tests that must fail on it.
+
+``tests/test_mutants.py`` checks, in the tier-1 run, that each snippet
+occurs exactly once in its file and that each named test exists.
+``tests/run_mutants.py`` applies the mutants one at a time to a copy of
+the source and runs their tests; a mutant whose tests all pass, or any
+one of whose named tests passes, survives and is reported.
+
+A test id is ``file::function``: it names every case of a parametrized
+test, and fails when any of its cases fails.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str      # relative to the repository root
+    snippet: str   # occurs exactly once in ``file``
+    replacement: str
+    tests: tuple   # the test ids that must fail
+
+
+MUTANTS = (
+    Mutant("nonzeros-counts-h-not-the-entries-present", "src/qcong/series.py",
+           "return min(h, len(x)) - operator.countOf(islice(x, h), 0)",
+           "return h - operator.countOf(islice(x, h), 0)",
+           ("tests/test_series.py::test_nonzero_bound_sends_dense_products_packed_without_supports",)),
+    Mutant("inverse-bound-counts-n-outputs", "src/qcong/series.py",
+           "(_nonzeros(dc, h) - 1) * (n - h) <= PACKED_CROSSOVER * n",
+           "(_nonzeros(dc, h) - 1) * n <= PACKED_CROSSOVER * n",
+           ("tests/test_series.py::test_newton_inverse_routes_by_the_nonzero_bound",)),
+    Mutant("slot-one-digit-short", "src/qcong/series.py",
+           "return len(str(max(min(sum(a) * mb, sb * max(a, default=0))",
+           "return -1 + len(str(max(min(sum(a) * mb, sb * max(a, default=0))",
+           ("tests/test_series.py::test_packed_slot_is_the_l1_bound",
+            "tests/test_series.py::test_packed_slot_holds_the_fullest_slot")),
+    Mutant("low-digits-one-slot-short", "src/qcong/series.py",
+           "low = Context(prec=k * w,",
+           "low = Context(prec=(k - 1) * w,",
+           ("tests/test_series.py::test_packed_from_lo_at_the_edges",
+            "tests/test_series.py::test_packed_from_lo_is_the_tail_of_the_product")),
+    Mutant("newton-error-unreduced", "src/qcong/series.py",
+           "e = list(map(m.__rmod__, _product(dc, g, n, m, lo=h)))",
+           "e = _product(dc, g, n, m, lo=h)",
+           ("tests/test_series.py::test_newton_inverse_matches_divide_block",
+            "tests/test_series.py::test_kernel_results_are_in_the_ring")),
+    Mutant("square-pairs-not-doubled", "src/qcong/series.py",
+           "            c += c\n",
+           "",
+           ("tests/test_series.py::test_convolve_square_matches_the_general_product",)),
+    Mutant("window-check-off-by-one", "src/qcong/series.py",
+           "if T > MAX_WINDOW:",
+           "if T > MAX_WINDOW + 1:",
+           ("tests/test_products.py::test_builders_refuse_a_window_over_the_cap_before_allocating",)),
+    Mutant("prefix-cache-serves-past-its-window", "src/qcong/products.py",
+           "if s is not None and s.v <= T <= s.known_through:",
+           "if s is not None and s.v <= T <= s.known_through + 1:",
+           ("tests/test_products.py::test_prefix_cache_serves_what_a_cold_expansion_gives",
+            "tests/test_products.py::test_prefix_cache_keeps_the_longest_expansion_of_each_key")),
+    Mutant("dissect-asks-through-mT", "src/qcong/expr.py",
+           "self.child.expand(max(k * T + k - 1, 0), m)",
+           "self.child.expand(max(k * T, 0), m)",
+           ("tests/test_identities.py::test_evaluate_reaches_t_and_never_over_claims",
+            "tests/test_identities.py::test_dissect_classes_share_one_expansion")),
+    Mutant("wrong-slope-6k1-product-form", "src/qcong/products.py",
+           '"6k+1", {1: 5, 2: -2})',
+           '"6k+1", {1: 5, 2: -3})',
+           ("tests/test_products.py::test_theta_block_equals_its_product_form",)),
+)

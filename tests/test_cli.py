@@ -69,6 +69,17 @@ def test_parse_quotient_fuzz(text):
         assert 0 <= err.pos <= len(text)
 
 
+def test_parse_quotient_refuses_an_exponent_over_the_cap_as_a_parse_error():
+    """A spec whose exponents, summed over its terms, are above the cap
+    parses to a record that refuses them: still a SpecParseError, and a
+    ValueError for the command line."""
+    for text in ("f1^10001", "f1^6000*f1^4001"):
+        with pytest.raises(SpecParseError, match="above the cap") as ei:
+            parse_quotient(text)
+        assert isinstance(ei.value, ValueError) and 0 <= ei.value.pos <= len(text)
+    assert parse_quotient("f1^10001/f1")[1] == parse_quotient("f1^10000")[1]
+
+
 # -- expand / coeff / oracle ------------------------------------------------------
 
 def test_expand_named_b(capsys):

@@ -437,14 +437,13 @@ def product_lengths():
 
 
 #: the kernel and length n of every call a cold ``b_table(101441, 630)``
-#: makes, in call order, as the kernels were routed before the router
-#: counted nonzeros: ψ² (sparse, sequential), 1/f_1^3 through q^25360 by
-#: Newton doubling from a sequential inverse at length 100 (each step's
-#: product by f_1^3 at length n and by the error at n - ceil(n/2)), the
-#: product of four classes, and the exact ``b_table(400)`` of the prefix
-#: check
+#: makes, in call order, as the nonzero bound routes them: ψ² (sparse,
+#: sequential), 1/f_1^3 through q^25360 by Newton doubling from a
+#: sequential inverse at length 100 (each step's product by f_1^3 at
+#: length n and by the error at n - ceil(n/2), all packed), the product of
+#: four classes, and the exact ``b_table(400)`` of the prefix check
 B_MOD_630_KERNELS = [
-    ("_convolve", 101442), ("_divide_block", 100), ("_convolve", 199),
+    ("_convolve", 101442), ("_divide_block", 100), ("_packed", 199),
     ("_packed", 99), ("_packed", 397), ("_packed", 198), ("_packed", 793),
     ("_packed", 396), ("_packed", 1586), ("_packed", 793), ("_packed", 3171),
     ("_packed", 1585), ("_packed", 6341), ("_packed", 3170),

@@ -1,14 +1,12 @@
 """Core Laurent-series arithmetic: windows, ring rules, and the op contracts."""
 
 import random
-from bisect import bisect_left
-from itertools import compress
 from math import gcd
 from operator import mul
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
@@ -363,6 +361,16 @@ def test_empty_window_rejected():
         LaurentSeries([], 0)
 
 
+def test_repr_shows_the_first_six_terms():
+    """Six nonzero terms or fewer are shown in full; a seventh adds ", ...";
+    a window of zeros shows 0."""
+    assert repr(series([1, 0, 2, 3, 4, 5, 6], -1, 7)) == (
+        "<LaurentSeries [-1,5] mod 7: 1*q^-1, 2*q^1, 3*q^2, 4*q^3, 5*q^4, 6*q^5>")
+    assert repr(series([1, 2, 3, 4, 5, 6, 0, 7])) == (
+        "<LaurentSeries [0,7]: 1*q^0, 2*q^1, 3*q^2, 4*q^3, 5*q^4, 6*q^5, ...>")
+    assert repr(series([0, 9, 0], 2, 9)) == "<LaurentSeries [2,4] mod 9: 0>"
+
+
 # -- algebraic property tests ------------------------------------------------------
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=81)
@@ -710,71 +718,45 @@ def test_convolve_square_matches_the_general_product(data, m, n):
     assert LaurentSeries(a, 0, m).pow(2).coeffs == LaurentSeries(want, 0, m).coeffs
 
 
-def parent_convolve_ops(ac, bc, n):
-    """The crossover count as the kernels were routed before ``_supports``:
-    the nonzero positions of each block, counted from the sparser."""
-    a, b = (list(compress(range(n), cs[:n])) for cs in (ac, bc))
-    if len(b) < len(a):
-        a, b = b, a
-    return (bisect_left(b, n - i) for i in a)
+def check_route(a, b, n, m, d):
+    """``_product(a, b, n, m, d)`` equals ``_convolve`` class by class and,
+    over Z/m, goes packed exactly when twice the bound
+    nnz(a_j[:h]) nnz(b[:h]), h = ceil(k_j / 2), summed over the classes
+    (computed here without ``_nonzeros``), is above PACKED_CROSSOVER per
+    coefficient; over Z never.  Returns whether it went packed."""
+    d = min(d, n)
+    classes = [a[j:n:d] for j in range(d)]
+    taken = []
+    packed = series_module._packed
+    with patch.object(series_module, "_packed",
+                      lambda *args: taken.append(True) or packed(*args)):
+        got = series_module._product(a, b, n, m, d)
+    assert got == scaled(classes, b, n)
+    bound = 0
+    for j, c in enumerate(classes):
+        h = (len(range(j, n, d)) + 1) // 2
+        bound += sum(1 for x in c[:h] if x) * sum(1 for x in b[:h] if x)
+    assert bool(taken) == (m is not None and 2 * bound > PACKED_CROSSOVER * n)
+    return bool(taken)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from([None, 2, 9, 630, 2 ** 31 - 1]), st.integers(1, 400),
        st.booleans())
 def test_product_routes_as_before(data, m, n, square):
-    """``_product`` shares its operands' supports between the crossover
-    count and ``_convolve``; each product, squares included, still takes
-    the kernel the earlier count chose, and over Z never the packed one."""
+    """At scale 1 every product, squares included, equals ``_convolve`` and
+    takes the kernel the nonzero bound chooses; over Z never the packed one."""
     a = data.draw(blocks(n, 630 if m is None else m))
     b = a if square else data.draw(blocks(data.draw(st.integers(0, n)), 630 if m is None else m))
-    taken = []
-    packed = series_module._packed
-    with patch.object(series_module, "_packed",
-                      lambda *args: taken.append(True) or packed(*args)):
-        got = series_module._product(a, b, n, m)
-    assert got == _convolve(a, b, n)
-    assert bool(taken) == (m is not None and series_module._above_crossover(
-        parent_convolve_ops(a, b, n), n))
-
-
-def routed(a, b, n, m, d):
-    """``_product(a, b, n, m, d)``, whether it took ``_packed`` and whether it
-    found any support first."""
-    taken = []
-    packed, supports = series_module._packed, series_module._supports
-    with patch.object(series_module, "_packed",
-                      lambda *args: taken.append("packed") or packed(*args)), \
-            patch.object(series_module, "_supports",
-                         lambda *args: taken.append("supports") or supports(*args)):
-        got = series_module._product(a, b, n, m, d)
-    return got, "packed" in taken, "supports" in taken
-
-
-def check_route(a, b, n, m, d):
-    """``_product`` equals ``_convolve`` class by class and goes packed
-    exactly when the exact count of every class's pairs
-    (``parent_convolve_ops``) is above the crossover; returns whether it
-    found supports first."""
-    d = min(d, n)
-    classes = [a[j:n:d] for j in range(d)]
-    got, took_packed, found_supports = routed(a, b, n, m, d)
-    assert got == scaled(classes, b, n)
-    exact = sum(sum(parent_convolve_ops(c, b, len(range(j, n, d))))
-                for j, c in enumerate(classes))
-    assert took_packed == (exact > PACKED_CROSSOVER * n)
-    return found_supports
+    check_route(a, b, n, m, 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 7), st.sampled_from([2, 9, 630, 2 ** 31 - 1]))
 def test_nonzero_bound_routes_only_products_above_the_crossover(data, d, m):
-    """Over Z/m ``_product`` sends a product to ``_packed`` before finding
-    supports when nnz(a_j[:h]) nnz(b[:h]), h = ceil(k_j / 2), summed over
-    the classes, is above the crossover.  That bound never exceeds the
-    exact count, so every product, with blocks of lengths 0 to 300 (b
-    often shorter than h), dense or sparse, at scales 1 to 7, takes the
-    kernel the exact count chooses."""
+    """Over Z/m every product, with blocks of lengths 0 to 300 (b often
+    shorter than h), dense or sparse, at scales 1 to 7, goes packed exactly
+    when twice its nonzero bound is above the crossover."""
     n = data.draw(st.integers(1, 300))
     a = data.draw(blocks(data.draw(st.integers(0, 300)), m))
     b = data.draw(blocks(data.draw(st.integers(0, 300)), m))
@@ -783,14 +765,14 @@ def test_nonzero_bound_routes_only_products_above_the_crossover(data, d, m):
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_nonzero_bound_sends_dense_products_packed_without_supports(d):
-    """Dense blocks cross on the bound alone and find no support.  A dense
-    a by a dense b of 10 entries, shorter than h, is below the crossover,
+    """Dense blocks cross on the bound alone, with no exact count of pairs.
+    A dense a by a dense b of 10 entries, shorter than h, stays sequential,
     although h^2 per class (what counting h minus the zeros, not the
-    entries present, would give) sums above it."""
+    entries present, would give) sums above the crossover."""
     rnd = random.Random(d)
     dense = [rnd.randrange(1, 630) for _ in range(300)]
-    assert not check_route(dense, dense[::-1], 300, 630, d)
-    assert check_route(dense, dense[:10], 300, 630, d)
+    assert check_route(dense, dense[::-1], 300, 630, d)
+    assert not check_route(dense, dense[:10], 300, 630, d)
 
 
 @pytest.mark.parametrize("a,b,n,m,lo", [
@@ -822,11 +804,6 @@ def test_packed_from_lo_is_the_tail_of_the_product(data, table_route, d):
     assert _packed(classes, b, n, m, lo) == want == _packed(classes, b, n, m)[lo:]
 
 
-def divide_ops(dc, n):
-    """Multiply-adds ``_divide_block`` spends on n coefficients of 1/dc."""
-    return sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
-
-
 @st.composite
 def divisors(draw, m):
     """A divisor over Z/m with leading coefficient 1 and a length n: the
@@ -853,10 +830,35 @@ def test_newton_inverse_matches_divide_block(data, m):
     assert list(LaurentSeries(d, 0, m).invert().coeffs) == _divide_block((1,), d, n, m)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 9, 210, 630, 2 ** 31 - 1]).flatmap(
+    lambda m: divisors(m).map(lambda dn: (*dn, m))))
+@example((list(euler_f(1, 100, 9).coeffs), 101, 9))
+def test_newton_inverse_routes_by_the_nonzero_bound(case):
+    """``_inverse`` halves the length by Newton doubling exactly while twice
+    the bound (nnz(dc[1:h])) (n - h), h = ceil(n/2), is above
+    PACKED_CROSSOVER per coefficient, and divides sequentially at the first
+    length where it is not: f_1 through q^100 (10 nonzeros below h = 51, a
+    bound of 1000 against 1212) is one sequential division."""
+    dc, n, m = case
+    want = n
+    while 2 * sum(1 for x in dc[1:(want + 1) // 2] if x) * (want // 2) \
+            > PACKED_CROSSOVER * want:
+        want = (want + 1) // 2
+    lengths = []
+    block = series_module._divide_block
+    with patch.object(series_module, "_divide_block",
+                      lambda uc, dc, n, m: lengths.append(n) or block(uc, dc, n, m)):
+        got = _inverse(dc, n, m)
+    assert lengths == [want]
+    assert got == _divide_block((1,), dc, n, m)
+
+
 @pytest.mark.parametrize("n", [5, 300])
 def test_newton_inverse_rejects_a_non_unit_leading_coefficient(n):
     d = [3] + [1] * (n - 1)
-    assert (divide_ops(d, n) > PACKED_CROSSOVER * n) == (n == 300)
+    h = (n + 1) // 2
+    assert (2 * (h - 1) * (n - h) > PACKED_CROSSOVER * n) == (n == 300)
     with pytest.raises(NotInvertible):
         LaurentSeries(d, 0, 9).invert()
     with pytest.raises(NotInvertible):
