@@ -37,10 +37,18 @@ The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
 already in the ring are built by ``_in_ring``, with no pass over them:
 reindexing (``shift``, ``truncate``, ``normalize``, ``dissect``,
-``substitute``), the inverse and the Z quotient (``_divide_block`` and
-Newton reduce as they go), ``mul``, which reduces its kernel's output
-once with ``map(m.__rmod__, ...)``, and the theta sums of
-``products.bilateral``, which reduce only the exponents their terms reach.
+``substitute``), the inverse, the Z quotient (``_divide_block`` reduces as
+it goes), ``mul``, and the theta sums of ``products.bilateral``, which
+reduce only the exponents their terms reach.  Over Z/mZ a product is
+reduced in one place, ``_product``: ``_packed`` reduces each slot as it
+unpacks it, and when m <= n reads the residue from one list of the m
+residues, so every coefficient it returns is one of m shared int objects;
+the sequential branch reduces ``_convolve``'s output.  Neither ``mul`` nor
+Newton doubling makes a pass of its own, so no unreduced list of a whole
+product sits beside the reduced one.  A cold ``b_table(101441, 630)``
+peaks at 5.4 MB traced by ``tracemalloc``, and ``b_table(10**6, 630)`` at
+75 MB of resident memory, where reducing in each caller took 8.1 and 114
+MB (x86-64, Python 3.11).
 
 ``coeff`` reads one coefficient and ``coeff_window`` a strided window of
 them by slicing; both raise InsufficientPrecision for the same first
@@ -186,7 +194,18 @@ def _packed(classes, bc, n, m, lo=0):
     square (one class that is b) is packed once and handed to libmpdec as
     one operand, which it transforms once.  A slot is packed from a table
     of the m formatted residues when m <= n (the table costs no more than
-    one block), else by %-formatting (m can be 2^31 - 1)."""
+    one block), else by %-formatting (m can be 2^31 - 1).
+
+    Every slot is reduced mod m as it is unpacked, so the result is in
+    [0, m).  When m <= n the residue is read from the list of the m
+    residues the table is built from, and every coefficient returned is
+    one of those m int objects: mod 630, 373 of the residues are above
+    256, the largest int CPython shares, and a coefficient equal to one of
+    them would otherwise take an object of its own.  When ``%`` returns a
+    shared object for every residue already (mod 210 on CPython), the
+    list is not read, since that pass would share nothing: it cost the
+    scan of B, b, p, a and abar mod 210 3 % of its time.  When m > n it
+    is plain ``%``."""
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     d = len(classes)
@@ -195,13 +214,16 @@ def _packed(classes, bc, n, m, lo=0):
     w = _slot_digits(classes, sizes, b)
     fmt = f"%0{w}d"
     if m <= n:
-        table = list(map(fmt.__mod__, range(m)))
+        residues = list(range(m))
+        table = list(map(fmt.__mod__, residues))
 
         def slots(cs):
             return "".join(map(table.__getitem__, reversed(cs)))
     else:
         def slots(cs):
             return fmt * len(cs) % tuple(reversed(cs))
+    # False when % already returns one shared object per residue
+    shared = m <= n and residues[-1] is not (m - 1) % m
 
     def pack(cs):
         return ctx.create_decimal(slots(cs) or "0")
@@ -212,8 +234,9 @@ def _packed(classes, bc, n, m, lo=0):
         low = Context(prec=k * w, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(
             ctx.multiply(pb if a is bc else pack(_head(a, k)), pb), 0)
         s = len(range(j, lo, d))  # the class's slots below lo
-        out[(j - lo) % d::d] = map(int, reversed(Struct(
-            f"{w}s" * (k - s) + f"{s * w}x").unpack(str(low).zfill(k * w).encode())))
+        cs = map(m.__rmod__, map(int, reversed(Struct(
+            f"{w}s" * (k - s) + f"{s * w}x").unpack(str(low).zfill(k * w).encode()))))
+        out[(j - lo) % d::d] = map(residues.__getitem__, cs) if shared else cs
     return out
 
 
@@ -230,7 +253,11 @@ def _product(ac, bc, n, m, d=1, lo=0):
     least nnz(a_j[:h]) nnz(b[:h]) multiply-adds, since every such pair
     i + j < k; the classes go packed when twice the sum of these bounds is
     above PACKED_CROSSOVER per coefficient.  Newton passes ``lo`` for the
-    coefficients it reads, and ``_packed`` unpacks no slot below it."""
+    coefficients it reads, and ``_packed`` unpacks no slot below it.
+
+    This is where a product over Z/m is reduced, once: ``_packed`` reduces
+    each slot as it unpacks it, and the sequential branch reduces each
+    class that ``_convolve`` returns.  Callers take the result as it is."""
     d = min(d, n)  # d >= n reads only b_0, as d = n does, and no class is empty
     classes = [ac] if d == 1 else [ac[j:n:d] for j in range(d)]
     sizes = [len(range(j, n, d)) for j in range(d)]
@@ -239,7 +266,8 @@ def _product(ac, bc, n, m, d=1, lo=0):
         return _packed(classes, bc, n, m, lo)
     out = [0] * n
     for j, (a, k) in enumerate(zip(classes, sizes)):
-        out[j::d] = _convolve(a, bc, k)
+        c = _convolve(a, bc, k)
+        out[j::d] = c if m is None else map(m.__rmod__, c)
     return out[lo:] if lo else out
 
 
@@ -281,7 +309,11 @@ def _inverse(dc, n, m):
     least the n - h outputs k >= h.  With g = 1/dc through q^(h-1), the
     error e = dc g - 1 vanishes below q^h and 1/dc = g - g e through
     q^(n-1), two products by ``_product``, the first read from q^h on
-    (``lo``), since its h low coefficients are known.  Over Z (where a
+    (``lo``), since its h low coefficients are known.  Both come back
+    reduced; the short e is negated before the second product, since
+    -(g e) = g (-e), so the second half of 1/dc is ``_product``'s output
+    itself, with no pass of its own (read from the shared residues of
+    ``_packed`` when it goes packed and n - h >= m).  Over Z (where a
     dense inverse would make every later product dense) and below the
     crossover, by ``_divide_block``.
     """
@@ -289,8 +321,8 @@ def _inverse(dc, n, m):
     if m is None or 2 * (_nonzeros(dc, h) - 1) * (n - h) <= PACKED_CROSSOVER * n:
         return _divide_block((1,), dc, n, m)
     g = _inverse(dc, h, m)
-    e = list(map(m.__rmod__, _product(dc, g, n, m, lo=h)))
-    g.extend(map(m.__rmod__, map(neg, _product(g, e, n - h, m))))
+    e = _product(dc, g, n, m, lo=h)
+    g.extend(_product(g, list(map(m.__rmod__, map(neg, e))), n - h, m))
     return g
 
 
@@ -439,10 +471,8 @@ class LaurentSeries:
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"substitution power must be a positive integer, got {d!r}")
         n = min(len(self.coeffs), d * len(other.coeffs))
-        m = self.modulus
-        out = _product(self.coeffs, other.coeffs, n, m, d)
-        return _in_ring(out if m is None else map(m.__rmod__, out),
-                        self.v + d * other.v, m)
+        return _in_ring(_product(self.coeffs, other.coeffs, n, self.modulus, d),
+                        self.v + d * other.v, self.modulus)
 
     def divide(self, other):
         """self / other, where other has a unit leading coefficient; over

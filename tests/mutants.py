@@ -41,11 +41,23 @@ MUTANTS = (
            "low = Context(prec=(k - 1) * w,",
            ("tests/test_series.py::test_packed_from_lo_at_the_edges",
             "tests/test_series.py::test_packed_from_lo_is_the_tail_of_the_product")),
-    Mutant("newton-error-unreduced", "src/qcong/series.py",
-           "e = list(map(m.__rmod__, _product(dc, g, n, m, lo=h)))",
-           "e = _product(dc, g, n, m, lo=h)",
+    Mutant("packed-slots-unreduced", "src/qcong/series.py",
+           "cs = map(m.__rmod__, map(int, reversed(Struct(",
+           "cs = (map(int, reversed(Struct(",
            ("tests/test_series.py::test_newton_inverse_matches_divide_block",
-            "tests/test_series.py::test_kernel_results_are_in_the_ring")),
+            "tests/test_series.py::test_kernel_results_are_in_the_ring",
+            "tests/test_series.py::test_kernels_return_residues_and_packed_shares_them")),
+    Mutant("residue-list-shifted", "src/qcong/series.py",
+           "residues = list(range(m))",
+           "residues = [*range(1, m), 0]",
+           ("tests/test_series.py::test_packed_matches_convolve_at_the_edges",
+            "tests/test_series.py::test_mul_over_z_m_matches_convolve",
+            "tests/test_series.py::test_kernels_return_residues_and_packed_shares_them")),
+    Mutant("newton-error-not-negated", "src/qcong/series.py",
+           "list(map(m.__rmod__, map(neg, e)))",
+           "list(map(m.__rmod__, e))",
+           ("tests/test_series.py::test_newton_inverse_matches_divide_block",
+            "tests/test_series.py::test_invert_and_divide_over_z_m_match_divide_block")),
     Mutant("square-pairs-not-doubled", "src/qcong/series.py",
            "            c += c\n",
            "",

@@ -331,7 +331,7 @@ def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):
             with cold_divisor_cache():
                 expand_factors(factors, 400, m)
             assert inverses == want
-            assert all(sum(n - j for j in range(1, min(n, len(dc))) if dc[j])
+            assert all(2 * (sum(1 for x in dc[:(n + 1) // 2] if x) - 1) * (n - (n + 1) // 2)
                        <= PACKED_CROSSOVER * n for dc, n in divisors)
         divisors.clear()
         expand_factors(factors, 400)

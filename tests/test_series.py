@@ -12,7 +12,7 @@ from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
 from qcong.series import (PACKED_CROSSOVER, _convolve, _divide_block, _inverse,
-                          _packed)
+                          _packed, _product, _slot_digits)
 
 
 def series(coeffs, v=0, mod=None):
@@ -462,16 +462,21 @@ def blocks(draw, n, m, step=1):
             for i in range(n)]
 
 
+def reduced(xs, m):
+    """The exact coefficients ``xs`` reduced mod m, as the kernels over Z/m
+    return them."""
+    return [x % m for x in xs]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), moduli, st.integers(1, 400))
 def test_mul_over_z_m_matches_convolve(data, m, n):
     """Lengths up to 400 put dense products above the crossover and sparse
-    ones below it; either way ``mul`` equals the schoolbook kernel."""
+    ones below it; either way ``mul`` equals the schoolbook kernel mod m."""
     a, b = data.draw(blocks(n, m)), data.draw(blocks(n, m))
-    want = _convolve(a, b, n)
+    want = reduced(_convolve(a, b, n), m)
     assert _packed([a], b, n, m) == want
-    assert (list(LaurentSeries(a, 0, m).mul(LaurentSeries(b, 3, m)).coeffs)
-            == [x % m for x in want])
+    assert list(LaurentSeries(a, 0, m).mul(LaurentSeries(b, 3, m)).coeffs) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,7 +495,7 @@ def test_invert_and_divide_over_z_m_match_divide_block(data, m, n, g, v):
 
 def test_packed_pads_a_block_shorter_than_n():
     a, b = [3, 0, 5, 1, 2, 4, 0, 6], [6, 5]
-    want = _convolve(a, b, 8)
+    want = reduced(_convolve(a, b, 8), 7)
     assert _packed([a], b, 8, 7) == want
     assert _packed([b], a, 8, 7) == want
     assert _packed([b], [], 8, 7) == [0] * 8
@@ -510,8 +515,12 @@ def test_packed_pads_a_block_shorter_than_n():
         "empty-table", "empty-format", "max-modulus"])
 def test_packed_matches_convolve_at_the_edges(a, b, n, m):
     """Both packing routes (a table of slots when m <= n, %-formatting
-    when m > n) at the edges of the slot layout."""
-    want = _convolve(a, b, n)
+    when m > n) at the edges of the slot layout; the slot has the digits of
+    the largest exact coefficient (a slot one digit short drops a carry of
+    10^w, which is 0 mod 2, so the result mod m alone would not show it)."""
+    exact = _convolve(a, b, n)
+    assert len(str(max(exact))) <= _slot_digits([a], [n], b[:n])
+    want = reduced(exact, m)
     assert _packed([a], b, n, m) == want
     assert _packed([b], a, n, m) == want
 
@@ -525,13 +534,13 @@ def test_packed_matches_convolve_at_the_benchmark_sizes(n, m):
     rnd = random.Random(n)
     a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
     got = _packed([a], b, n, m)
-    assert got[:400] == _convolve(a, b, 400)
+    assert got[:400] == reduced(_convolve(a, b, 400), m)
     for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
-        assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1])))
+        assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1]))) % m
     sparse = [0] * n
     for k in rnd.sample(range(n), 12) + [0, n - 1]:
         sparse[k] = rnd.randrange(1, m)
-    assert _packed([a], sparse, n, m) == _convolve(a, sparse, n)
+    assert _packed([a], sparse, n, m) == reduced(_convolve(a, sparse, n), m)
 
 
 # -- the packed slot holds what the product can hold ---------------------------
@@ -563,10 +572,12 @@ def full_slots(draw, table_route):
 @given(st.data(), st.booleans())
 def test_packed_slot_holds_the_fullest_slot(data, table_route):
     a, b, n, m = data.draw(full_slots(table_route))
-    want = _convolve(a, b, n)
+    exact = _convolve(a, b, n)
+    assert len(str(max(exact))) <= _slot_digits([a], [n], b)
+    want = reduced(exact, m)
     assert _packed([a], b, n, m) == want
     assert _packed([b], a, n, m) == want
-    assert _packed([a], a, n, m) == _convolve(a, list(a), n)
+    assert _packed([a], a, n, m) == reduced(_convolve(a, list(a), n), m)
 
 
 def scaled(classes, b, n):
@@ -619,16 +630,20 @@ def l1_slots(draw, table_route, several):
 def test_packed_slot_is_the_l1_bound(data, table_route, several):
     """Slot n - 1 reaches the L1 bound exactly, on both packing routes, with
     one class and several; a slot one digit narrower than the bound's
-    width (patched here only) leaves slot n - 1 wrong."""
+    width (patched here only) leaves slot n - 1 wrong.  The narrow slot is
+    read at a modulus above the bound, where ``_packed`` reduces nothing
+    (a dropped carry of 10^w can be 0 mod m)."""
     classes, b, n, m, S = data.draw(l1_slots(table_route, several))
     sizes = [len(range(j, n, len(classes))) for j in range(len(classes))]
     want = scaled(classes, b, n)
     assert want[n - 1] == S * (m - 1)
-    assert series_module._slot_digits(classes, sizes, b) == len(str(S * (m - 1)))
-    assert _packed(classes, b, n, m) == want
-    digits = series_module._slot_digits
-    with patch.object(series_module, "_slot_digits", lambda *args: digits(*args) - 1):
-        assert _packed(classes, b, n, m)[n - 1] != want[n - 1]
+    assert _slot_digits(classes, sizes, b) == len(str(S * (m - 1)))
+    assert _packed(classes, b, n, m) == reduced(want, m)
+    above = max(want[n - 1], n) + 1
+    assert _packed(classes, b, n, above) == want
+    with patch.object(series_module, "_slot_digits",
+                      lambda *args: _slot_digits(*args) - 1):
+        assert _packed(classes, b, n, above)[n - 1] != want[n - 1]
 
 
 def test_scaled_mul_is_the_product_by_the_substituted_series():
@@ -690,6 +705,28 @@ def test_packed_with_an_all_zero_operand(n, m):
         assert _packed([z], z, n, m) == [0] * n
 
 
+@pytest.mark.parametrize("n,m", [(1000, 630), (630, 630), (300, 9), (300, 2 ** 31 - 1)])
+def test_kernels_return_residues_and_packed_shares_them(n, m):
+    """Both kernels return residues in [0, m), equal to ``_convolve`` mod m:
+    the packed one for dense blocks, the sequential one for a block of two
+    nonzeros.  A packed product with n >= m holds at most m distinct int
+    objects: mod 630 each coefficient is read from one list of the m
+    residues (most of them are above the small ints the interpreter
+    shares), and mod 9 each is one of the interpreter's own."""
+    rnd = random.Random(n + m)
+    a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
+    sparse = [0] * n
+    sparse[0] = sparse[n // 3] = m - 1
+    packed = _packed([a], b, n, m)
+    assert packed == reduced(_convolve(a, b, n), m)
+    assert all(0 <= x < m for x in packed)
+    if n >= m:
+        assert len({id(x) for x in packed}) <= m
+    sequential = _product(a, sparse, n, m)
+    assert sequential == reduced(_convolve(a, sparse, n), m)
+    assert all(0 <= x < m for x in sequential)
+
+
 def test_packed_sparse_times_dense_at_newtons_first_product():
     """f_1^3 (225 nonzeros) times a dense block at length 25361 mod 630,
     the first Newton product of B's divisor: slots of 8 digits, where
@@ -702,7 +739,7 @@ def test_packed_sparse_times_dense_at_newtons_first_product():
     got = _packed([sparse], dense, n, m)
     assert got == _packed([dense], sparse, n, m)
     for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
-        assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1])))
+        assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1]))) % m
 
 
 @settings(max_examples=60, deadline=None)
@@ -719,8 +756,8 @@ def test_convolve_square_matches_the_general_product(data, m, n):
 
 
 def check_route(a, b, n, m, d):
-    """``_product(a, b, n, m, d)`` equals ``_convolve`` class by class and,
-    over Z/m, goes packed exactly when twice the bound
+    """``_product(a, b, n, m, d)`` equals ``_convolve`` class by class (mod
+    m over Z/m) and, over Z/m, goes packed exactly when twice the bound
     nnz(a_j[:h]) nnz(b[:h]), h = ceil(k_j / 2), summed over the classes
     (computed here without ``_nonzeros``), is above PACKED_CROSSOVER per
     coefficient; over Z never.  Returns whether it went packed."""
@@ -730,8 +767,9 @@ def check_route(a, b, n, m, d):
     packed = series_module._packed
     with patch.object(series_module, "_packed",
                       lambda *args: taken.append(True) or packed(*args)):
-        got = series_module._product(a, b, n, m, d)
-    assert got == scaled(classes, b, n)
+        got = _product(a, b, n, m, d)
+    want = scaled(classes, b, n)
+    assert got == (want if m is None else reduced(want, m))
     bound = 0
     for j, c in enumerate(classes):
         h = (len(range(j, n, d)) + 1) // 2
@@ -784,9 +822,9 @@ def test_nonzero_bound_sends_dense_products_packed_without_supports(d):
     ([4, 5, 6], [6, 5, 4], 3, 7, 2),                      # the top slot alone
 ])
 def test_packed_from_lo_at_the_edges(a, b, n, m, lo):
-    want = _convolve(a, b, n)[lo:]
+    want = reduced(_convolve(a, b, n), m)[lo:]
     assert _packed([a], b, n, m, lo) == want == _packed([a], b, n, m)[lo:]
-    assert _packed([a], a, n, m, lo) == _convolve(a, list(a), n)[lo:]
+    assert _packed([a], a, n, m, lo) == reduced(_convolve(a, list(a), n), m)[lo:]
 
 
 @settings(max_examples=80, deadline=None)
@@ -800,7 +838,7 @@ def test_packed_from_lo_is_the_tail_of_the_product(data, table_route, d):
     lo = data.draw(st.integers(0, n - 1))
     classes = [data.draw(blocks(len(range(j, n, d)), m)) for j in range(d)]
     b = data.draw(blocks(data.draw(st.integers(0, n)), m))
-    want = scaled(classes, b, n)[lo:]
+    want = reduced(scaled(classes, b, n), m)[lo:]
     assert _packed(classes, b, n, m, lo) == want == _packed(classes, b, n, m)[lo:]
 
 

@@ -48,6 +48,30 @@ def test_b_table_oracle_check(monkeypatch):
             b_table(N, m)
 
 
+#: bytes: the tracemalloc peak of a cold b_table(101441, 630) was 5.37 MB
+#: on Pythons 3.11-3.13 and 5.68 MB on 3.10 (x86-64), so this leaves a
+#: margin of about 20 % (14 % on 3.10); with each product reduced after
+#: its kernel returned an unreduced list, the peak was 8.11-8.15 MB
+B_MOD_630_PEAK_BYTES = 6_500_000
+
+
+def test_b_table_mod_630_peak_memory():
+    """A fresh interpreter (cold caches, as the command line runs) traces
+    the allocations of B mod 630 through q^101441: every product over Z/m
+    returns residues read from one list of them, so no unreduced list of
+    products sits beside the reduced one."""
+    src = Path(qcong.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracemalloc\nfrom qcong.theorems import b_table\n"
+         "tracemalloc.start()\nb_table(101441, 630)\n"
+         "print(tracemalloc.get_traced_memory()[1])"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < B_MOD_630_PEAK_BYTES
+
+
 def test_int_quarter_checks_under_python_O():
     src = Path(qcong.__file__).resolve().parents[1]
     proc = subprocess.run(
