@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -52,6 +53,13 @@ class SpecValueError(SpecParseError, ValueError):
     bad input, like any ValueError, with no caret."""
 
 
+#: one token of a quotient spec after any whitespace: f<d> or q, each with
+#: an optional ^<e>, an integer (a bare "-" is one, for its error), or
+#: else one character, none at the end of the text
+_SPEC_TOKEN = re.compile(r"\s*(?P<token>(?:f(?P<d>-?\d*)|q)(?:\^(?P<e>-?\d*))?"
+                        r"|(?P<c>-?\d+|-)|.?)")
+
+
 def parse_quotient(text):
     """Parse a quotient spec like ``5*q^2*f2^4/(f1^2*f4^3)``.
 
@@ -59,121 +67,90 @@ def parse_quotient(text):
     with at most one fraction bar whose denominator may be parenthesized.
     Returns (scalar, FQuotientSpec).
     """
-    i = 0
-    n = len(text)
-    scalar = 1
-    factors = {}
-    qshift = 0
-    sign = 1  # +1 numerator, -1 denominator
-    seen_bar = False
+    def number(group):  # the integer in a group of the token m; 1 if absent
+        if m[group] in ("", "-"):
+            raise SpecParseError("expected an integer", m.start(group))
+        return 1 if m[group] is None else int(m[group])
 
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def read_int():
-        nonlocal i
-        start = i
-        if i < n and text[i] == '-':
-            i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-        if i == start or text[start:i] == '-':
-            raise SpecParseError("expected an integer", start)
-        return int(text[start:i])
-
-    def read_exponent():
-        nonlocal i
-        if i < n and text[i] == '^':
-            i += 1
-            return read_int()
-        return 1
-
-    def read_atom(sgn):
-        nonlocal i, scalar, qshift
-        skip_ws()
-        if i >= n:
-            raise SpecParseError("expected a factor", i)
-        ch = text[i]
-        if ch == 'f':
-            i += 1
-            d = read_int()
-            if d < 1:
-                raise SpecParseError("f-index must be positive", i - 1)
-            e = read_exponent()
-            factors[d] = factors.get(d, 0) + sgn * e
-        elif ch == 'q':
-            i += 1
-            qshift += sgn * read_exponent()
-        elif ch.isdigit() or ch == '-':
-            c = read_int()
-            if sgn == 1:
-                scalar *= c
-            elif c in (1, -1):
-                scalar *= c
+    scalar, qshift, factors = 1, 0, {}
+    sign, part, i = 1, "numerator", 0  # part: numerator, group (a denominator
+    # in parentheses, until its ")") or denominator
+    factor = True  # a factor comes next, else what follows one
+    while True:
+        m = _SPEC_TOKEN.match(text, i)
+        token, at, i = m["token"], m.start("token"), m.end()
+        if not factor:
+            if token == "*" and part != "denominator":
+                factor = True
+            elif token == ")" and part == "group":
+                part = "denominator"
+            elif part == "group" and token in ("", "/"):
+                raise SpecParseError("unclosed parenthesis", at)
+            elif token == "/" and part == "numerator":
+                sign, part, factor = -1, "denominator", True
+                m = _SPEC_TOKEN.match(text, i)
+                if m["token"] == "(":
+                    part, i = "group", m.end()
+            elif token:
+                raise SpecParseError("only one fraction bar is allowed"
+                                     if token == "/" else
+                                     f"unexpected character {token[0]!r}", at)
             else:
+                break
+            continue
+        if m["d"] is not None:
+            d = number("d")
+            if d < 1:
+                raise SpecParseError("f-index must be positive", m.end("d") - 1)
+            factors[d] = factors.get(d, 0) + sign * number("e")
+        elif token[:1] == "q":
+            qshift += sign * number("e")
+        elif m["c"] is not None:
+            c = number("c")
+            if sign == -1 and c not in (1, -1):
                 raise SpecParseError("integer scalars are only allowed in the "
                                      "numerator", i - 1)
+            scalar *= c
         else:
-            raise SpecParseError(f"unexpected character {ch!r}", i)
-
-    def read_product(sgn, stop_at_paren=False):
-        nonlocal i
-        read_atom(sgn)
-        while True:
-            skip_ws()
-            if i >= n:
-                return
-            if text[i] == '*':
-                i += 1
-                read_atom(sgn)
-            elif stop_at_paren and text[i] == ')':
-                return
-            elif text[i] == '/':
-                return
-            else:
-                raise SpecParseError(f"unexpected character {text[i]!r}", i)
-
-    read_product(1)
-    skip_ws()
-    if i < n and text[i] == '/':
-        seen_bar = True
-        i += 1
-        skip_ws()
-        if i < n and text[i] == '(':
-            i += 1
-            read_product(-1, stop_at_paren=True)
-            skip_ws()
-            if i >= n or text[i] != ')':
-                raise SpecParseError("unclosed parenthesis", i)
-            i += 1
-        else:
-            read_atom(-1)
-    skip_ws()
-    if i < n:
-        msg = "only one fraction bar is allowed" if text[i] == '/' and seen_bar \
-            else f"unexpected character {text[i]!r}"
-        raise SpecParseError(msg, i)
+            raise SpecParseError(f"unexpected character {token!r}" if token
+                                 else "expected a factor", at)
+        factor = False
     try:
         return scalar, FQuotientSpec.of(factors, qshift)
     except ValueError as ex:
         raise SpecValueError(str(ex), 0) from None
 
 
+def _quotient(args):
+    """The (scalar, f-quotient) that --spec states or the family --name names."""
+    if args.spec is not None:
+        return parse_quotient(args.spec)
+    return 1, FAMILIES[args.name].gf
+
+
 def _series_for(args, order):
     """The --spec or --name series through q^order.  A spec may be a
     Laurent series; a named series is asked for from q^0 on."""
-    if args.spec is not None:
-        scalar, spec = parse_quotient(args.spec)
-        node = Scale(scalar, FQuot(spec))
-    elif order < 0:
+    if args.spec is None and order < 0:
         raise ValueError(f"order must be >= 0 for a named series, got {order}")
-    elif args.name in FAMILIES:
-        node = FQuot(FAMILIES[args.name].gf)
-    else:
+    if args.name in NAMED_SERIES:
         node = Named(args.name)
+    else:
+        scalar, spec = _quotient(args)
+        node = FQuot(spec) if scalar == 1 else Scale(scalar, FQuot(spec))
     return evaluate(node, order, args.mod)
+
+
+def _print_reports(reports, as_json, summary=None):
+    """Print reports as one JSON list, or one per line and then the summary
+    line, if there is one."""
+    if as_json:
+        print(json.dumps([vars(r) for r in reports], indent=2))
+        return
+    for r in reports:
+        print(r)
+    if summary:
+        print(summary)
 
 
 def _int_list(text):
@@ -229,13 +206,8 @@ def verify_identities(entries, order=None, as_json=False):
     """Verify catalog entries and print their reports; the exit code is 0
     if all pass, else 1."""
     reports = [identities.verify(e, order) for e in entries]
-    if as_json:
-        print(json.dumps([vars(r) for r in reports], indent=2))
-    else:
-        for r in reports:
-            print(r)
-        npass = sum(r.passed for r in reports)
-        print(f"{npass}/{len(reports)} identities verified")
+    npass = sum(r.passed for r in reports)
+    _print_reports(reports, as_json, f"{npass}/{len(reports)} identities verified")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -253,11 +225,7 @@ def verify_theorems(selected, n_max=None, primes=theorems.SAMPLED_PRIMES,
     exit code is 0 if all pass, else 1."""
     reports = theorems.verify_families(selected, n_max, primes,
                                        out=None if as_json else print)
-    if as_json:
-        print(json.dumps([vars(r) for r in reports], indent=2))
-    else:
-        for r in reports:
-            print(r)
+    _print_reports(reports, as_json)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -289,18 +257,10 @@ def cmd_scan(args):
     if args.config:
         args = args.parser.parse_args(_scan_config_flags(args.config)
                                       + (["--json"] if args.json else []))
-    if args.spec:
-        scalar, spec = parse_quotient(args.spec)
-    else:
-        scalar, spec = 1, FAMILIES[args.name].gf
+    scalar, spec = _quotient(args)
     hits = theorems.scan(spec, args.amax, set(args.moduli), args.nmax, scalar)
-    if args.json:
-        print(json.dumps([vars(h) for h in hits], indent=2))
-    else:
-        for h in hits:
-            print(h)
-        print(f"{len(hits)} congruence candidates "
-              f"({sum(h.known for h in hits)} known)")
+    _print_reports(hits, args.json, f"{len(hits)} congruence candidates "
+                                    f"({sum(h.known for h in hits)} known)")
     return 0
 
 

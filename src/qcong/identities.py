@@ -35,15 +35,13 @@ class IdentitySpec(FrozenRecord):
 
 
 class VerificationReport(Record):
-    def __init__(self, name, modulus, order, passed, mismatch_exponent=None,
-                 lhs_coeff=None, rhs_coeff=None):
-        self.name = name
-        self.modulus = modulus
-        self.order = order
-        self.passed = passed
-        self.mismatch_exponent = mismatch_exponent
-        self.lhs_coeff = lhs_coeff
-        self.rhs_coeff = rhs_coeff
+    name: str
+    modulus: int | None
+    order: int
+    passed: bool
+    mismatch_exponent: int | None = None
+    lhs_coeff: int | None = None
+    rhs_coeff: int | None = None
 
     def __str__(self):
         ring = f" mod {self.modulus}" if self.modulus else ""

@@ -1,21 +1,22 @@
 """Records: the value types and reports of qcong, without ``dataclasses``.
 
-``FrozenRecord`` subclasses declare their fields as class annotations, in
-order, with an optional default each:
+A ``Record`` subclass declares its fields as class annotations, in order,
+with an optional default each:
 
     class Parts(FrozenRecord):
         d: int = 1
         odd: bool = False
 
-and get construction by position or keyword, equality and a hash over
-their class and fields, immutability and a ``repr``.  A ``__post_init__``
-method, if the class defines one, validates each new record.  A class
-lists fields to leave out of its ``repr`` in ``_hidden``.
+and gets construction by position or keyword, equality over its class
+and fields, and a ``repr``.  A ``__post_init__`` method, if the class
+defines one, validates (or completes) each new record.  A class lists
+fields to leave out of its ``repr`` in ``_hidden``.
 
 A record's ``__dict__`` holds exactly its fields, in declared order, so
-``vars(record)`` is its field mapping.  Reports, which the checks fill in
-as they go, subclass the mutable ``Record`` and set their fields in their
-own ``__init__``, in the order their JSON form lists them.
+``vars(record)`` is its field mapping and, for a report, its JSON form.
+Reports, which the checks fill in as they go, are mutable and unhashable
+``Record`` subclasses; the values (expression nodes, specs, claims, scan
+hits) subclass ``FrozenRecord``, which adds immutability and a hash.
 
 Every ``qcong`` command pays for its imports: a dataclass imports
 ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``) and compiles
@@ -49,33 +50,15 @@ def bind(owner, names, defaults, args, kwargs):
 
 
 class Record:
-    """Equality and ``repr`` over an instance's fields, its ``__dict__`` in
-    the order it was set; unhashable, as it is mutable."""
-
-    __slots__ = ()
-    #: fields that ``repr`` leaves out
-    _hidden = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items()
-                          if k not in self._hidden)
-        return f"{type(self).__qualname__}({shown})"
-
-
-class FrozenRecord(Record):
-    """An immutable record whose fields are its class annotations (after
-    those of its record bases); hashable when its field values are."""
+    """A record whose fields are its class annotations (after those of its
+    record bases), with equality and ``repr`` over them; unhashable, as it
+    is mutable."""
 
     __slots__ = ()
     _fields = ()
     _defaults = {}
+    #: fields that ``repr`` leaves out
+    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -93,6 +76,24 @@ class FrozenRecord(Record):
 
     def __post_init__(self):
         pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items()
+                          if k not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """An immutable record; hashable when its field values are."""
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash((type(self), *vars(self).values()))

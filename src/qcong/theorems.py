@@ -71,14 +71,12 @@ SIMPLE_CHECKS = {
 
 
 class SimpleReport(Record):
-    def __init__(self, stride, residue, modulus, n_max, passed,
-                 counterexample=None):
-        self.stride = stride
-        self.residue = residue
-        self.modulus = modulus
-        self.n_max = n_max
-        self.passed = passed
-        self.counterexample = counterexample  # (n, argument, B value)
+    stride: int
+    residue: int
+    modulus: int
+    n_max: int
+    passed: bool
+    counterexample: tuple[int, int, int] | None = None  # (n, argument, B value)
 
     def __str__(self):
         claim = f"B({self.stride}n+{self.residue}) = 0 (mod {self.modulus})"
@@ -150,16 +148,18 @@ class CongruenceClaim(FrozenRecord):
 
 
 class ClaimReport(Record):
-    def __init__(self, name, modulus, n_max, checked, max_argument, passed,
-                 violations=None, note=""):
-        self.name = name
-        self.modulus = modulus
-        self.n_max = n_max
-        self.checked = checked
-        self.max_argument = max_argument
-        self.passed = passed
-        self.violations = [] if violations is None else violations
-        self.note = note
+    name: str
+    modulus: int
+    n_max: int
+    checked: int
+    max_argument: int
+    passed: bool
+    violations: list | None = None  # None gives the report its own empty list
+    note: str = ""
+
+    def __post_init__(self):
+        if self.violations is None:
+            self.violations = []
 
     def __str__(self):
         if self.passed:

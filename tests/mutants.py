@@ -80,4 +80,16 @@ MUTANTS = (
            '"6k+1", {1: 5, 2: -2})',
            '"6k+1", {1: 5, 2: -3})',
            ("tests/test_products.py::test_theta_block_equals_its_product_form",)),
+    Mutant("spec-denominator-scalar-accepted", "src/qcong/cli.py",
+           "if sign == -1 and c not in (1, -1):",
+           "if sign == -1 and c == 0:",
+           ("tests/test_cli.py::test_parse_errors_carry_position",)),
+    Mutant("spec-second-fraction-bar-accepted", "src/qcong/cli.py",
+           'elif token == "/" and part == "numerator":',
+           'elif token == "/":',
+           ("tests/test_cli.py::test_parse_errors_carry_position",)),
+    Mutant("spec-index-error-one-past-the-digit", "src/qcong/cli.py",
+           'm.end("d") - 1)',
+           'm.end("d"))',
+           ("tests/test_cli.py::test_parse_errors_carry_position",)),
 )

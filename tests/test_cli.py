@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcong.cli import _parser, main, parse_quotient, SpecParseError
 from qcong.expr import NAMED_SERIES
@@ -46,16 +46,33 @@ def test_parse_negative_shift_via_denominator():
     assert spec == FQuotientSpec.of({4: 4, 14: 2, 2: -2, 28: -4}, qshift=-3)
 
 
+#: spec -> (message, position) of its parse error, one or more per message
+PARSE_ERRORS = {
+    "f1^(": ("expected an integer", 3),
+    "f2/f1/f4": ("only one fraction bar is allowed", 5),
+    "f2/(f1)/f4": ("only one fraction bar is allowed", 7),
+    "g3": ("unexpected character 'g'", 0),
+    "f2 ^3": ("unexpected character '^'", 3),
+    "f2/f1*f4": ("unexpected character '*'", 5),
+    "f2^4/(f1^2": ("unclosed parenthesis", 10),
+    "f2/(f1/f4)": ("unclosed parenthesis", 6),
+    "f2*": ("expected a factor", 3),
+    "f2/ ": ("expected a factor", 4),
+    "f0": ("f-index must be positive", 1),
+    "f1*f-12^2": ("f-index must be positive", 6),
+    "f1/6": ("integer scalars are only allowed in the numerator", 3),
+    "f1/(-1*f2*10)": ("integer scalars are only allowed in the numerator", 11),
+    "q^-": ("expected an integer", 2),
+    "f²": ("expected an integer", 1),  # a digit that int() refuses
+}
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(SpecParseError) as ei:
-        parse_quotient("f1^(")
-    assert ei.value.pos == 3
-    with pytest.raises(SpecParseError):
-        parse_quotient("f2/f1/f4")
-    with pytest.raises(SpecParseError):
-        parse_quotient("g3")
-    with pytest.raises(SpecParseError):
-        parse_quotient("f2^4/(f1^2")
+    for text, (message, pos) in PARSE_ERRORS.items():
+        with pytest.raises(SpecParseError) as ei:
+            parse_quotient(text)
+        assert (type(ei.value), str(ei.value), ei.value.pos) == \
+            (SpecParseError, message, pos), text
 
 
 @settings(max_examples=500, deadline=None)
@@ -67,6 +84,20 @@ def test_parse_quotient_fuzz(text):
         parse_quotient(text)
     except SpecParseError as err:
         assert 0 <= err.pos <= len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.builds(FQuotientSpec.of,
+                      st.dictionaries(st.integers(1, 40), st.integers(1, 30)
+                                      | st.integers(-30, -1), max_size=5),
+                      st.integers(-5, 5)),
+       c=st.integers())
+@example(spec=FQuotientSpec.of({}), c=0)
+def test_printed_specs_parse_back(spec, c):
+    """A spec's text, alone or after a scalar, parses to the spec, the
+    empty spec (printed as 1) included."""
+    assert parse_quotient(str(spec)) == (1, spec)
+    assert parse_quotient(f"{c}*{spec}") == (c, spec)
 
 
 def test_parse_quotient_refuses_an_exponent_over_the_cap_as_a_parse_error():
@@ -117,6 +148,9 @@ def test_expand_parse_error_exit2_with_caret(capsys):
     rc, out, err = run(capsys, "expand", "--spec", "f1^(", "--order", "5")
     assert rc == 2
     assert "parse error" in err and "^" in err
+    rc, out, err = run(capsys, "expand", "--spec", "f²", "--order", "5")
+    assert (rc, out) == (2, "")
+    assert err == "parse error: expected an integer\n  f²\n   ^\n"
 
 
 def test_expand_mod(capsys):
@@ -377,6 +411,7 @@ BAD_INPUTS = {
     "scan-modulus-zero": ["scan", "--name", "B", "--moduli", "0"],
     "scan-unknown-name": ["scan", "--name", "X"],
     "scan-no-target": ["scan"],
+    "scan-empty-spec": ["scan", "--spec", ""],
     "oracle-negative-n": ["oracle", "--n", "-1"],
     "oracle-negative-n-abar": ["oracle", "--family", "abar", "--n", "-1"],
     "config-missing-file": ["scan", "--config", "{dir}/missing.json"],

@@ -144,11 +144,8 @@ REPORT_KEYS = {
 
 
 def declared_fields(cls):
-    """A record's fields, or a report's ``__init__`` parameters."""
-    if hasattr(cls, "_fields"):
-        return list(cls._fields)
-    code = cls.__init__.__code__
-    return list(code.co_varnames[1:code.co_argcount])
+    """A record's or a report's fields, in declared order."""
+    return list(cls._fields)
 
 
 @pytest.mark.parametrize("argv, kinds", [
