@@ -42,9 +42,12 @@ def defaults_table():
 
 
 class SpecParseError(Exception):
-    def __init__(self, message, pos):
+    """A spec ``text`` that does not parse, with the caret's index ``pos``."""
+
+    def __init__(self, message, pos, text):
         super().__init__(message)
         self.pos = pos
+        self.text = text
 
 
 class SpecValueError(SpecParseError, ValueError):
@@ -69,7 +72,7 @@ def parse_quotient(text):
     """
     def number(group):  # the integer in a group of the token m; 1 if absent
         if m[group] in ("", "-"):
-            raise SpecParseError("expected an integer", m.start(group))
+            raise SpecParseError("expected an integer", m.start(group), text)
         return 1 if m[group] is None else int(m[group])
 
     scalar, qshift, factors = 1, 0, {}
@@ -85,7 +88,7 @@ def parse_quotient(text):
             elif token == ")" and part == "group":
                 part = "denominator"
             elif part == "group" and token in ("", "/"):
-                raise SpecParseError("unclosed parenthesis", at)
+                raise SpecParseError("unclosed parenthesis", at, text)
             elif token == "/" and part == "numerator":
                 sign, part, factor = -1, "denominator", True
                 m = _SPEC_TOKEN.match(text, i)
@@ -94,14 +97,16 @@ def parse_quotient(text):
             elif token:
                 raise SpecParseError("only one fraction bar is allowed"
                                      if token == "/" else
-                                     f"unexpected character {token[0]!r}", at)
+                                     f"unexpected character {token[0]!r}",
+                                     at, text)
             else:
                 break
             continue
         if m["d"] is not None:
             d = number("d")
             if d < 1:
-                raise SpecParseError("f-index must be positive", m.end("d") - 1)
+                raise SpecParseError("f-index must be positive",
+                                     m.end("d") - 1, text)
             factors[d] = factors.get(d, 0) + sign * number("e")
         elif token[:1] == "q":
             qshift += sign * number("e")
@@ -109,16 +114,16 @@ def parse_quotient(text):
             c = number("c")
             if sign == -1 and c not in (1, -1):
                 raise SpecParseError("integer scalars are only allowed in the "
-                                     "numerator", i - 1)
+                                     "numerator", i - 1, text)
             scalar *= c
         else:
             raise SpecParseError(f"unexpected character {token!r}" if token
-                                 else "expected a factor", at)
+                                 else "expected a factor", at, text)
         factor = False
     try:
         return scalar, FQuotientSpec.of(factors, qshift)
     except ValueError as ex:
-        raise SpecValueError(str(ex), 0) from None
+        raise SpecValueError(str(ex), 0, text) from None
 
 
 def _quotient(args):
@@ -353,10 +358,9 @@ def main(argv=None):
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SpecParseError as ex:
-        spec_text = args.spec if getattr(args, "spec", None) else ""
         print(f"parse error: {ex}", file=sys.stderr)
-        if spec_text:
-            print(f"  {spec_text}", file=sys.stderr)
+        if ex.text:
+            print(f"  {ex.text}", file=sys.stderr)
             print(f"  {' ' * ex.pos}^", file=sys.stderr)
         return 2
     except SeriesError as ex:

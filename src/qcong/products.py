@@ -145,15 +145,22 @@ class BilateralSum(FrozenRecord):
     product: tuple[tuple[int, int], ...]
     two_sided: bool = True
 
-    def exponent(self, k):
-        return (self.A * k * k + self.B * k) // 2
-
-    def k_bound(self, T):
-        """A bound on |k| over the terms with exponent <= T (T >= 0), from
-        the quadratic formula with a margin; callers still filter every
-        term by exponent <= T, so over-shooting is harmless."""
-        root = isqrt(self.B * self.B + 8 * self.A * T) + 1
-        return (abs(self.B) + root) // (2 * self.A) + 2
+    def terms(self, T):
+        """(k, exponent, weight) of every term with exponent <= T, k ascending:
+        |k| runs to the quadratic formula's bound with a margin, and each term
+        is filtered by its exponent; an exponent below 0 raises ValueError."""
+        A, B = self.A, self.B
+        K = (abs(B) + isqrt(B * B + 8 * A * max(T, 0)) + 1) // (2 * A) + 2
+        w = WEIGHT_RULES[self.weight]
+        out = []
+        for k in range(-K if self.two_sided else 0, K + 1):
+            e = (A * k * k + B * k) // 2
+            if e < 0:
+                raise ValueError(f"exponent rule of {self.name} went negative "
+                                 f"at k={k}")
+            if e <= T:
+                out.append((k, e, w(k)))
+        return out
 
 
 def _bsum(name, A, B, weight, product, two_sided=True):
@@ -191,20 +198,12 @@ def bilateral(spec, T, modulus=None):
         raise ValueError("order must be >= 0")
     _check_window(T)
     _check_modulus(modulus)
-    w = WEIGHT_RULES[spec.weight]
-    K = spec.k_bound(T)
-    lo = -K if spec.two_sided else 0
+    terms = spec.terms(T)
     cs = [0] * (T + 1)
-    touched = []
-    for k in range(lo, K + 1):
-        e = spec.exponent(k)
-        if e < 0:
-            raise ValueError(f"exponent rule of {spec.name} went negative at k={k}")
-        if e <= T:
-            cs[e] += w(k)
-            touched.append(e)
+    for _, e, w in terms:
+        cs[e] += w
     if modulus is not None:
-        for e in touched:
+        for _, e, _ in terms:
             cs[e] %= modulus
     return _in_ring(cs, 0, modulus)
 
@@ -263,8 +262,8 @@ def _prefix_cache(maxsize, window):
 def euler_f(m, T, modulus=None):
     """f_m through q^T by Euler's pentagonal number theorem: the bilateral
     sum PENTAGONAL, f_1 = sum_{k in Z} (-1)^k q^(k(3k+1)/2), under q -> q^m.
-    The planner takes f_d from here, so its Euler factors and its theta
-    blocks come from one builder.  Cached per (m, modulus), 256 entries."""
+    The planner's PENTAGONAL entries take f_d from here.  Cached per
+    (m, modulus), 256 entries."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
     _check_window(T)
@@ -275,20 +274,20 @@ def euler_f(m, T, modulus=None):
 
 #: the theta blocks f-quotients are rewritten into, tried in this order at
 #: each scale d: Gauss f_2^2/f_1 and Jacobi f_1^3, each one sparse pass in
-#: place of three Euler passes.  Adding the slopes and the signed pentagonal
-#: saves 0.3 % of the multiply-adds over the catalog's and scan's specs.
-THETA_BLOCKS = (TRIANGULAR, CUBE)
+#: place of three Euler passes, then f_1 for what is left.  The slopes and the
+#: signed pentagonal would save 0.3 % of the catalog's and scan's multiply-adds.
+THETA_BLOCKS = (TRIANGULAR, CUBE, PENTAGONAL)
 
 
 def plan_factors(factors):
     """Greedy rewrite of prod f_d^(r_d) into theta blocks under q -> q^d.
 
     Returns the (numerator, denominator) lists of (block, d, n) entries, each
-    standing for a factor raised to the n-th power: block is a BilateralSum
-    for its product form under q -> q^d, or None for the Euler factor f_d.
-    For d ascending, each block of THETA_BLOCKS is taken as often as every
-    exponent of its product form fits inside the remaining r_(d*a) with the
-    same sign; what is left becomes Euler factors.
+    standing for the product form of the BilateralSum block under q -> q^d,
+    raised to the n-th power.  For d ascending, each block of THETA_BLOCKS
+    is taken as often as every exponent of its product form fits inside the
+    remaining r_(d*a) with the same sign; the last block, PENTAGONAL, is
+    f_d and takes what is left of r_d.
     """
     r = dict(factors)
     num, den = [], []
@@ -300,23 +299,20 @@ def plan_factors(factors):
                     for a, e in block.product:
                         r[d * a] -= sign * n * e
                     out.append((block, d, n))
-    for d, e in sorted(r.items()):
-        if e:
-            (num if e > 0 else den).append((None, d, abs(e)))
     return num, den
 
 
 def _plan_series(block, d, W, modulus):
-    """One entry of a plan through q^W: f_d, or a theta block under q -> q^d."""
-    if block is None:
+    """One plan entry through q^W: a block under q -> q^d, f_d by euler_f."""
+    if block is PENTAGONAL:
         return euler_f(d, W, modulus)
     return bilateral(block, W // d, modulus).substitute(d, W)
 
 
 @_prefix_cache(maxsize=64, window="W")
 def _divisor_inverse(block, W, modulus):
-    """1 / the plan entry ``block`` at scale 1 (f_1 for None) through q^W,
-    over Z/modulus, by Newton doubling when the block is dense enough.  A
+    """1 / the theta block ``block`` at scale 1 through q^W, over
+    Z/modulus, by Newton doubling when the block is dense enough.  A
     quotient that divides by the block under q -> q^d reads this inverse
     through q^(W // d), so every scale, window and power of one block
     shares one inverse.  Cached per (block, modulus), 64 entries."""

@@ -12,11 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 from math import isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import partitions
 from .partitions import FAMILIES
-from .products import WEIGHT_RULES, FQuotientSpec, expand_factors, fquotient
+from .products import (PENTAGONAL, SLOPE_3K1, SLOPE_6K1, FQuotientSpec,
+                       expand_factors, fquotient)
 from .records import FrozenRecord, Record
 from .series import MAX_MODULUS, SeriesError
 
@@ -109,19 +110,18 @@ def verify_simple(stride, residue, modulus, n_max, table=None):
 # -- weighted bilateral sums over pentagonal-type arguments -------------------
 
 class CongruenceClaim(FrozenRecord):
-    """A family  sum_k weight(k) * B(base(params) + stride(params)*n - quad(k))
+    """A family  sum_k w(k) * B(base(params) + stride(params)*n - s*e(k))
     = 0 (mod modulus), checked over a finite parameter grid.
 
-    ``k_quad = (c2, c1)`` describes the offset c2*k^2 + c1*k subtracted from
-    the affine part; k ranges over all integers (terms with a negative
-    B-argument vanish).  ``k_quad = None`` pins k = 0 (a plain congruence).
+    ``kernel = (theta, s)`` is a BilateralSum theta = sum_k w(k) q^(e(k))
+    and a scale s: a sum is a coefficient of B(q) theta(q^s), whose terms
+    with a negative B-argument vanish.  ``None`` pins k = 0 (a plain one).
     """
 
     name: str
     description: str
     modulus: int
-    weight: str
-    k_quad: tuple[int, int] | None
+    kernel: tuple | None
     param_space: tuple
     n_max: int
     # stride/base take one parameter tuple and return integers
@@ -129,14 +129,14 @@ class CongruenceClaim(FrozenRecord):
     base: object = None
     _hidden = ("stride", "base")  # functions, whose repr is an address
 
-    def term_offsets(self, max_base):
-        """k -> offset for every k whose term can have an argument in
-        [0, max_base]; terms outside this range have negative arguments."""
-        if self.k_quad is None:
-            return {0: 0}
-        c2, c1 = self.k_quad
-        K = isqrt(max(max_base, 0) // c2) + 2
-        return {k: c2 * k * k + c1 * k for k in range(-K, K + 1)}
+    def terms(self, max_base):
+        """(k, offset, weight), k ascending, for every term whose B-argument
+        can lie in [0, max_base]: the kernel's terms with exponent <= max_base
+        // s, each exponent scaled by s; (0, 0, 1) for a plain congruence."""
+        if self.kernel is None:
+            return [(0, 0, 1)]
+        theta, s = self.kernel
+        return [(k, s * e, w) for k, e, w in theta.terms(max_base // s)]
 
     def max_argument(self, n_max=None):
         """Largest affine B-argument base + stride*n over the parameter grid
@@ -178,17 +178,16 @@ def verify_weighted(claim, table=None, n_max=None):
     summed by one ``sum(map(mul, ...))``.  A failing sum's terms are listed
     in k order for its report."""
     n_max = claim.n_max if n_max is None else n_max
-    weight = WEIGHT_RULES[claim.weight]
     max_base = claim.max_argument(n_max)
     if table is None:
         table = b_table(max_base)
     elif len(table) <= max_base:
         raise ValueError(f"table too small: need B through {max_base}, "
                          f"have {len(table) - 1}")
-    offsets = claim.term_offsets(max_base)
-    ks = sorted(offsets, key=offsets.get)
-    offs = [offsets[k] for k in ks]
-    ws = [weight(k) for k in ks]
+    terms = claim.terms(max_base)
+    by_offset = sorted(terms, key=itemgetter(1))
+    offs = [off for _, off, _ in by_offset]
+    ws = [w for _, _, w in by_offset]
     report = ClaimReport(claim.name, claim.modulus, n_max, 0, max_base, True,
                          note=claim.description)
     for params in claim.param_space:
@@ -200,13 +199,12 @@ def verify_weighted(claim, table=None, n_max=None):
             total = sum(map(mul, ws, map(table.__getitem__,
                                          map(head.__sub__, offs[:live]))))
             if total % claim.modulus:
-                terms = [(k, head - off, table[head - off], weight(k))
-                         for k, off in offsets.items() if off <= head]
                 report.passed = False
                 report.violations.append({
                     "claim": claim.name, "params": params, "n": n,
-                    "k_terms": terms, "sum": total,
-                    "modulus": claim.modulus, "pass": False})
+                    "k_terms": [(k, head - off, table[head - off], w)
+                                for k, off, w in terms if off <= head],
+                    "sum": total, "modulus": claim.modulus, "pass": False})
         report.checked += n_max + 1
     return report
 
@@ -254,41 +252,41 @@ def default_claims(primes=SAMPLED_PRIMES):
     return (
         CongruenceClaim(
             "b-27n16-mod3", "B(27n+16) = 0 (mod 3)",
-            3, "1", None, ((),), 400,
+            3, None, ((),), 400,
             stride=lambda _: 27, base=lambda _: 16),
         CongruenceClaim(
             "altsum-9n-mod3",
             "sum (-1)^k B(9n+3j+2-6k(3k+1)) = 0 (mod 3), j in {1,2}",
-            3, "(-1)^k", (18, 6), ((1,), (2,)), 300,
+            3, (PENTAGONAL, 12), ((1,), (2,)), 300,
             stride=lambda p: 9, base=lambda p: 3 * p[0] + 2),
         CongruenceClaim(
             "altsum-prime-mod3",
             "sum (-1)^k B(9p^2 n + 9pr + 9(p^2-1)/4 + 2 - 6k(3k+1)) = 0 (mod 3), "
             "p = 3 (mod 4) prime (sampled), r in 1..p-1",
-            3, "(-1)^k", (18, 6), prime_grid, 1,
+            3, (PENTAGONAL, 12), prime_grid, 1,
             stride=lambda pr: 9 * pr[0] * pr[0],
             base=lambda pr: 9 * pr[0] * pr[1] + _int_quarter(9 * (pr[0] ** 2 - 1)) + 2),
         CongruenceClaim(
             "altsum-prime-mod9",
             "sum (-1)^k B(3p^2 n + 3pr + 5(p^2-1)/4 + 1 - 6k(3k+1)) = 0 (mod 9), "
             "p = 7 or 11 (mod 12) prime (sampled), r in 1..p-1",
-            9, "(-1)^k", (18, 6), prime_grid, 2,
+            9, (PENTAGONAL, 12), prime_grid, 2,
             stride=lambda pr: 3 * pr[0] * pr[0],
             base=lambda pr: 3 * pr[0] * pr[1] + _int_quarter(5 * (pr[0] ** 2 - 1)) + 1),
         CongruenceClaim(
             "pentweight-81n70-mod9",
             "sum (-1)^k (3k+1) B(81n+70-54k(3k+2)) = 0 (mod 9)",
-            9, "(-1)^k(3k+1)", (162, 108), ((),), 150,
+            9, (SLOPE_3K1, 54), ((),), 150,
             stride=lambda _: 81, base=lambda _: 70),
         CongruenceClaim(
             "hexweight-49n-mod7",
             "sum (6k+1) B(49n+7j+2-7k(3k+1)) = 0 (mod 7), j in {3,4,6}",
-            7, "6k+1", (21, 7), ((3,), (4,), (6,)), 150,
+            7, (SLOPE_6K1, 14), ((3,), (4,), (6,)), 150,
             stride=lambda p: 49, base=lambda p: 7 * p[0] + 2),
         CongruenceClaim(
             "hexweight-343n-mod7",
             "sum (6k+1) B(343n+49j+16-7k(3k+1)) = 0 (mod 7), j in {3,4,6}",
-            7, "6k+1", (21, 7), ((3,), (4,), (6,)), 25,
+            7, (SLOPE_6K1, 14), ((3,), (4,), (6,)), 25,
             stride=lambda p: 343, base=lambda p: 49 * p[0] + 16),
     )
 

@@ -80,6 +80,21 @@ MUTANTS = (
            '"6k+1", {1: 5, 2: -2})',
            '"6k+1", {1: 5, 2: -3})',
            ("tests/test_products.py::test_theta_block_equals_its_product_form",)),
+    Mutant("theta-terms-k-bound-one-short-of-the-root", "src/qcong/products.py",
+           "// (2 * A) + 2",
+           "// (2 * A) - 1",
+           ("tests/test_products.py::test_terms_are_every_term_through_t_in_k_order",
+            "tests/test_products.py::test_bilateral_matches_quotient")),
+    Mutant("theta-terms-one-sided-sum-taken-over-z", "src/qcong/products.py",
+           "range(-K if self.two_sided else 0, K + 1)",
+           "range(-K, K + 1)",
+           ("tests/test_products.py::test_terms_are_every_term_through_t_in_k_order",
+            "tests/test_products.py::test_bilateral_matches_quotient")),
+    Mutant("pentweight-kernel-at-scale-27", "src/qcong/theorems.py",
+           "(SLOPE_3K1, 54)",
+           "(SLOPE_3K1, 27)",
+           ("tests/test_theorems.py::test_pentweight_term_set_n0",
+            "tests/test_theorems.py::test_k_range_enlargement_is_invariant")),
     Mutant("spec-denominator-scalar-accepted", "src/qcong/cli.py",
            "if sign == -1 and c not in (1, -1):",
            "if sign == -1 and c == 0:",
@@ -89,7 +104,7 @@ MUTANTS = (
            'elif token == "/":',
            ("tests/test_cli.py::test_parse_errors_carry_position",)),
     Mutant("spec-index-error-one-past-the-digit", "src/qcong/cli.py",
-           'm.end("d") - 1)',
-           'm.end("d"))',
+           'm.end("d") - 1, text)',
+           'm.end("d"), text)',
            ("tests/test_cli.py::test_parse_errors_carry_position",)),
 )

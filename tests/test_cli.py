@@ -71,8 +71,8 @@ def test_parse_errors_carry_position():
     for text, (message, pos) in PARSE_ERRORS.items():
         with pytest.raises(SpecParseError) as ei:
             parse_quotient(text)
-        assert (type(ei.value), str(ei.value), ei.value.pos) == \
-            (SpecParseError, message, pos), text
+        assert (type(ei.value), str(ei.value), ei.value.pos, ei.value.text) == \
+            (SpecParseError, message, pos, text), text
 
 
 @settings(max_examples=500, deadline=None)
@@ -268,6 +268,19 @@ def test_scan_config_file(capsys, tmp_path):
     hits = json.loads(out)
     assert {(h["stride"], h["residue"], h["modulus"])
             for h in hits if h["known"]} == {(5, 4, 5), (7, 5, 7)}
+
+
+def test_scan_config_parse_error_shows_the_spec_and_caret(capsys, tmp_path):
+    """A config's spec that does not parse is reported as ``--spec`` reports
+    it: the message, the spec and a caret under the error."""
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"spec": "f2^4/(f1^2", "A_max": 8,
+                               "moduli": [5], "n_max": 60}))
+    by_config = run(capsys, "scan", "--config", str(cfg))
+    by_spec = run(capsys, "scan", "--spec", "f2^4/(f1^2")
+    assert by_config == by_spec == (
+        2, "", "parse error: unclosed parenthesis\n  f2^4/(f1^2\n"
+               "            ^\n")
 
 
 def test_scan_spec_scalar(capsys):

@@ -10,18 +10,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcong import (BILATERAL_SUMS, CUBE, PENTAGONAL, SIGNED_PENTAGONAL,
-                   SLOPE_3K1, SLOPE_6K1, TRIANGULAR, FQuotientSpec,
-                   LaurentSeries, Named, Parts, Pow, bilateral, count_table,
-                   cubic_theta_alpha, euler_f, euler_f_product, evaluate,
-                   fquotient, h_level12)
+                   SLOPE_3K1, SLOPE_6K1, TRIANGULAR, BilateralSum,
+                   FQuotientSpec, LaurentSeries, Named, Parts, Pow, bilateral,
+                   count_table, cubic_theta_alpha, euler_f, euler_f_product,
+                   evaluate, fquotient, h_level12)
 from qcong import products as products_module
 from qcong import series as series_module
 from qcong import theorems
 from qcong.cli import main
 from qcong.expr import expr_from_dict, fq
 from qcong.partitions import FAMILIES, Family
-from qcong.products import (_divisor_inverse, _expand_factors, _prefix_cache,
-                            expand_factors, plan_factors)
+from qcong.products import (WEIGHT_RULES, _divisor_inverse, _expand_factors,
+                            _prefix_cache, expand_factors, plan_factors)
 from qcong.series import MAX_EXPONENT, MAX_WINDOW, PACKED_CROSSOVER
 
 
@@ -197,6 +197,28 @@ def test_triangular_first_terms():
     assert dict(t.terms()) == {0: 1, 1: 1, 3: 1, 6: 1, 10: 1}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BILATERAL_SUMS)), st.integers(0, 300))
+def test_terms_are_every_term_through_t_in_k_order(name, T):
+    """``terms(T)`` is the brute-force list over |k| <= T + |B| + 2 (k >= 0
+    for a one-sided sum): every term with exponent <= T, k ascending."""
+    spec = BILATERAL_SUMS[name]
+    A, B, w = spec.A, spec.B, WEIGHT_RULES[spec.weight]
+    K = T + abs(B) + 2
+    brute = [(k, (A * k * k + B * k) // 2, w(k))
+             for k in range(-K if spec.two_sided else 0, K + 1)
+             if (A * k * k + B * k) // 2 <= T]
+    assert spec.terms(T) == brute
+
+
+def test_terms_refuse_an_exponent_rule_that_goes_negative():
+    falling = BilateralSum("falling", 1, 3, "1", ((1, 1),))  # k = -1 gives -1
+    with pytest.raises(ValueError, match="falling went negative at k=-2"):
+        falling.terms(10)
+    with pytest.raises(ValueError, match="went negative"):
+        bilateral(falling, 10)
+
+
 @pytest.mark.parametrize("spec,quot", [
     (PENTAGONAL, {1: 1}),
     (CUBE, {1: 3}),
@@ -226,13 +248,17 @@ def test_b_plan_is_two_gauss_blocks_over_one_jacobi_cube():
 
 
 def test_plan_leaves_euler_factors():
+    """What no other block takes of r_d is the last block, PENTAGONAL (f_1)
+    under q -> q^d, planned with the blocks of its scale."""
     num, den = plan_factors(((1, -1), (2, 3), (4, -1), (7, 2)))
-    assert num == [(TRIANGULAR, 1, 1), (None, 2, 1), (None, 7, 2)]
-    assert den == [(None, 4, 1)]
-    assert plan_factors(((4, -7), (8, 1))) == ([(None, 8, 1)],
-                                               [(CUBE, 4, 2), (None, 4, 1)])
-    assert plan_factors(((1, 2), (2, -5))) == ([],
-                                               [(TRIANGULAR, 1, 2), (None, 2, 1)])
+    assert num == [(TRIANGULAR, 1, 1), (PENTAGONAL, 2, 1), (PENTAGONAL, 7, 2)]
+    assert den == [(PENTAGONAL, 4, 1)]
+    assert plan_factors(((4, -7), (8, 1))) == (
+        [(PENTAGONAL, 8, 1)], [(CUBE, 4, 2), (PENTAGONAL, 4, 1)])
+    assert plan_factors(((1, 2), (2, -5))) == (
+        [], [(TRIANGULAR, 1, 2), (PENTAGONAL, 2, 1)])
+    assert plan_factors(((1, -1), (2, -1), (3, 2))) == (
+        [(PENTAGONAL, 3, 2)], [(PENTAGONAL, 1, 1), (PENTAGONAL, 2, 1)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +308,7 @@ def cold_divisor_cache():
 #: through q^100, and p, a and abar take 1/f_1 through q^400 (a's and
 #: abar's 1/f_2 is its truncation under q -> q^2)
 COLD_INVERSES = {"B": [101], "b": [101], "p": [401], "a": [401],
-                 "abar": [401], "1/(f2*f4^3)": [101, 201]}
+                 "abar": [401], "1/(f2*f4^3)": [201, 101]}
 
 
 def test_planner_inverts_scale_d_divisors_at_scale_one(monkeypatch):

@@ -12,7 +12,7 @@ from qcong import (Add, BilateralSum, ClaimReport, Dissect, FQuotientSpec,
                    get_claim)
 from qcong.cli import main
 from qcong.partitions import Family
-from qcong.products import PENTAGONAL
+from qcong.products import PENTAGONAL, SLOPE_3K1
 
 X = fq({2: 2, 1: -1})
 
@@ -105,8 +105,9 @@ def test_repr_lists_the_fields_in_order_and_hides_the_hidden_ones():
     claim = get_claim("b-27n16-mod3")
     assert repr(claim) == (
         "CongruenceClaim(name='b-27n16-mod3', description='B(27n+16) = 0 "
-        "(mod 3)', modulus=3, weight='1', k_quad=None, param_space=((),), "
-        "n_max=400)")
+        "(mod 3)', modulus=3, kernel=None, param_space=((),), n_max=400)")
+    pentweight = get_claim("pentweight-81n70-mod9")
+    assert f"kernel=({SLOPE_3K1!r}, 54)," in repr(pentweight)
     assert claim.stride(()) == 27 and claim.base(()) == 16
     assert repr(SimpleReport(2, 1, 2, 10, True)) == (
         "SimpleReport(stride=2, residue=1, modulus=2, n_max=10, passed=True, "

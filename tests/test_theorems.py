@@ -12,6 +12,7 @@ import qcong
 from qcong import (SeriesError, b_table, claim_names, count_triples,
                    default_claims, fquotient, get_claim, partitions,
                    run_claims, scan, theorems, verify_simple, verify_weighted)
+from qcong.partitions import FAMILIES
 from qcong.theorems import is_sampled_prime, theorem_names
 
 
@@ -125,8 +126,7 @@ def test_seven_claim_families():
 def test_altsum_term_set_n0():
     """j=1, n=0: the only admissible term is k=0, so the sum is B(5) = 6."""
     c = get_claim("altsum-9n-mod3")
-    offs = c.term_offsets(5)
-    assert [k for k, off in offs.items() if 5 - off >= 0] == [0]
+    assert c.terms(5) == [(0, 0, 1)]
     t = b_table(5)
     assert t[5] == 6 and t[5] % 3 == 0
 
@@ -135,11 +135,9 @@ def test_pentweight_term_set_n0():
     """n=0: surviving terms are k=0 and k=-1, giving B(70) + 2*B(16)."""
     c = get_claim("pentweight-81n70-mod9")
     t = b_table(70)
-    offs = c.term_offsets(70)
-    live = sorted(k for k, off in offs.items() if 70 - off >= 0)
-    assert live == [-1, 0]
-    assert offs[-1] == 54  # 54k(3k+2) at k = -1
-    s = t[70] + 2 * t[16]  # weight at k=-1 is (-1)(-2) = 2
+    # 54k(3k+2) is 54 at k = -1, where the weight (-1)^k (3k+1) is 2
+    assert c.terms(70) == [(-1, 54, 2), (0, 0, 1)]
+    s = t[70] + 2 * t[16]
     assert s % 9 == 0
     rep = verify_weighted(c, table=t, n_max=0)
     assert rep.passed and rep.checked == 1
@@ -156,23 +154,58 @@ def test_hexweight_term_set_j3_n0():
     assert rep.passed and rep.checked == 3  # j in {3, 4, 6}
 
 
+#: each kernel family's offset s*e(k) and weight w(k), from its description
+KERNEL_TERMS = {
+    "altsum-9n-mod3": (lambda k: 6 * k * (3 * k + 1),
+                       lambda k: (-1) ** abs(k)),
+    "pentweight-81n70-mod9": (lambda k: 54 * k * (3 * k + 2),
+                              lambda k: (-1) ** abs(k) * (3 * k + 1)),
+    "hexweight-49n-mod7": (lambda k: 7 * k * (3 * k + 1), lambda k: 6 * k + 1),
+}
+
+
 def test_k_range_enlargement_is_invariant():
-    """Adding more k terms never changes a sum: extra arguments are negative."""
-    c = get_claim("altsum-9n-mod3")
-    t = b_table(c.max_argument())
-    base = verify_weighted(c, table=t, n_max=40)
-    offs = c.term_offsets(c.max_argument())
-    K = max(offs)
-    wider = {k: 18 * k * k + 6 * k for k in range(-3 * abs(K) - 5, 3 * abs(K) + 6)}
-    for n in range(41):
-        for j in (1, 2):
-            head = 9 * n + 3 * j + 2
-            s_wide = sum((-1 if k & 1 else 1) * t[head - off]
-                         for k, off in wider.items() if head - off >= 0)
-            s_base = sum((-1 if k & 1 else 1) * t[head - off]
-                         for k, off in offs.items() if head - off >= 0)
-            assert s_wide == s_base
-    assert base.passed
+    """Adding more k terms never changes a sum: extra arguments are
+    negative.  Each kernel's terms are the family's own, k ascending."""
+    for name, (offset, weight) in KERNEL_TERMS.items():
+        c = get_claim(name)
+        N = c.max_argument(40)
+        t = b_table(N)
+        terms = c.terms(N)
+        K = max(abs(k) for k, _, _ in terms)
+        assert terms == [(k, offset(k), weight(k)) for k in range(-K, K + 1)
+                         if offset(k) <= N]
+        wider = range(-3 * K - 5, 3 * K + 6)
+        for params in c.param_space:
+            for n in range(41):
+                head = c.base(params) + c.stride(params) * n
+                s_wide = sum(weight(k) * t[head - offset(k)]
+                             for k in wider if head - offset(k) >= 0)
+                s_base = sum(w * t[head - off]
+                             for _, off, w in terms if off <= head)
+                assert s_wide == s_base
+        assert verify_weighted(c, table=t, n_max=40).passed
+
+
+@pytest.mark.parametrize("claim", [c for c in default_claims() if c.kernel],
+                         ids=lambda c: c.name)
+def test_sums_are_coefficients_of_b_times_the_kernel(claim):
+    """Each sum is the coefficient of q^head in B times the kernel's product
+    form under q -> q^s: table lookups against the series engine."""
+    theta, s = claim.kernel
+    factors = dict(FAMILIES["B"].gf.factors)
+    for a, e in theta.product:
+        factors[s * a] = factors.get(s * a, 0) + e
+    grid = claim.param_space[:6]
+    heads = [claim.base(p) + claim.stride(p) * n
+             for p in grid for n in range(4)]
+    N = max(heads)
+    t = b_table(N)
+    ser = fquotient(factors, N)
+    terms = claim.terms(N)
+    for head in heads:
+        assert (sum(w * t[head - off] for _, off, w in terms if off <= head)
+                == ser.coeff(head))
 
 
 def test_sampled_prime_rule():
@@ -224,7 +257,7 @@ def test_run_claims_reduced():
 
 def test_claim_report_violation_schema():
     c = get_claim("b-27n16-mod3")
-    fake = type(c)(c.name, c.description, 9, "1", None, ((),), 3,
+    fake = type(c)(c.name, c.description, 9, None, ((),), 3,
                    stride=c.stride, base=c.base)  # mod 9 version must fail
     rep = verify_weighted(fake)
     assert not rep.passed
@@ -237,16 +270,14 @@ def test_claim_report_violation_schema():
 def parent_verify_weighted(claim, table, n_max):
     """The sum loop as it was before the offsets were sorted: every term of
     every sum listed, in k order, with its argument, B value and weight."""
-    weight = qcong.products.WEIGHT_RULES[claim.weight]
     max_base = claim.max_argument(n_max)
     report = theorems.ClaimReport(claim.name, claim.modulus, n_max, 0, max_base,
                                   True, note=claim.description)
     for params in claim.param_space:
         for n in range(n_max + 1):
             head = claim.base(params) + claim.stride(params) * n
-            terms = [(k, head - off, table[head - off], weight(k))
-                     for k, off in claim.term_offsets(max_base).items()
-                     if head - off >= 0]
+            terms = [(k, head - off, table[head - off], w)
+                     for k, off, w in claim.terms(max_base) if head - off >= 0]
             total = sum(w * value for _, _, value, w in terms)
             report.checked += 1
             if total % claim.modulus:
