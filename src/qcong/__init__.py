@@ -31,8 +31,8 @@ from .identities import (IdentitySpec, VerificationReport, get, perturbed,
                          registry, registry_from_json, registry_to_json,
                          verify, verify_all)
 from .theorems import (ClaimReport, CongruenceClaim, ScanHit, SimpleReport,
-                       b_table, claim_names, default_claims, get_claim,
-                       run_claims, scan, verify_simple, verify_weighted)
+                       b_table, default_claims, get_claim, scan,
+                       verify_simple, verify_weighted)
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "IdentitySpec", "VerificationReport", "registry", "get", "verify",
     "verify_all", "perturbed", "registry_to_json", "registry_from_json",
     "b_table", "SimpleReport", "verify_simple", "CongruenceClaim",
-    "ClaimReport", "verify_weighted", "default_claims", "claim_names",
-    "get_claim", "run_claims", "scan", "ScanHit",
+    "ClaimReport", "verify_weighted", "default_claims", "get_claim", "scan",
+    "ScanHit",
 ]

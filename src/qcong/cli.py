@@ -50,12 +50,6 @@ class SpecParseError(Exception):
         self.text = text
 
 
-class SpecValueError(SpecParseError, ValueError):
-    """A spec that parses to an f-quotient its record refuses (an exponent
-    above the cap, summed over its terms): the command line reports it as
-    bad input, like any ValueError, with no caret."""
-
-
 #: one token of a quotient spec after any whitespace: f<d> or q, each with
 #: an optional ^<e>, an integer (a bare "-" is one, for its error), or
 #: else one character, none at the end of the text
@@ -68,7 +62,10 @@ def parse_quotient(text):
 
     Grammar: a product of integer scalars, q^e shifts and f<d>^<e> terms,
     with at most one fraction bar whose denominator may be parenthesized.
-    Returns (scalar, FQuotientSpec).
+    Returns (scalar, FQuotientSpec).  Text that does not parse raises
+    SpecParseError; a spec that parses to an f-quotient its record refuses
+    (an exponent above the cap, summed over its terms) raises the record's
+    ValueError.
     """
     def number(group):  # the integer in a group of the token m; 1 if absent
         if m[group] in ("", "-"):
@@ -120,10 +117,7 @@ def parse_quotient(text):
             raise SpecParseError(f"unexpected character {token!r}" if token
                                  else "expected a factor", at, text)
         factor = False
-    try:
-        return scalar, FQuotientSpec.of(factors, qshift)
-    except ValueError as ex:
-        raise SpecValueError(str(ex), 0, text) from None
+    return scalar, FQuotientSpec.of(factors, qshift)
 
 
 def _quotient(args):
@@ -354,7 +348,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except ValueError as ex:  # before SpecParseError: a SpecValueError is both
+    except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SpecParseError as ex:

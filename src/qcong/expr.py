@@ -211,9 +211,9 @@ def mul(*factors):
     return Mul(tuple(factors))
 
 
-def alpha_q(k=1):
+def alpha_q(k):
     """The cubic theta with argument q^k."""
-    return Named("alpha") if k == 1 else Subst(k, Named("alpha"))
+    return Subst(k, Named("alpha"))
 
 
 def poly_in(base, coeffs):

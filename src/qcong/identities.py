@@ -420,7 +420,7 @@ def perturbed(entry, exponent=None):
                         entry.modulus, entry.default_order, entry.ref)
 
 
-def registry_to_json(indent=2):
+def registry_to_json():
     """The catalog as a JSON document (schema documented in the README)."""
     doc = [{"name": e.name,
             "citation": e.ref,
@@ -429,7 +429,7 @@ def registry_to_json(indent=2):
             "lhs": expr_to_dict(e.lhs),
             "rhs": expr_to_dict(e.rhs)}
            for e in registry()]
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def registry_from_json(text):

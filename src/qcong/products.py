@@ -210,11 +210,15 @@ def bilateral(spec, T, modulus=None):
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
+#: the keys each cached builder keeps, the least recently used dropped: the
+#: catalog, the claims and a scan leave at most 100, in ``_expand_factors``
+CACHE_KEYS = 128
 
-def _prefix_cache(maxsize, window):
-    """Cache a series builder by every argument except its window, the
-    argument named ``window``, keeping for each key the longest expansion
-    made so far; the ``maxsize`` least recently used keys are kept.
+
+def _prefix_cache(build):
+    """Cache a series builder ``build(..., window, modulus)`` by every
+    argument except its window, keeping for each key the longest expansion
+    made so far; the ``CACHE_KEYS`` least recently used keys are kept.
 
     A request through q^T that the kept expansion reaches is its
     ``truncate(T)``, which is exact: coefficient k of a product, quotient,
@@ -223,47 +227,48 @@ def _prefix_cache(maxsize, window):
     does) is built and replaces the entry.  Arguments are bound to the
     builder's positional-or-keyword parameters, read from its ``__code__``
     and ``__defaults__``, with no binding step for a call that passes every
-    argument by position.  ``cache_info()`` reads the hits, misses,
+    argument by position.  A builder whose last parameter is not
+    ``modulus`` raises TypeError.  ``cache_info()`` reads the hits, misses,
     maxsize and currsize, as ``lru_cache``'s does."""
-    def decorate(build):
-        code = build.__code__
-        names = code.co_varnames[:code.co_argcount]
-        defaults = dict(zip(reversed(names), reversed(build.__defaults__ or ())))
-        at = names.index(window)
-        entries = OrderedDict()
-        hits = misses = 0
+    code = build.__code__
+    names = code.co_varnames[:code.co_argcount]
+    if len(names) < 2 or names[-1] != "modulus":
+        raise TypeError(f"{build.__name__} must end with (window, modulus), "
+                        f"got {names}")
+    defaults = dict(zip(reversed(names), reversed(build.__defaults__ or ())))
+    at = len(names) - 2
+    entries = OrderedDict()
+    hits = misses = 0
 
-        @wraps(build)
-        def cached(*args, **kwargs):
-            nonlocal hits, misses
-            if kwargs or len(args) != len(names):
-                args = bind(build.__name__, names, defaults, args, kwargs)
-            key = (*args[:at], *args[at + 1:])
-            T = args[at]
-            s = entries.get(key)
-            if s is not None and s.v <= T <= s.known_through:
-                entries.move_to_end(key)
-                hits += 1
-                return s if T == s.known_through else s.truncate(T)
-            misses += 1
-            s = build(*args)
-            entries[key] = s
+    @wraps(build)
+    def cached(*args, **kwargs):
+        nonlocal hits, misses
+        if kwargs or len(args) != len(names):
+            args = bind(build.__name__, names, defaults, args, kwargs)
+        key = (*args[:at], args[-1])
+        T = args[at]
+        s = entries.get(key)
+        if s is not None and s.v <= T <= s.known_through:
             entries.move_to_end(key)
-            if len(entries) > maxsize:
-                entries.popitem(last=False)
-            return s
+            hits += 1
+            return s if T == s.known_through else s.truncate(T)
+        misses += 1
+        s = build(*args)
+        entries[key] = s
+        entries.move_to_end(key)
+        if len(entries) > CACHE_KEYS:
+            entries.popitem(last=False)
+        return s
 
-        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize, len(entries))
-        return cached
-    return decorate
+    cached.cache_info = lambda: _CacheInfo(hits, misses, CACHE_KEYS, len(entries))
+    return cached
 
 
-@_prefix_cache(maxsize=256, window="T")
+@_prefix_cache
 def euler_f(m, T, modulus=None):
     """f_m through q^T by Euler's pentagonal number theorem: the bilateral
     sum PENTAGONAL, f_1 = sum_{k in Z} (-1)^k q^(k(3k+1)/2), under q -> q^m.
-    The planner's PENTAGONAL entries take f_d from here.  Cached per
-    (m, modulus), 256 entries."""
+    The planner's PENTAGONAL entries take f_d from here."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"f-index must be a positive integer, got {m!r}")
     _check_window(T)
@@ -309,13 +314,13 @@ def _plan_series(block, d, W, modulus):
     return bilateral(block, W // d, modulus).substitute(d, W)
 
 
-@_prefix_cache(maxsize=64, window="W")
+@_prefix_cache
 def _divisor_inverse(block, W, modulus):
     """1 / the theta block ``block`` at scale 1 through q^W, over
     Z/modulus, by Newton doubling when the block is dense enough.  A
     quotient that divides by the block under q -> q^d reads this inverse
     through q^(W // d), so every scale, window and power of one block
-    shares one inverse.  Cached per (block, modulus), 64 entries."""
+    shares one inverse."""
     return _plan_series(block, 1, W, modulus).invert()
 
 
@@ -381,10 +386,10 @@ def expand_factors(factors, W, modulus=None):
     return LaurentSeries.one(W, modulus) if r is None else r
 
 
-#: ``expand_factors`` cached per (factors, modulus), 128 entries: the classes
-#: of one quotient that ``Dissect`` nodes read, and the windows of one
-#: quotient across catalog entries, share one expansion
-_expand_factors = _prefix_cache(maxsize=128, window="W")(expand_factors)
+#: ``expand_factors`` cached by (factors, modulus): the classes of one
+#: quotient that ``Dissect`` nodes read, and the windows of one quotient
+#: across catalog entries, share one expansion
+_expand_factors = _prefix_cache(expand_factors)
 
 
 def fquotient(spec, T, modulus=None):
@@ -398,13 +403,12 @@ def fquotient(spec, T, modulus=None):
 
 # -- cubic theta and the level-12 product -------------------------------------
 
-@_prefix_cache(maxsize=64, window="T")
+@_prefix_cache
 def cubic_theta_alpha(T, modulus=None):
     """alpha(q) = sum over (m, n) in Z^2 of q^(m^2 + mn + n^2), through q^T.
 
     Lattice enumeration is the definition; the eta-quotient expansion for
-    alpha is checked against this, never used to build it.  Cached per
-    modulus, 64 entries.
+    alpha is checked against this, never used to build it.
     """
     if T < 0:
         raise ValueError("order must be >= 0")
@@ -421,16 +425,15 @@ def cubic_theta_alpha(T, modulus=None):
     return LaurentSeries(cs, 0, modulus)
 
 
-@_prefix_cache(maxsize=64, window="T")
+@_prefix_cache
 def h_level12(T, modulus=None):
     """The level-12 analogue of the Rogers-Ramanujan continued fraction:
 
         h(q) = q * prod_{n>=1} (1-q^(12n-1))(1-q^(12n-11))
                               / ((1-q^(12n-5))(1-q^(12n-7)))
 
-    through q^T.  Valuation exactly 1.  Cached per modulus, 64 entries,
-    so h through q^T and 1/h, which asks for h through q^(T+2), share one
-    O(T^2) product.
+    through q^T.  Valuation exactly 1.  Cached, so h through q^T and 1/h,
+    which asks for h through q^(T+2), share one O(T^2) product.
     """
     if T < 1:
         raise ValueError("order must be >= 1")

@@ -291,13 +291,9 @@ def default_claims(primes=SAMPLED_PRIMES):
     )
 
 
-def claim_names():
-    return [c.name for c in default_claims()]
-
-
 def theorem_names():
     """Every congruence family: the plain ones, then the claim families."""
-    return list(SIMPLE_CHECKS) + claim_names()
+    return list(SIMPLE_CHECKS) + [c.name for c in default_claims()]
 
 
 def get_claim(name):
@@ -307,19 +303,22 @@ def get_claim(name):
     raise KeyError(f"no claim family named {name!r}")
 
 
-def _verify(simple, claims, n_max, out):
-    """Reports for the plain congruences ``simple`` (stride, residue,
-    modulus, n_max), then the claim families, all read from one table of B
-    modulo the lcm of their moduli.  A report that FAILs is recomputed from
-    the exact table, so the B values and sums it shows are exact.
+def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
+    """Reports for the named families of ``theorem_names()``: the plain
+    congruences first, then the claim families, all read from one table of
+    B modulo the lcm of their moduli.  ``n_max`` overrides every family's
+    own range.  A report that FAILs is recomputed from the exact table, so
+    the B values and sums it shows are exact.
 
     The largest B-argument of the claims is announced before any table is
     built.
     """
+    plain = [(partial(verify_simple, A, r, m, n), A * n + r, m)
+             for name, (A, r, m, own) in SIMPLE_CHECKS.items() if name in names
+             for n in [own if n_max is None else n_max]]
+    claims = [c for c in default_claims(primes) if c.name in names]
     if n_max is not None and n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    plain = [(partial(verify_simple, A, r, m, n), A * n + r, m)
-             for A, r, m, n in simple]
     sums = [(partial(verify_weighted, c, n_max=n_max), c.max_argument(n_max),
              c.modulus) for c in claims]
     if sums and out is not None:
@@ -336,22 +335,6 @@ def _verify(simple, claims, n_max, out):
         for i in failed:
             reports[i] = jobs[i][0](table=exact)
     return reports
-
-
-def run_claims(claims=None, n_max=None, out=None):
-    """Verify claim families against one shared table of B modulo the lcm
-    of their moduli; reports come back in claim order."""
-    return _verify((), default_claims() if claims is None else claims, n_max, out)
-
-
-def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
-    """Reports for the named families of ``theorem_names()``: the plain
-    congruences first, then the claim families, from one shared table.
-    ``n_max`` overrides every family's own range."""
-    simple = [(A, r, m, nmax if n_max is None else n_max)
-              for name, (A, r, m, nmax) in SIMPLE_CHECKS.items() if name in names]
-    claims = [c for c in default_claims(primes) if c.name in names]
-    return _verify(simple, claims, n_max, out)
 
 
 # -- affine congruence scanner ------------------------------------------------

@@ -107,4 +107,23 @@ MUTANTS = (
            'm.end("d") - 1, text)',
            'm.end("d"), text)',
            ("tests/test_cli.py::test_parse_errors_carry_position",)),
+    Mutant("b-table-oracle-reads-a-short-prefix", "src/qcong/theorems.py",
+           "if table[:401] != partitions.count_triples(400):",
+           "if table[:7] != partitions.count_triples(400)[:7]:",
+           ("tests/test_theorems.py::test_b_table_oracle_check",)),
+    Mutant("identity-compares-lhs-with-itself", "src/qcong/identities.py",
+           "e = lhs.first_mismatch(rhs, T)",
+           "e = lhs.first_mismatch(lhs, T)",
+           ("tests/test_identities.py::test_verify_reports_first_mismatch",
+            "tests/test_acceptance.py::test_criterion_7_mutation_sensitivity")),
+    Mutant("weighted-sum-residue-skips-n0", "src/qcong/theorems.py",
+           "if total % claim.modulus:",
+           "if total % claim.modulus and n:",
+           ("tests/test_theorems.py::test_claim_report_violation_schema",
+            "tests/test_theorems.py::test_failing_family_reports_exact_values")),
+    Mutant("prefix-cache-key-drops-the-modulus", "src/qcong/products.py",
+           "key = (*args[:at], args[-1])",
+           "key = (*args[:at],)",
+           ("tests/test_products.py::test_prefix_cache_keys_bind_defaults_and_keywords",
+            "tests/test_products.py::test_prefix_cache_serves_what_a_cold_expansion_gives")),
 )

@@ -100,15 +100,23 @@ def test_printed_specs_parse_back(spec, c):
     assert parse_quotient(f"{c}*{spec}") == (c, spec)
 
 
-def test_parse_quotient_refuses_an_exponent_over_the_cap_as_a_parse_error():
+def test_parse_quotient_refuses_an_exponent_over_the_cap_as_a_value_error():
     """A spec whose exponents, summed over its terms, are above the cap
-    parses to a record that refuses them: still a SpecParseError, and a
-    ValueError for the command line."""
+    parses to a record that refuses them: the record's ValueError, not a
+    SpecParseError, since the text itself parses."""
     for text in ("f1^10001", "f1^6000*f1^4001"):
-        with pytest.raises(SpecParseError, match="above the cap") as ei:
+        with pytest.raises(ValueError, match="above the cap") as ei:
             parse_quotient(text)
-        assert isinstance(ei.value, ValueError) and 0 <= ei.value.pos <= len(text)
+        assert not isinstance(ei.value, SpecParseError)
     assert parse_quotient("f1^10001/f1")[1] == parse_quotient("f1^10000")[1]
+
+
+def test_expand_refuses_an_exponent_summed_over_the_cap(capsys):
+    """The refused spec is bad input: exit 2, one error line, no caret."""
+    rc, out, err = run(capsys, "expand", "--spec", "f1^6000*f1^4001",
+                       "--order", "3")
+    assert (rc, out, err) == (2, "", "error: exponent 10001 of f1 is above "
+                                     "the cap |r_d| <= 10000\n")
 
 
 # -- expand / coeff / oracle ------------------------------------------------------

@@ -20,8 +20,9 @@ from qcong import theorems
 from qcong.cli import main
 from qcong.expr import expr_from_dict, fq
 from qcong.partitions import FAMILIES, Family
-from qcong.products import (WEIGHT_RULES, _divisor_inverse, _expand_factors,
-                            _prefix_cache, expand_factors, plan_factors)
+from qcong.products import (CACHE_KEYS, WEIGHT_RULES, _divisor_inverse,
+                            _expand_factors, _prefix_cache, expand_factors,
+                            plan_factors)
 from qcong.series import MAX_EXPONENT, MAX_WINDOW, PACKED_CROSSOVER
 
 
@@ -295,8 +296,7 @@ def cold_divisor_cache():
     """Run the block on a cold cache of denominator inverses, which it
     yields; the package's own cache is put back after it."""
     kept = products_module._divisor_inverse
-    products_module._divisor_inverse = _prefix_cache(
-        maxsize=64, window="W")(kept.__wrapped__)
+    products_module._divisor_inverse = _prefix_cache(kept.__wrapped__)
     try:
         yield products_module._divisor_inverse
     finally:
@@ -660,7 +660,7 @@ def test_prefix_cache_serves_what_a_cold_expansion_gives(factors, modulus,
         windows.sort(reverse=order == "decreasing")
     factors = FQuotientSpec.of(factors).factors
     d = factors[0][0] if factors else 1
-    cache = _prefix_cache(maxsize=4, window="W")(expand_factors)
+    cache = _prefix_cache(expand_factors)
     longest, hits = -1, 0
     for W in windows:
         cold = expand_factors(factors, W, modulus)
@@ -669,11 +669,12 @@ def test_prefix_cache_serves_what_a_cold_expansion_gives(factors, modulus,
         assert euler_f(d, W, modulus) == euler_f_product(d, W, modulus)
         hits += W <= longest
         longest = max(longest, W)
-    assert cache.cache_info() == (hits, len(windows) - hits, 4, 1)
+    assert cache.cache_info() == (hits, len(windows) - hits, CACHE_KEYS, 1)
 
 
-def test_prefix_cache_keys_bind_defaults_and_keywords():
-    cache = _prefix_cache(maxsize=4, window="T")(euler_f_product)
+def test_prefix_cache_keys_bind_defaults_and_keywords(monkeypatch):
+    monkeypatch.setattr(products_module, "CACHE_KEYS", 4)
+    cache = _prefix_cache(euler_f_product)
     s = cache(3, 60)
     assert cache(3, 60, None) is s
     assert cache(m=3, T=40, modulus=None) == s.truncate(40)
@@ -727,8 +728,9 @@ def test_window_cap_admits_the_prime_families_below_224(monkeypatch):
     assert need == 1005005 <= MAX_WINDOW
 
 
-def test_prefix_cache_keeps_the_longest_expansion_of_each_key():
-    cache = _prefix_cache(maxsize=4, window="T")(euler_f_product)
+def test_prefix_cache_keeps_the_longest_expansion_of_each_key(monkeypatch):
+    monkeypatch.setattr(products_module, "CACHE_KEYS", 4)
+    cache = _prefix_cache(euler_f_product)
     cache(1, 50)
     cache(1, 80)                  # past the kept window: rebuilt, replaces it
     assert cache(1, 60) == euler_f_product(1, 60)
@@ -741,8 +743,9 @@ def test_prefix_cache_keeps_the_longest_expansion_of_each_key():
     assert cache.cache_info() == (2, 4, 4, 1)
 
 
-def test_prefix_cache_drops_the_least_recently_used_key():
-    cache = _prefix_cache(maxsize=2, window="T")(euler_f_product)
+def test_prefix_cache_drops_the_least_recently_used_key(monkeypatch):
+    monkeypatch.setattr(products_module, "CACHE_KEYS", 2)
+    cache = _prefix_cache(euler_f_product)
     cache(1, 50)
     cache(2, 50)
     cache(1, 20)                  # hit: key 1 is now the most recent
@@ -755,13 +758,30 @@ def test_prefix_cache_drops_the_least_recently_used_key():
     assert cache.cache_info() == (3, 4, 2, 2)
 
 
+def test_prefix_cache_refuses_a_builder_not_ending_with_modulus():
+    """The window is the parameter before ``modulus``: a builder without
+    that pair cannot be cached."""
+    def no_modulus(m, T):
+        return euler_f_product(m, T)
+
+    def modulus_first(modulus, T):
+        return euler_f_product(1, T, modulus)
+
+    def modulus_only(modulus):
+        return LaurentSeries.one(0, modulus)
+
+    for build in (no_modulus, modulus_first, modulus_only):
+        with pytest.raises(TypeError, match="must end with"):
+            _prefix_cache(build)
+
+
 def test_builders_share_one_cache_mechanism():
     """No ``lru_cache`` is left in ``products``: the five cached builders
-    keep their sizes, and 1/h, which asks for h through q^(T+2), serves h
-    through q^T from the same expansion."""
+    keep ``CACHE_KEYS`` keys each, and 1/h, which asks for h through
+    q^(T+2), serves h through q^T from the same expansion."""
     caches = (euler_f, _expand_factors, _divisor_inverse, cubic_theta_alpha,
               h_level12)
-    assert [c.cache_info().maxsize for c in caches] == [256, 128, 64, 64, 64]
+    assert [c.cache_info().maxsize for c in caches] == [CACHE_KEYS] * 5
     assert not any(hasattr(v, "cache_parameters")   # an lru_cache wrapper
                    for v in vars(products_module).values())
     before = h_level12.cache_info()

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import qcong
-from qcong import (SeriesError, b_table, claim_names, count_triples,
-                   default_claims, fquotient, get_claim, partitions,
-                   run_claims, scan, theorems, verify_simple, verify_weighted)
+from qcong import (SeriesError, b_table, count_triples, default_claims,
+                   fquotient, get_claim, partitions, scan, theorems,
+                   verify_simple, verify_weighted)
 from qcong.partitions import FAMILIES
 from qcong.theorems import is_sampled_prime, theorem_names
 
@@ -120,7 +120,7 @@ def test_quadratic_residue_device_mod5():
 def test_seven_claim_families():
     claims = default_claims()
     assert len(claims) == 7
-    assert claim_names() == [c.name for c in claims]
+    assert theorem_names() == [*theorems.SIMPLE_CHECKS, *(c.name for c in claims)]
 
 
 def test_altsum_term_set_n0():
@@ -248,9 +248,10 @@ def test_verify_weighted_table_too_small():
         verify_weighted(c, table=b_table(100))
 
 
-def test_run_claims_reduced():
+def test_claim_families_reduced():
     sizes = []
-    reports = run_claims(n_max=3, out=sizes.append)
+    names = [c.name for c in default_claims()]
+    reports = theorems.verify_families(names, n_max=3, out=sizes.append)
     assert len(reports) == 7 and all(r.passed for r in reports)
     assert sizes and sizes[0].startswith("largest B-argument required:")
 
