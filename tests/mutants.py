@@ -62,6 +62,53 @@ MUTANTS = (
            "            c += c\n",
            "",
            ("tests/test_series.py::test_convolve_square_matches_the_general_product",)),
+    Mutant("quotient-minus-one-term-added-as-plus-one", "src/qcong/series.py",
+           "            s += c[k - j]\n",
+           "            s -= c[k - j]\n",
+           ("tests/test_series.py::test_divide_block_times_the_divisor_is_the_dividend",
+            "tests/test_series.py::test_divide_block_matches_the_loop_it_replaced")),
+    Mutant("quotient-term-activated-one-step-late", "src/qcong/series.py",
+           """        if k == nxt:
+            d = dc[k]
+            if d == 1:
+                plus.append(k)
+            elif d == minus_one:
+                minus.append(k)
+            else:
+                other.append((k, d))
+            nxt = next(js, n)
+        s = uc[k] if k < lu else 0
+        for j in plus:
+            s -= c[k - j]
+        for j in minus:
+            s += c[k - j]
+        for j, d in other:
+            s -= d * c[k - j]
+""",
+           """        s = uc[k] if k < lu else 0
+        for j in plus:
+            s -= c[k - j]
+        for j in minus:
+            s += c[k - j]
+        for j, d in other:
+            s -= d * c[k - j]
+        if k == nxt:
+            d = dc[k]
+            if d == 1:
+                plus.append(k)
+            elif d == minus_one:
+                minus.append(k)
+            else:
+                other.append((k, d))
+            nxt = next(js, n)
+""",
+           ("tests/test_series.py::test_divide_block_times_the_divisor_is_the_dividend",
+            "tests/test_series.py::test_divide_block_matches_the_loop_it_replaced")),
+    Mutant("quotient-residue-m-minus-one-taken-as-plus-one", "src/qcong/series.py",
+           "            if d == 1:\n",
+           "            if d == 1 or m and d == m - 1:\n",
+           ("tests/test_series.py::test_divide_block_times_the_divisor_is_the_dividend",
+            "tests/test_series.py::test_divide_block_matches_the_loop_it_replaced")),
     Mutant("window-check-off-by-one", "src/qcong/series.py",
            "if T > MAX_WINDOW:",
            "if T > MAX_WINDOW + 1:",

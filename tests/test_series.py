@@ -931,6 +931,106 @@ def test_binomial_law_spot(p, k):
     assert lhs.eq_through(rhs, T)
 
 
+# -- the sequential quotient against its definition ------------------------------
+
+def loop_divide_block(uc, dc, n, m):
+    """The loop ``_divide_block`` was before its active lists, kept as the
+    reference: every c_k finds the terms in reach by bisection and
+    multiplies each of them, +-1 weights included."""
+    from bisect import bisect_left
+    inv0 = series_module._unit_inverse(dc[0], m)
+    didx = []
+    dval = []
+    for j in range(1, min(len(dc), n)):
+        if dc[j]:
+            didx.append(j)
+            dval.append(dc[j])
+    c = []
+    lu = len(uc)
+    for k in range(n):
+        s = uc[k] if k < lu else 0
+        stop = bisect_left(didx, k + 1)
+        for t in range(stop):
+            s -= dval[t] * c[k - didx[t]]
+        if m is not None:
+            s = s * inv0 % m
+        elif inv0 != 1:
+            s = -s
+        c.append(s)
+    return c
+
+
+@st.composite
+def quotients(draw):
+    """(uc, dc, n, m) over Z or Z/m, m in {2, 3, 9, 630, 2^31 - 1}: a unit
+    leading coefficient (-1 over Z too), a dividend and a divisor shorter
+    or longer than n (a short divisor is zero past its end), often a
+    divisor term at j = n - 1, and weights 0, +-1 (residue m - 1), small
+    and big; over Z/m the divisor is reduced, as the kernel's callers hand
+    it, and the dividend need not be."""
+    m = draw(st.sampled_from([None, 2, 3, 9, 630, 2 ** 31 - 1]))
+    n = draw(st.integers(1, 120))
+    if m is None:
+        units, small, big = [1, -1], st.integers(-60, 60), st.integers(-10 ** 40, 10 ** 40)
+    else:
+        units, small, big = [1, m - 1], st.integers(0, min(m - 1, 60)), st.integers(0, m - 1)
+    weight = st.sampled_from([0, 0, 0, *units]) | small | big
+    dc = draw(st.lists(weight, min_size=1, max_size=n + 3))
+    dc[0] = draw(st.sampled_from(units) if m is None else
+                 st.sampled_from(units) | big.filter(lambda u: gcd(u, m) == 1))
+    if len(dc) >= n > 1 and draw(st.booleans()):
+        dc[n - 1] = draw(weight.filter(bool))
+    uc = draw(st.lists(st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([0, 1, -1]),
+                       max_size=n + 3))
+    return uc, dc, n, m
+
+
+#: cases every run covers: pentagonal and cubic weights over Z with a
+#: leading -1, a divisor that ends before n or has its last term at
+#: j = n - 1, a dividend longer than n, residues 1 and m - 1 (one and the
+#: same mod 2), and big residues
+QUOTIENT_EDGES = [
+    ([1], [-1, 1, 1, 0, 0, -1, 0, -1], 8, None),
+    ([1] * 12, [-1, 3, 0, -5, 0, 0, 7], 10, None),
+    ([5, -10 ** 30, 7], [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1], 13, None),
+    ([1, 2, 3], [1, 1, 2, 1, 0, 2, 1], 7, 3),
+    ([1], [1, 1, 1, 0, 0, 1], 6, 2),
+    ([4, 0, 629, 628], [629, 1, 629, 2, 0, 628], 6, 630),
+    ([2 ** 31 - 2] * 9, [2 ** 31 - 2, 2 ** 31 - 2, 1, 10 ** 9], 9, 2 ** 31 - 1),
+]
+
+
+def with_quotient_edges(test):
+    for case in QUOTIENT_EDGES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients())
+@with_quotient_edges
+def test_divide_block_times_the_divisor_is_the_dividend(case):
+    """The quotient, multiplied back by ``_convolve`` and reduced mod m, is
+    the dividend zero-padded or cut to n: a check that does not run the
+    recurrence."""
+    uc, dc, n, m = case
+    u = (uc + [0] * n)[:n]
+    back = _convolve(_divide_block(uc, dc, n, m), dc, n)
+    if m is not None:
+        back, u = reduced(back, m), reduced(u, m)
+    assert back == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients())
+@with_quotient_edges
+def test_divide_block_matches_the_loop_it_replaced(case):
+    """The active lists give exactly the old loop's coefficients, on both
+    rings: over Z/m the same residues, though a term of residue m - 1 is
+    added and not multiplied."""
+    assert _divide_block(*case) == loop_divide_block(*case)
+
+
 # -- results built without the constructor's reduction pass ---------------------
 
 def in_ring(s, want):
