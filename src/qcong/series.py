@@ -21,11 +21,11 @@ same cost, which walks only the divisor terms in reach of each output and
 adds a +-1 term without a multiply.  Over Z/mZ a quotient is a product by
 the inverse, and an inverse is taken by Newton doubling on ``_product``
 (``_inverse``) when twice the same kind of bound on its ``_divide_block``
-cost is above the crossover.  A caller that knows a factor is a series in q^d keeps it at
-scale 1 and passes d, as the theta planner of ``products`` does over Z/m:
-``a.mul(b, d)`` is a b(q^d), whose class j mod d is b times the class
-a[j::d] of a, so b(q^d) is never built.  This module does not look for the
-scale.  ``_convolve`` finds its operands' nonzero positions itself, at C
+cost is above the crossover.  A caller that knows a factor is a series in
+q^d keeps it at scale 1 and passes d, as the theta planner of
+``products`` does over Z/m: ``a.mul(b, d)`` is a b(q^d), whose class j
+mod d is b times the class a[j::d] of a, so b(q^d) is never built.  This
+module does not look for the scale.  ``_convolve`` finds its operands' nonzero positions itself, at C
 speed, and sums a square's pairs i < j once.  The packed kernel packs b
 once, sizes its slot by an L1 bound on what a slot holds (no slot can
 carry), and packs and unpacks slots with C-level string, ``map`` and

@@ -1,6 +1,7 @@
 """Core Laurent-series arithmetic: windows, ring rules, and the op contracts."""
 
 import random
+from bisect import bisect_left
 from math import gcd
 from operator import mul
 from unittest.mock import patch
@@ -937,7 +938,6 @@ def loop_divide_block(uc, dc, n, m):
     """The loop ``_divide_block`` was before its active lists, kept as the
     reference: every c_k finds the terms in reach by bisection and
     multiplies each of them, +-1 weights included."""
-    from bisect import bisect_left
     inv0 = series_module._unit_inverse(dc[0], m)
     didx = []
     dval = []
@@ -975,13 +975,15 @@ def quotients(draw):
     else:
         units, small, big = [1, m - 1], st.integers(0, min(m - 1, 60)), st.integers(0, m - 1)
     weight = st.sampled_from([0, 0, 0, *units]) | small | big
-    dc = draw(st.lists(weight, min_size=1, max_size=n + 3))
+    k = draw(st.integers(1, n + 3) | st.integers(n, n + 3))
+    dc = draw(st.lists(weight, min_size=k, max_size=k))
     dc[0] = draw(st.sampled_from(units) if m is None else
                  st.sampled_from(units) | big.filter(lambda u: gcd(u, m) == 1))
     if len(dc) >= n > 1 and draw(st.booleans()):
         dc[n - 1] = draw(weight.filter(bool))
+    k = draw(st.integers(0, n + 3) | st.integers(n, n + 3))
     uc = draw(st.lists(st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([0, 1, -1]),
-                       max_size=n + 3))
+                       min_size=k, max_size=k))
     return uc, dc, n, m
 
 
