@@ -11,28 +11,37 @@ Z/mZ keeps every stored coefficient reduced to [0, m).  Series are
 immutable; all operations return new objects.
 
 Every product runs the sparse sequential kernel ``_convolve``, whose cost
-is a multiply-add per pair of nonzero coefficients, except that over Z/mZ a
-product is packed into decimal integers (``_packed``) when twice a lower
-bound on that cost is above ``PACKED_CROSSOVER`` multiply-adds per output
-coefficient.  The bound, from ``_nonzeros`` of the operands' low halves,
-is counted at C speed with no copy and no list of nonzero positions.  Over
-Z every quotient runs the sparse sequential kernel ``_divide_block`` of the
-same cost, which walks only the divisor terms in reach of each output and
-adds a +-1 term without a multiply.  Over Z/mZ a quotient is a product by
-the inverse, and an inverse is taken by Newton doubling on ``_product``
-(``_inverse``) when twice the same kind of bound on its ``_divide_block``
-cost is above the crossover.  A caller that knows a factor is a series in
-q^d keeps it at scale 1 and passes d, as the theta planner of
-``products`` does over Z/m: ``a.mul(b, d)`` is a b(q^d), whose class j
-mod d is b times the class a[j::d] of a, so b(q^d) is never built.  This
-module does not look for the scale.  ``_convolve`` finds its operands' nonzero positions itself, at C
-speed, and sums a square's pairs i < j once.  The packed kernel packs b
-once, sizes its slot by an L1 bound on what a slot holds (no slot can
-carry), and packs and unpacks slots with C-level string, ``map`` and
-``struct`` calls; it converts only the low digits of each product that
-hold the slots of its window, and unpacks only the slots from a first
-coefficient ``lo`` on, which Newton doubling sets to skip the coefficients
-it already knows.  So libmpdec's multiply is most of its time.
+is a multiply-add per pair of nonzero coefficients, except that a product
+is packed into integers (``_packed``, Kronecker substitution) when twice a
+lower bound on that cost is above ``PACKED_CROSSOVER`` multiply-adds per
+output coefficient, over Z as over Z/mZ.  The bound, from ``_nonzeros`` of
+the operands' low halves, is counted at C speed with no copy and no list
+of nonzero positions.  Over Z every quotient runs the sparse sequential
+kernel ``_divide_block`` of the same cost, which walks only the divisor
+terms in reach of each output and adds a +-1 term without a multiply.
+Over Z/mZ a quotient is a product by the inverse, and an inverse is taken
+by Newton doubling on ``_product`` (``_inverse``) when twice the same kind
+of bound on its ``_divide_block`` cost is above the crossover.  A caller
+that knows a factor is a series in q^d keeps it at scale 1 and passes d,
+as the theta planner of ``products`` does over Z/m: ``a.mul(b, d)`` is
+a b(q^d), whose class j mod d is b times the class a[j::d] of a, so
+b(q^d) is never built.  This module does not look for the scale.
+``_convolve`` finds its operands' nonzero positions itself, at C speed,
+and sums a square's pairs i < j once.
+
+The packed kernel packs b once, sizes its slot by an L1 bound on what a
+slot holds (no slot can carry), and unpacks only the slots from a first
+coefficient ``lo`` on, which Newton doubling sets to skip the
+coefficients it already knows.  It has two routes, chosen by the size of
+its operands.  Up to ``BINARY_CROSSOVER`` bits, and always over Z (where
+the largest dense product of the catalog has 302 slots), ``_binary``
+packs slots of whole bytes with ``struct`` and multiplies Python ints;
+signed slots carry half a slot of offset, so none borrows from the next.
+Above it, ``_decimal`` packs slots of decimal digits with C-level string
+calls and multiplies with libmpdec, whose transform wins on large
+operands, and converts only the low digits of each product that hold the
+slots of its window.  Below the crossover, turning coefficients into
+digit strings and back costs more than libmpdec's multiply saves.
 
 The public constructor converts its input with ``int`` and reduces it
 mod m, for coefficients from outside.  Results whose coefficients are
@@ -40,11 +49,13 @@ already in the ring are built by ``_in_ring``, with no pass over them:
 reindexing (``shift``, ``truncate``, ``normalize``, ``dissect``,
 ``substitute``), the inverse, the Z quotient (``_divide_block`` reduces as
 it goes), ``mul``, and the theta sums of ``products.bilateral``, which
-reduce only the exponents their terms reach.  Over Z/mZ a product is
-reduced in one place, ``_product``: ``_packed`` reduces each slot as it
-unpacks it, and when m <= n reads the residue from one list of the m
-residues, so every coefficient it returns is one of m shared int objects;
-the sequential branch reduces ``_convolve``'s output.  Neither ``mul`` nor
+reduce only the exponents their terms reach.  ``add``, ``sub``, ``neg``
+and ``scale`` build theirs the same way, with one ``%`` pass over Z/mZ.
+Over Z/mZ a product is reduced in one place, ``_product``: ``_packed``
+reduces each slot as it unpacks it, on either route, and when m <= n
+reads the residue from one list of the m residues, so every coefficient
+it returns is one of m shared int objects; the sequential branch reduces
+``_convolve``'s output.  Neither ``mul`` nor
 Newton doubling makes a pass of its own, so no unreduced list of a whole
 product sits beside the reduced one.  A cold ``b_table(101441, 630)``
 peaks at 5.4 MB traced by ``tracemalloc``, and ``b_table(10**6, 630)`` at
@@ -60,7 +71,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import ne, neg
 from struct import Struct
 
@@ -79,11 +90,19 @@ MAX_WINDOW = 10 ** 7
 MAX_EXPONENT = 10 ** 4
 
 #: sequential multiply-adds per output coefficient above which a product
-#: over Z/m takes the packed kernel, and an inverse over Z/m Newton doubling;
+#: takes the packed kernel, and an inverse over Z/m Newton doubling;
 #: the kernels' ``_nonzeros`` bounds count about half of the multiply-adds
 #: (the pairs in the operands' low halves), so twice a bound is compared
 #: with it (measured in CHANGES.md)
 PACKED_CROSSOVER = 12
+
+#: bits of the longest class's operand in byte slots (its slots times 8
+#: per byte of a slot) at or below which ``_packed`` multiplies Python
+#: ints, and above which decimals: on the Z/m products of the benchmark's
+#: three workloads, each replayed on both routes, binary took a median
+#: 0.44 of the decimal time up to 2^15 bits, 0.68 up to 2^16, 0.95 up to
+#: 10^5 and 1.56 above (measured in CHANGES.md)
+BINARY_CROSSOVER = 1 << 16
 
 
 class SeriesError(Exception):
@@ -166,56 +185,132 @@ def _head(x, k):
     return x if len(x) <= k else x[:k]
 
 
-def _slot_digits(classes, sizes, b):
-    """Digits of the L1 bound of ``_packed`` on every slot it reads."""
+def _slot_bound(classes, sizes, b):
+    """The L1 bound of ``_packed`` on every slot it reads, for entries >= 0:
+    the largest min(sum(a_j) max(b), sum(b) max(a_j)) over the classes."""
     sb, mb = sum(b), max(b, default=0)
-    return len(str(max(min(sum(a) * mb, sb * max(a, default=0))
-                       for a in map(_head, classes, sizes))))
+    return max(min(sum(a) * mb, sb * max(a, default=0))
+               for a in map(_head, classes, sizes))
 
 
 def _packed(classes, bc, n, m, lo=0):
     """Coefficients ``lo`` to ``n`` - 1 (n > lo >= 0) of a(q) b(q^d),
     a = sum_j q^j a_j(q^d) with a_j = ``classes[j]`` and b = ``bc``, entries
-    in [0, m), by Kronecker substitution: each block becomes one decimal
-    integer with a slot of w digits per coefficient, b is packed once,
-    libmpdec multiplies it by each class, and slot k of a_j b, below the
-    class's window len(range(j, n, d)), is coefficient j + d k of the
+    in [0, m) (any ints when m is None, over Z), by Kronecker substitution:
+    each block becomes one integer with a slot per coefficient, b is
+    packed once and multiplied by each class, and slot k of a_j b, below
+    the class's window len(range(j, n, d)), is coefficient j + d k of the
     product.  A block shorter than its window is zero beyond its end.
 
-    The slot holds B, the largest min(sum(a_j) max(b), sum(b) max(a_j)):
-    slot k of a_j b sums terms a_(j,i) b_(k-i) >= 0, so it is at most both
-    products, and no slot reaches 10^w or carries into the next.  (B mod
-    630's four classes times 1/f_1^3 take 8 digits a slot.)
+    The slot holds B, the largest min(sum(a_j) max(b), sum(b) max(a_j))
+    (of the absolute values over Z): slot k of a_j b sums terms
+    a_(j,i) b_(k-i), so its absolute value is at most both products, and
+    no slot can carry into the next.  B = 0 only when every product is 0,
+    and zeros are returned; otherwise B is at least every entry of b and
+    of each nonzero class, so every entry packed fits its slot.
 
-    Coefficient 0 takes the lowest slot, so a block is packed reversed and
-    the k slots of a class's window are the low k w digits of its product.
-    Only those digits are converted to a string (a ``shift`` by 0 at
-    precision k w drops the high ones), and one ``Struct`` unpacks the
-    slots of coefficients >= ``lo`` and skips the rest as pad bytes.  A
-    square (one class that is b) is packed once and handed to libmpdec as
-    one operand, which it transforms once.  A slot is packed from a table
-    of the m formatted residues when m <= n (the table costs no more than
-    one block), else by %-formatting (m can be 2^31 - 1).
+    Two routes multiply, chosen by the longest class's slots times the
+    binary slot's bits (``_binary``): at or below BINARY_CROSSOVER, and
+    always over Z, CPython's int multiply on slots of whole bytes; above
+    it, libmpdec's multiply on slots of decimal digits (``_decimal``).
+    Turning coefficients into digit strings and back costs more than
+    libmpdec's multiply saves on small operands, and CPython's Karatsuba
+    loses to libmpdec's transform on large ones.
 
-    Every slot is reduced mod m as it is unpacked, so the result is in
-    [0, m).  When m <= n the residue is read from the list of the m
-    residues the table is built from, and every coefficient returned is
-    one of those m int objects: mod 630, 373 of the residues are above
-    256, the largest int CPython shares, and a coefficient equal to one of
-    them would otherwise take an object of its own.  When ``%`` returns a
-    shared object for every residue already (mod 210 on CPython), the
-    list is not read, since that pass would share nothing: it cost the
-    scan of B, b, p, a and abar mod 210 3 % of its time.  When m > n it
-    is plain ``%``."""
-    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    Every slot is reduced mod m here, so the result is in [0, m).  When
+    m <= n the residue is read from one list of the m residues, and every
+    coefficient returned is one of those m int objects: mod 630, 373 of
+    the residues are above 256, the largest int CPython shares, and a
+    coefficient equal to one of them would otherwise take an object of
+    its own.  When ``%`` returns a shared object for every residue already
+    (mod 210 on CPython), the list is not read, since that pass would
+    share nothing: it cost the scan of B, b, p, a and abar mod 210 3 % of
+    its time.  When m > n it is plain ``%``."""
     d = len(classes)
     sizes = [len(range(j, n, d)) for j in range(d)]
     b = _head(bc, sizes[0])
-    w = _slot_digits(classes, sizes, b)
+    if m is None:
+        bound = _slot_bound([list(map(abs, a)) for a in classes], sizes, list(map(abs, b)))
+    else:
+        bound = _slot_bound(classes, sizes, b)
+    if not bound:
+        return [0] * (n - lo)
+    wb = (bound.bit_length() + (m is None) + 7) // 8  # over Z, a sign bit too
+    residues = list(range(m)) if m is not None and m <= n else None
+    # False when % already returns one shared object per residue
+    shared = residues and residues[-1] is not (m - 1) % m
+    if m is None or 8 * wb * sizes[0] <= BINARY_CROSSOVER:
+        products = _binary(classes, bc, b, sizes, lo, wb, m is None)
+    else:
+        products = _decimal(classes, bc, b, sizes, lo, len(str(bound)), residues)
+    out = [0] * (n - lo)
+    for j, cs in enumerate(products):
+        if m is not None:
+            cs = map(m.__rmod__, cs)
+        out[(j - lo) % d::d] = map(residues.__getitem__, cs) if shared else cs
+    return out
+
+
+def _binary(classes, bc, b, sizes, lo, wb, signed):
+    """The slots of ``_packed`` from ``lo`` on, class by class, by CPython's
+    int multiply: slots of ``wb`` bytes, little-endian, so coefficient 0
+    takes the lowest slot and a class's window is the low bytes of its
+    product.  ``struct`` packs and unpacks slots of 1, 2, 4 or 8 bytes and
+    ``int.to_bytes``/``int.from_bytes`` the others.
+
+    Signed slots (over Z) hold an entry c as c + h, h half a slot, and the
+    block's int subtracts h from every slot again, so it is
+    sum c_i 2^(8 wb i) exactly.  To read a product, h is added to every
+    slot of the window, which puts each in [0, 2^(8 wb)) with no borrow
+    from the slot below, and subtracted from each slot read."""
+    bits = 8 * wb
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(wb)
+    half = 1 << (bits - 1) if signed else 0
+    if half:
+        halves = int.from_bytes(half.to_bytes(wb, "little") * sizes[0], "little")
+
+    def pack(cs):
+        k = len(cs)
+        if half:
+            cs = map(half.__add__, cs)
+        x = int.from_bytes(Struct(f"<{k}{code}").pack(*cs) if code else b"".join(
+            map(int.to_bytes, cs, repeat(wb), repeat("little"))), "little")
+        return x - (halves & ((1 << k * bits) - 1)) if half else x
+
+    pb = pack(b)
+    d = len(classes)
+    for j, (a, k) in enumerate(zip(classes, sizes)):
+        window = (1 << k * bits) - 1
+        x = pb * (pb if a is bc else pack(_head(a, k)))
+        if half:
+            x += halves & window
+        buf = (x & window).to_bytes(k * wb, "little")
+        s = len(range(j, lo, d))  # the class's slots below lo
+        if code:
+            cs = Struct(f"<{s * wb}x{k - s}{code}").unpack(buf)
+        else:
+            cs = map(int.from_bytes, Struct(f"{s * wb}x" + f"{wb}s" * (k - s)).unpack(buf),
+                     repeat("little"))
+        yield map(half.__rsub__, cs) if half else cs
+
+
+def _decimal(classes, bc, b, sizes, lo, w, residues):
+    """The slots of ``_packed`` from ``lo`` on, class by class, by libmpdec's
+    multiply: slots of ``w`` digits.  Coefficient 0 takes the lowest slot,
+    so a block is packed reversed and the k slots of a class's window are
+    the low k w digits of its product.  Only those digits are converted
+    to a string (a ``shift`` by 0 at precision k w drops the high ones),
+    and one ``Struct`` unpacks the slots of coefficients >= ``lo`` and
+    skips the rest as pad bytes.  A square (one class that is b) is
+    packed once and handed to libmpdec as one operand, which it transforms
+    once.  A slot is packed from a table of the m formatted ``residues``
+    when m <= n (the table costs no more than one block), else by
+    %-formatting (m can be 2^31 - 1).  (B mod 630's four classes times
+    1/f_1^3 take 8 digits a slot.)"""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     fmt = f"%0{w}d"
-    if m <= n:
-        residues = list(range(m))
+    if residues:
         table = list(map(fmt.__mod__, residues))
 
         def slots(cs):
@@ -223,22 +318,18 @@ def _packed(classes, bc, n, m, lo=0):
     else:
         def slots(cs):
             return fmt * len(cs) % tuple(reversed(cs))
-    # False when % already returns one shared object per residue
-    shared = m <= n and residues[-1] is not (m - 1) % m
 
     def pack(cs):
         return ctx.create_decimal(slots(cs) or "0")
 
     pb = pack(b)
-    out = [0] * (n - lo)
+    d = len(classes)
     for j, (a, k) in enumerate(zip(classes, sizes)):
         low = Context(prec=k * w, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(
             ctx.multiply(pb if a is bc else pack(_head(a, k)), pb), 0)
         s = len(range(j, lo, d))  # the class's slots below lo
-        cs = map(m.__rmod__, map(int, reversed(Struct(
-            f"{w}s" * (k - s) + f"{s * w}x").unpack(str(low).zfill(k * w).encode()))))
-        out[(j - lo) % d::d] = map(residues.__getitem__, cs) if shared else cs
-    return out
+        yield map(int, reversed(Struct(
+            f"{w}s" * (k - s) + f"{s * w}x").unpack(str(low).zfill(k * w).encode())))
 
 
 def _nonzeros(x, h):
@@ -249,8 +340,8 @@ def _nonzeros(x, h):
 
 def _product(ac, bc, n, m, d=1, lo=0):
     """Coefficients ``lo`` to ``n`` - 1 of a(q) b(q^d), class by class: one
-    bound over all classes sends them to ``_convolve`` each or, over Z/m,
-    to one ``_packed`` call.  Class a_j of window k, h = ceil(k/2), has at
+    bound over all classes sends them to ``_convolve`` each or, over Z as
+    over Z/m, to one ``_packed`` call.  Class a_j of window k, h = ceil(k/2), has at
     least nnz(a_j[:h]) nnz(b[:h]) multiply-adds, since every such pair
     i + j < k; the classes go packed when twice the sum of these bounds is
     above PACKED_CROSSOVER per coefficient.  Newton passes ``lo`` for the
@@ -262,7 +353,7 @@ def _product(ac, bc, n, m, d=1, lo=0):
     d = min(d, n)  # d >= n reads only b_0, as d = n does, and no class is empty
     classes = [ac] if d == 1 else [ac[j:n:d] for j in range(d)]
     sizes = [len(range(j, n, d)) for j in range(d)]
-    if m is not None and 2 * sum(_nonzeros(a, h) * _nonzeros(bc, h) for a, h in zip(
+    if 2 * sum(_nonzeros(a, h) * _nonzeros(bc, h) for a, h in zip(
             classes, ((k + 1) // 2 for k in sizes))) > PACKED_CROSSOVER * n:
         return _packed(classes, bc, n, m, lo)
     out = [0] * n
@@ -469,26 +560,32 @@ class LaurentSeries:
 
     # -- ring operations ---------------------------------------------------
 
+    def _reduced(self, cs, v):
+        """The series in this one's ring with int coefficients ``cs`` from
+        q^v on, reduced by one pass over Z/m and taken as they are over Z."""
+        m = self.modulus
+        return _in_ring(cs if m is None else map(m.__rmod__, cs), v, m)
+
     def _termwise(self, other, op):
         """op of the coefficients at each exponent from the lower valuation
         up to where either window ends (an operand is 0 below its own)."""
         self._require_same_ring(other)
         v = min(self.v, other.v)
         T = min(self.known_through, other.known_through)
-        return LaurentSeries(map(op, self.coeff_window(v, T),
-                                 other.coeff_window(v, T)), v, self.modulus)
+        return self._reduced(map(op, self.coeff_window(v, T), other.coeff_window(v, T)), v)
 
     def add(self, other):
         return self._termwise(other, operator.add)
 
     def neg(self):
-        return LaurentSeries([-c for c in self.coeffs], self.v, self.modulus)
+        return self._reduced(map(neg, self.coeffs), self.v)
 
     def sub(self, other):
         return self._termwise(other, operator.sub)
 
     def scale(self, c):
-        return LaurentSeries([c * x for x in self.coeffs], self.v, self.modulus)
+        """c times this series, for an integer c."""
+        return self._reduced(map(operator.index(c).__mul__, self.coeffs), self.v)
 
     def mul(self, other, d=1):
         """self times other(q^d), as ``self.mul(other.substitute(d))``."""

@@ -32,8 +32,8 @@ MUTANTS = (
            "(_nonzeros(dc, h) - 1) * n <= PACKED_CROSSOVER * n",
            ("tests/test_series.py::test_newton_inverse_routes_by_the_nonzero_bound",)),
     Mutant("slot-one-digit-short", "src/qcong/series.py",
-           "return len(str(max(min(sum(a) * mb, sb * max(a, default=0))",
-           "return -1 + len(str(max(min(sum(a) * mb, sb * max(a, default=0))",
+           "lo, len(str(bound)), residues)",
+           "lo, len(str(bound)) - 1, residues)",
            ("tests/test_series.py::test_packed_slot_is_the_l1_bound",
             "tests/test_series.py::test_packed_slot_holds_the_fullest_slot")),
     Mutant("low-digits-one-slot-short", "src/qcong/series.py",
@@ -42,8 +42,8 @@ MUTANTS = (
            ("tests/test_series.py::test_packed_from_lo_at_the_edges",
             "tests/test_series.py::test_packed_from_lo_is_the_tail_of_the_product")),
     Mutant("packed-slots-unreduced", "src/qcong/series.py",
-           "cs = map(m.__rmod__, map(int, reversed(Struct(",
-           "cs = (map(int, reversed(Struct(",
+           "cs = map(m.__rmod__, cs)",
+           "cs = map(int, cs)",
            ("tests/test_series.py::test_newton_inverse_matches_divide_block",
             "tests/test_series.py::test_kernel_results_are_in_the_ring",
             "tests/test_series.py::test_kernels_return_residues_and_packed_shares_them")),
@@ -53,6 +53,20 @@ MUTANTS = (
            ("tests/test_series.py::test_packed_matches_convolve_at_the_edges",
             "tests/test_series.py::test_mul_over_z_m_matches_convolve",
             "tests/test_series.py::test_kernels_return_residues_and_packed_shares_them")),
+    Mutant("binary-slot-one-byte-short", "src/qcong/series.py",
+           "wb = (bound.bit_length() + (m is None) + 7) // 8",
+           "wb = (bound.bit_length() + (m is None) - 1) // 8",
+           ("tests/test_series.py::test_packed_slot_holds_the_fullest_slot",
+            "tests/test_series.py::test_packed_over_z_matches_convolve")),
+    Mutant("binary-half-slot-not-subtracted-over-z", "src/qcong/series.py",
+           "yield map(half.__rsub__, cs) if half else cs",
+           "yield cs",
+           ("tests/test_series.py::test_packed_over_z_matches_convolve",
+            "tests/test_series.py::test_packed_kernel_on_both_rings_above_the_crossover")),
+    Mutant("packed-residues-not-shared", "src/qcong/series.py",
+           "out[(j - lo) % d::d] = map(residues.__getitem__, cs) if shared else cs",
+           "out[(j - lo) % d::d] = cs",
+           ("tests/test_series.py::test_kernels_return_residues_and_packed_shares_them",)),
     Mutant("newton-error-not-negated", "src/qcong/series.py",
            "list(map(m.__rmod__, map(neg, e)))",
            "list(map(m.__rmod__, e))",

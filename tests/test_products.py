@@ -493,6 +493,36 @@ def test_b_table_mod_630_takes_the_same_kernels():
     assert calls == B_MOD_630_KERNELS
 
 
+#: the multiply route of each ``_packed`` call of B_MOD_630_KERNELS, by its
+#: length n: binary while the longest class's operand is at most
+#: BINARY_CROSSOVER bits (3 or 4 bytes a slot, Newton's products through
+#: lengths 1586 and 1585), decimal from Newton's product at 3171 on
+B_MOD_630_ROUTES = [
+    ("_binary", 199), ("_binary", 99), ("_binary", 397), ("_binary", 198),
+    ("_binary", 793), ("_binary", 396), ("_binary", 1586), ("_binary", 793),
+    ("_decimal", 3171), ("_binary", 1585), ("_decimal", 6341), ("_decimal", 3170),
+    ("_decimal", 12681), ("_decimal", 6340), ("_decimal", 25361),
+    ("_decimal", 12680), ("_decimal", 101442)]
+
+
+def test_b_table_mod_630_packed_calls_take_the_same_routes():
+    lengths, routes = [], []
+    packed = series_module._packed
+
+    def counted(name):
+        route = getattr(series_module, name)
+        return lambda *args: routes.append(name) or route(*args)
+
+    with cold_divisor_cache(), \
+            patch.object(series_module, "_packed",
+                         lambda *args: lengths.append(args[2]) or packed(*args)), \
+            patch.object(series_module, "_binary", counted("_binary")), \
+            patch.object(series_module, "_decimal", counted("_decimal")):
+        theorems.b_table(101441, 630)
+    assert lengths == [n for kernel, n in B_MOD_630_KERNELS if kernel == "_packed"]
+    assert list(zip(routes, lengths)) == B_MOD_630_ROUTES
+
+
 def test_planner_multiplies_a_quotient_in_q4_at_scale_4(monkeypatch):
     """f_4^3 f_12 / f_8^2 is a series in q^4: over Z/9 through q^4000 its
     scale groups 4 and 12 are multiplied and merged at length 1001, and

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
                    RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
-from qcong.series import (PACKED_CROSSOVER, _convolve, _divide_block, _inverse,
-                          _packed, _product, _slot_digits)
+from qcong.series import (BINARY_CROSSOVER, PACKED_CROSSOVER, _convolve, _divide_block,
+                          _inverse, _packed, _product, _slot_bound)
 
 
 def series(coeffs, v=0, mod=None):
@@ -469,14 +469,27 @@ def reduced(xs, m):
     return [x % m for x in xs]
 
 
+#: the crossover that forces each multiply route of ``_packed``: no operand
+#: is above the first, every one is above the second
+ROUTES = {"binary": 1 << 62, "decimal": -1}
+
+
+def packed_on(route, *args):
+    """``_packed(*args)`` on one route, forced by the crossover."""
+    with patch.object(series_module, "BINARY_CROSSOVER", ROUTES[route]):
+        return _packed(*args)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), moduli, st.integers(1, 400))
 def test_mul_over_z_m_matches_convolve(data, m, n):
     """Lengths up to 400 put dense products above the crossover and sparse
-    ones below it; either way ``mul`` equals the schoolbook kernel mod m."""
+    ones below it; either way ``mul`` equals the schoolbook kernel mod m,
+    and so does ``_packed`` on both routes."""
     a, b = data.draw(blocks(n, m)), data.draw(blocks(n, m))
     want = reduced(_convolve(a, b, n), m)
-    assert _packed([a], b, n, m) == want
+    for route in ROUTES:
+        assert packed_on(route, [a], b, n, m) == want
     assert list(LaurentSeries(a, 0, m).mul(LaurentSeries(b, 3, m)).coeffs) == want
 
 
@@ -497,9 +510,10 @@ def test_invert_and_divide_over_z_m_match_divide_block(data, m, n, g, v):
 def test_packed_pads_a_block_shorter_than_n():
     a, b = [3, 0, 5, 1, 2, 4, 0, 6], [6, 5]
     want = reduced(_convolve(a, b, 8), 7)
-    assert _packed([a], b, 8, 7) == want
-    assert _packed([b], a, 8, 7) == want
-    assert _packed([b], [], 8, 7) == [0] * 8
+    for route in ROUTES:
+        assert packed_on(route, [a], b, 8, 7) == want
+        assert packed_on(route, [b], a, 8, 7) == want
+        assert packed_on(route, [b], [], 8, 7) == [0] * 8
 
 
 @pytest.mark.parametrize("a,b,n,m", [
@@ -516,14 +530,16 @@ def test_packed_pads_a_block_shorter_than_n():
         "empty-table", "empty-format", "max-modulus"])
 def test_packed_matches_convolve_at_the_edges(a, b, n, m):
     """Both packing routes (a table of slots when m <= n, %-formatting
-    when m > n) at the edges of the slot layout; the slot has the digits of
-    the largest exact coefficient (a slot one digit short drops a carry of
-    10^w, which is 0 mod 2, so the result mod m alone would not show it)."""
+    when m > n) at the edges of the slot layout, on both multiply routes;
+    the slot has the digits of the largest exact coefficient (a slot one
+    digit short drops a carry of 10^w, which is 0 mod 2, so the result mod
+    m alone would not show it)."""
     exact = _convolve(a, b, n)
-    assert len(str(max(exact))) <= _slot_digits([a], [n], b[:n])
+    assert max(exact) <= _slot_bound([a], [n], b[:n])
     want = reduced(exact, m)
-    assert _packed([a], b, n, m) == want
-    assert _packed([b], a, n, m) == want
+    for route in ROUTES:
+        assert packed_on(route, [a], b, n, m) == want
+        assert packed_on(route, [b], a, n, m) == want
 
 
 @pytest.mark.parametrize("n,m", [(15030, 210), (101441, 630)])
@@ -531,17 +547,19 @@ def test_packed_matches_convolve_at_the_benchmark_sizes(n, m):
     """The scan's divisors mod 210 and B mod 630: random dense blocks,
     checked against ``_convolve`` on the low coefficients and by direct
     sums at random and top positions, and a dense times a sparse block in
-    full."""
+    full, on both routes (the binary one far above its crossover)."""
     rnd = random.Random(n)
     a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
-    got = _packed([a], b, n, m)
-    assert got[:400] == reduced(_convolve(a, b, 400), m)
-    for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
-        assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1]))) % m
     sparse = [0] * n
     for k in rnd.sample(range(n), 12) + [0, n - 1]:
         sparse[k] = rnd.randrange(1, m)
-    assert _packed([a], sparse, n, m) == reduced(_convolve(a, sparse, n), m)
+    positions = rnd.sample(range(n), 20) + [n - 2, n - 1]
+    for route in ROUTES:
+        got = packed_on(route, [a], b, n, m)
+        assert got[:400] == reduced(_convolve(a, b, 400), m)
+        for k in positions:
+            assert got[k] == sum(map(mul, a[:k + 1], reversed(b[:k + 1]))) % m
+        assert packed_on(route, [a], sparse, n, m) == reduced(_convolve(a, sparse, n), m)
 
 
 # -- the packed slot holds what the product can hold ---------------------------
@@ -574,11 +592,12 @@ def full_slots(draw, table_route):
 def test_packed_slot_holds_the_fullest_slot(data, table_route):
     a, b, n, m = data.draw(full_slots(table_route))
     exact = _convolve(a, b, n)
-    assert len(str(max(exact))) <= _slot_digits([a], [n], b)
+    assert max(exact) <= _slot_bound([a], [n], b)
     want = reduced(exact, m)
-    assert _packed([a], b, n, m) == want
-    assert _packed([b], a, n, m) == want
-    assert _packed([a], a, n, m) == reduced(_convolve(a, list(a), n), m)
+    for route in ROUTES:
+        assert packed_on(route, [a], b, n, m) == want
+        assert packed_on(route, [b], a, n, m) == want
+        assert packed_on(route, [a], a, n, m) == reduced(_convolve(a, list(a), n), m)
 
 
 def scaled(classes, b, n):
@@ -604,8 +623,8 @@ def fill(rnd, k, total, top):
 @st.composite
 def l1_slots(draw, table_route, several):
     """(classes, b, n, m, S) with b all m - 1 and the class of slot n - 1
-    summing to S, at one side or the other of a digit-length step of
-    S (m-1), and every other class to at most S: slot n - 1 is S (m-1),
+    summing to S, at one side or the other of a step in the digits or the
+    bytes of S (m-1), and every other class to at most S: slot n - 1 is S (m-1),
     the L1 bound min(sum(a_j) max(b), sum(b) max(a_j)) itself.  S >= 10,
     so a slot one digit narrower still holds every residue.  The table
     route has m <= n, the %-format route m > n."""
@@ -615,8 +634,9 @@ def l1_slots(draw, table_route, several):
     sizes = [len(range(j, n, d)) for j in range(d)]
     top = (n - 1) % d
     hi = sizes[top] * (m - 1)
-    # the least S whose S (m-1) has e + 1 digits, and the S before it
-    firsts = [-(-10 ** e // (m - 1)) for e in range(1, len(str(hi * (m - 1))) + 1)]
+    # the least S whose S (m-1) has e + 1 digits or bytes, and the S before it
+    firsts = [-(-base ** e // (m - 1)) for base in (10, 256)
+              for e in range(1, len(str(hi * (m - 1))) + 1)]
     edges = sorted({s for f in firsts for s in (f - 1, f) if 10 <= s <= hi})
     assume(edges)
     S = draw(st.sampled_from(edges))
@@ -629,22 +649,23 @@ def l1_slots(draw, table_route, several):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.booleans(), st.booleans())
 def test_packed_slot_is_the_l1_bound(data, table_route, several):
-    """Slot n - 1 reaches the L1 bound exactly, on both packing routes, with
-    one class and several; a slot one digit narrower than the bound's
-    width (patched here only) leaves slot n - 1 wrong.  The narrow slot is
-    read at a modulus above the bound, where ``_packed`` reduces nothing
-    (a dropped carry of 10^w can be 0 mod m)."""
+    """Slot n - 1 reaches the L1 bound exactly, on both packing routes and
+    both multiply routes, with one class and several; a decimal slot one
+    digit narrower than the bound's width (patched here only) leaves slot
+    n - 1 wrong.  The products are also read at a modulus above the
+    bound, where ``_packed`` reduces nothing (a dropped carry of 10^w can
+    be 0 mod m)."""
     classes, b, n, m, S = data.draw(l1_slots(table_route, several))
     sizes = [len(range(j, n, len(classes))) for j in range(len(classes))]
     want = scaled(classes, b, n)
     assert want[n - 1] == S * (m - 1)
-    assert _slot_digits(classes, sizes, b) == len(str(S * (m - 1)))
-    assert _packed(classes, b, n, m) == reduced(want, m)
+    assert _slot_bound(classes, sizes, b) == S * (m - 1)
     above = max(want[n - 1], n) + 1
-    assert _packed(classes, b, n, above) == want
-    with patch.object(series_module, "_slot_digits",
-                      lambda *args: _slot_digits(*args) - 1):
-        assert _packed(classes, b, n, above)[n - 1] != want[n - 1]
+    for route in ROUTES:
+        assert packed_on(route, classes, b, n, m) == reduced(want, m)
+        assert packed_on(route, classes, b, n, above) == want
+    with patch.object(series_module, "_slot_bound", lambda *args: _slot_bound(*args) // 10):
+        assert packed_on("decimal", classes, b, n, above)[n - 1] != want[n - 1]
 
 
 def test_scaled_mul_is_the_product_by_the_substituted_series():
@@ -697,13 +718,15 @@ def test_scaled_mul_is_the_product_by_the_substituted_series():
 
 @pytest.mark.parametrize("n,m", [(50, 7), (50, 630), (3, 2 ** 31 - 1)])
 def test_packed_with_an_all_zero_operand(n, m):
-    """t = 0 gives a slot of one digit, on both packing routes."""
+    """An L1 bound of 0, on both packing routes and both multiply routes
+    (the other operand's entries need not fit a slot the bound sizes)."""
     rnd = random.Random(m)
     a = [rnd.randrange(m) for _ in range(n)]
-    for z in ([0] * n, [0] * (n // 2), []):
-        assert _packed([a], z, n, m) == [0] * n
-        assert _packed([z], a, n, m) == [0] * n
-        assert _packed([z], z, n, m) == [0] * n
+    for route in ROUTES:
+        for z in ([0] * n, [0] * (n // 2), []):
+            assert packed_on(route, [a], z, n, m) == [0] * n
+            assert packed_on(route, [z], a, n, m) == [0] * n
+            assert packed_on(route, [z], z, n, m) == [0] * n
 
 
 @pytest.mark.parametrize("n,m", [(1000, 630), (630, 630), (300, 9), (300, 2 ** 31 - 1)])
@@ -713,16 +736,18 @@ def test_kernels_return_residues_and_packed_shares_them(n, m):
     nonzeros.  A packed product with n >= m holds at most m distinct int
     objects: mod 630 each coefficient is read from one list of the m
     residues (most of them are above the small ints the interpreter
-    shares), and mod 9 each is one of the interpreter's own."""
+    shares), and mod 9 each is one of the interpreter's own, on both
+    routes."""
     rnd = random.Random(n + m)
     a, b = ([rnd.randrange(m) for _ in range(n)] for _ in range(2))
     sparse = [0] * n
     sparse[0] = sparse[n // 3] = m - 1
-    packed = _packed([a], b, n, m)
-    assert packed == reduced(_convolve(a, b, n), m)
-    assert all(0 <= x < m for x in packed)
-    if n >= m:
-        assert len({id(x) for x in packed}) <= m
+    for route in ROUTES:
+        got = packed_on(route, [a], b, n, m)
+        assert got == reduced(_convolve(a, b, n), m)
+        assert all(0 <= x < m for x in got)
+        if n >= m:
+            assert len({id(x) for x in got}) <= m
     sequential = _product(a, sparse, n, m)
     assert sequential == reduced(_convolve(a, sparse, n), m)
     assert all(0 <= x < m for x in sequential)
@@ -731,16 +756,19 @@ def test_kernels_return_residues_and_packed_shares_them(n, m):
 def test_packed_sparse_times_dense_at_newtons_first_product():
     """f_1^3 (225 nonzeros) times a dense block at length 25361 mod 630,
     the first Newton product of B's divisor: slots of 8 digits, where
-    n (m-1)^2 takes 11.  Checked by direct sums at 22 positions."""
+    n (m-1)^2 takes 11.  Checked by direct sums at 22 positions, on both
+    routes."""
     n, m = 25361, 630
     rnd = random.Random(n)
     sparse = list(bilateral(CUBE, n - 1, m).coeffs)
     dense = [rnd.randrange(m) for _ in range(n)]
     assert len(str((n - sparse.count(0)) * (m - 1) ** 2)) == 8
-    got = _packed([sparse], dense, n, m)
-    assert got == _packed([dense], sparse, n, m)
-    for k in rnd.sample(range(n), 20) + [n - 2, n - 1]:
-        assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1]))) % m
+    positions = rnd.sample(range(n), 20) + [n - 2, n - 1]
+    for route in ROUTES:
+        got = packed_on(route, [sparse], dense, n, m)
+        assert got == packed_on(route, [dense], sparse, n, m)
+        for k in positions:
+            assert got[k] == sum(map(mul, sparse[:k + 1], reversed(dense[:k + 1]))) % m
 
 
 @settings(max_examples=60, deadline=None)
@@ -761,7 +789,7 @@ def check_route(a, b, n, m, d):
     m over Z/m) and, over Z/m, goes packed exactly when twice the bound
     nnz(a_j[:h]) nnz(b[:h]), h = ceil(k_j / 2), summed over the classes
     (computed here without ``_nonzeros``), is above PACKED_CROSSOVER per
-    coefficient; over Z never.  Returns whether it went packed."""
+    coefficient, over Z as over Z/m.  Returns whether it went packed."""
     d = min(d, n)
     classes = [a[j:n:d] for j in range(d)]
     taken = []
@@ -775,7 +803,7 @@ def check_route(a, b, n, m, d):
     for j, c in enumerate(classes):
         h = (len(range(j, n, d)) + 1) // 2
         bound += sum(1 for x in c[:h] if x) * sum(1 for x in b[:h] if x)
-    assert bool(taken) == (m is not None and 2 * bound > PACKED_CROSSOVER * n)
+    assert bool(taken) == (2 * bound > PACKED_CROSSOVER * n)
     return bool(taken)
 
 
@@ -784,7 +812,7 @@ def check_route(a, b, n, m, d):
        st.booleans())
 def test_product_routes_as_before(data, m, n, square):
     """At scale 1 every product, squares included, equals ``_convolve`` and
-    takes the kernel the nonzero bound chooses; over Z never the packed one."""
+    takes the kernel the nonzero bound chooses, on both rings."""
     a = data.draw(blocks(n, 630 if m is None else m))
     b = a if square else data.draw(blocks(data.draw(st.integers(0, n)), 630 if m is None else m))
     check_route(a, b, n, m, 1)
@@ -824,8 +852,9 @@ def test_nonzero_bound_sends_dense_products_packed_without_supports(d):
 ])
 def test_packed_from_lo_at_the_edges(a, b, n, m, lo):
     want = reduced(_convolve(a, b, n), m)[lo:]
-    assert _packed([a], b, n, m, lo) == want == _packed([a], b, n, m)[lo:]
-    assert _packed([a], a, n, m, lo) == reduced(_convolve(a, list(a), n), m)[lo:]
+    for route in ROUTES:
+        assert packed_on(route, [a], b, n, m, lo) == want == packed_on(route, [a], b, n, m)[lo:]
+        assert packed_on(route, [a], a, n, m, lo) == reduced(_convolve(a, list(a), n), m)[lo:]
 
 
 @settings(max_examples=80, deadline=None)
@@ -833,14 +862,16 @@ def test_packed_from_lo_at_the_edges(a, b, n, m, lo):
 def test_packed_from_lo_is_the_tail_of_the_product(data, table_route, d):
     """``_packed(..., lo)`` is the product from coefficient ``lo`` on, with
     one class and several, on both packing routes (a table of slots when
-    m <= n, %-formatting when m > n)."""
+    m <= n, %-formatting when m > n) and both multiply routes."""
     n = data.draw(st.integers(max(2, d), 300))
     m = data.draw(st.integers(2, n) if table_route else st.integers(n + 1, 10 ** 6))
     lo = data.draw(st.integers(0, n - 1))
     classes = [data.draw(blocks(len(range(j, n, d)), m)) for j in range(d)]
     b = data.draw(blocks(data.draw(st.integers(0, n)), m))
     want = reduced(scaled(classes, b, n), m)[lo:]
-    assert _packed(classes, b, n, m, lo) == want == _packed(classes, b, n, m)[lo:]
+    for route in ROUTES:
+        assert (packed_on(route, classes, b, n, m, lo) == want
+                == packed_on(route, classes, b, n, m)[lo:])
 
 
 @st.composite
@@ -904,18 +935,75 @@ def test_newton_inverse_rejects_a_non_unit_leading_coefficient(n):
         LaurentSeries([1] * n, 0, 9).divide(LaurentSeries(d, 0, 9))
 
 
-def test_packed_kernel_only_over_z_m_above_the_crossover(monkeypatch):
+def test_packed_kernel_on_both_rings_above_the_crossover(monkeypatch):
+    """Over Z as over Z/m, a dense product goes packed and a dense block
+    times f_5, 9.8 sequential multiply-adds per coefficient, does not."""
     taken = []
     packed = series_module._packed
     monkeypatch.setattr(series_module, "_packed",
-                        lambda *args: taken.append(args[2]) or packed(*args))
+                        lambda *args: taken.append(args[2:4]) or packed(*args))
     dense = list(range(1, 401))
-    LaurentSeries(dense).mul(LaurentSeries(dense))       # over Z: never packed
-    # 9.8 sequential multiply-adds per coefficient
+    signed = [c * (-1) ** c for c in dense]
     LaurentSeries(dense, 0, 9).mul(euler_f(5, 399, 9))
+    below = LaurentSeries(signed).mul(euler_f(5, 399))
     assert taken == []
     LaurentSeries(dense, 0, 9).mul(LaurentSeries(dense, 0, 9))
-    assert taken == [400]
+    above = LaurentSeries(dense).mul(LaurentSeries(signed))
+    assert taken == [(400, 9), (400, None)]
+    assert list(below.coeffs) == _convolve(signed, list(euler_f(5, 399).coeffs), 400)
+    assert list(above.coeffs) == _convolve(dense, signed, 400)
+
+
+@st.composite
+def exact_blocks(draw, n):
+    """n exact coefficients, dense or sparse or all zero, each up to 50 or
+    up to 2^200 in absolute value."""
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    top = draw(st.sampled_from([50, 2 ** 200]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [rnd.randint(-top, top) if rnd.random() < density else 0 for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.booleans())
+def test_packed_over_z_matches_convolve(data, d, square):
+    """Over Z ``_packed`` multiplies signed slots by the binary route, whatever
+    the crossover, and equals ``_convolve`` class by class: coefficients up
+    to +-2^200, all-zero operands, blocks shorter than their window,
+    squares (``bc is ac``), scales 1 to 4 and lo > 0."""
+    n = data.draw(st.integers(d, 200))
+    lo = data.draw(st.integers(0, n - 1))
+    classes = [data.draw(exact_blocks(data.draw(st.integers(0, len(range(j, n, d))))))
+               for j in range(d)]
+    if square and d == 1:
+        b = classes[0]
+    else:
+        b = data.draw(exact_blocks(data.draw(st.integers(0, n))))
+    want = scaled(classes, list(b), n)[lo:]
+    for route in ROUTES:
+        assert packed_on(route, classes, b, n, None, lo) == want
+
+
+def test_routes_agree_at_the_crossover():
+    """Dense blocks mod 630 take 4-byte slots: at BINARY_CROSSOVER / 32
+    slots, the crossover itself, ``_packed`` takes the binary route, and one
+    slot more takes the decimal one; both routes give the same
+    coefficients at both lengths, and direct sums agree at 12 positions."""
+    m, k = 630, BINARY_CROSSOVER // 32
+    rnd = random.Random(k)
+    taken = []
+    routes = {name: getattr(series_module, name) for name in ("_binary", "_decimal")}
+    for n, want in ((k, "_binary"), (k + 1, "_decimal")):
+        a, b = ([rnd.randrange(1, m) for _ in range(n)] for _ in range(2))
+        assert (_slot_bound([a], [n], b).bit_length() + 7) // 8 == 4
+        with patch.multiple(series_module, **{
+                name: lambda *args, name=name: taken.append(name) or routes[name](*args)
+                for name in routes}):
+            got = _packed([a], b, n, m)
+        assert taken.pop() == want
+        assert got == packed_on("binary", [a], b, n, m) == packed_on("decimal", [a], b, n, m)
+        for j in rnd.sample(range(n), 10) + [n - 2, n - 1]:
+            assert got[j] == sum(map(mul, a[:j + 1], reversed(b[:j + 1]))) % m
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -1049,9 +1137,10 @@ def in_ring(s, want):
        st.sampled_from([0, 10 ** 9]))
 def test_kernel_results_are_in_the_ring(data, m, crossover):
     """mul, invert, divide and the reindexing ops skip the constructor's
-    ``int`` and ``%`` pass.  A crossover of 0 sends every product over Z/m
-    to the packed kernel and every inverse over Z/m to Newton doubling; one
-    of 10^9 keeps both sequential."""
+    ``int`` and ``%`` pass, and add, sub, neg and scale (by an integer
+    only) make one ``%`` pass over Z/m and none over Z.  A crossover of 0
+    sends every product to the packed kernel and every inverse over Z/m to
+    Newton doubling; one of 10^9 keeps both sequential."""
     ring = st.integers(-50, 50) if m is None else st.integers(0, m - 1)
     xs = data.draw(st.lists(ring, min_size=1, max_size=120))
     ys = data.draw(st.lists(ring, min_size=1, max_size=120))
@@ -1079,3 +1168,11 @@ def test_kernel_results_are_in_the_ring(data, m, crossover):
     padded = LaurentSeries(spread[:W + 1] + [0] * (W + 1 - len(spread)), 0, m)
     in_ring(c.substitute(k, W), padded)
     in_ring(c.substitute(k).truncate(W), padded)
+    s = data.draw(st.integers(-10 ** 12, 10 ** 12))
+    in_ring(a.add(b), loop_add(a, b))
+    in_ring(a.sub(b), loop_add(a, LaurentSeries([-y for y in b.coeffs], b.v, m)))
+    in_ring(a.neg(), LaurentSeries([-x for x in xs], v, m))
+    in_ring(a.scale(s), LaurentSeries([s * x for x in xs], v, m))
+    in_ring(a.scale(True), a)
+    with pytest.raises(TypeError):
+        a.scale(1.5)
