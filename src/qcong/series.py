@@ -283,7 +283,7 @@ def _binary(classes, bc, b, sizes, lo, wb, signed):
         window = (1 << k * bits) - 1
         x = pb * (pb if a is bc else pack(_head(a, k)))
         if half:
-            x += halves & window
+            x += halves  # the slots above the window are not read
         buf = (x & window).to_bytes(k * wb, "little")
         s = len(range(j, lo, d))  # the class's slots below lo
         if code:
