@@ -1,17 +1,21 @@
 """Numerical verification of the congruence families for the triple
 counting function B(n), plus an affine congruence scanner.
 
-The weighted sums are recomputed from a plain table of B values (pure
-integer lookups; B modulo the lcm of the checked moduli, exact for a
-failure report), deliberately independent of the dissection machinery in
-the identity catalog, so a bug in one route cannot hide in the other.
+The weighted sums are recomputed from plain tables of B values (pure
+integer lookups; B modulo the lcm of the moduli of the checks that read a
+table, exact for a failure report), deliberately independent of the
+dissection machinery in the identity catalog, so a bug in one route cannot
+hide in the other.  ``verify_families`` plans its tables: one modulo the
+lcm of every modulus, or two when the families sharing a prime with the
+longest-reaching one (the prime families mod 3 and 9) reach much further
+than the rest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from . import partitions
@@ -38,7 +42,9 @@ def b_table(N, modulus=None):
     Every call is cross-checked on the prefix [0, 400]: an exact table is
     expanded through at least q^400 and compared with the combinatorial
     triple-counting oracle, a residue table with the exact ``b_table(400)``
-    reduced mod m.  A mismatch raises SeriesError.
+    reduced mod m.  A mismatch raises SeriesError.  ``verify_families``
+    calls this function by its module-level name once per planned table, so
+    each of its tables gets its own check.
     """
     if N < 0:
         raise ValueError("table size must be >= 0")
@@ -60,6 +66,34 @@ def _ring(moduli):
     (Z): every residue mod one of the moduli can be read over that ring."""
     M = lcm(*moduli)
     return M if M < MAX_MODULUS else None
+
+
+def _plan_tables(needs):
+    """The B tables that checks needing B mod m_i through q^(R_i), given as
+    ``needs = [(R_i, m_i), ...]``, read: a list of (ring, reach, indices).
+
+    Two plans are weighed: one table mod the lcm of every m_i, as
+    ``_ring`` gives it, through the largest reach; or two, the checks whose
+    moduli share a prime with the longest-reaching one, and the rest, each
+    mod the lcm of its own moduli through its own reach.  A table (M, R) is
+    scored R * len(str(R * (M - 1)^2)), its length times the digits of the
+    packed kernel's L1 slot, and the plan with the lower total is built
+    (one table on a tie)."""
+    top = max(needs)[1]
+    long = [i for i, (_, m) in enumerate(needs) if gcd(m, top) > 1]
+    rest = [i for i in range(len(needs)) if i not in long]
+
+    def table(group):
+        return (lcm(*(needs[i][1] for i in group)),
+                max(needs[i][0] for i in group), group)
+
+    def cost(plan):
+        return sum(R * len(str(R * (M - 1) ** 2)) for M, R, _ in plan)
+
+    one = [table(range(len(needs)))]
+    two = [table(long), table(rest)] if rest else one
+    plan = two if cost(two) < cost(one) else one
+    return [(_ring([M]), R, group) for M, R, group in plan]
 
 
 # -- simple congruences B(An + r) = 0 (mod m) ---------------------------------
@@ -221,11 +255,12 @@ def _int_quarter(x):
 SAMPLED_PRIMES = (7, 11, 19, 23)
 
 #: the largest prime ``default_claims`` accepts: a prime p needs B through
-#: N = 20.25 p^2 or so (101441 at p = 71), and the table of B mod 630 is
-#: two theta blocks, a Newton inverse at length N/4 and one packed product
-#: of four classes, whose cost grows a little faster than N: 0.23-0.31 s
-#: at p = 71 and 0.56 s at p = 100 (N = 202500), cold, wall time of three
-#: runs each (shared 2-core x86-64, Python 3.11)
+#: N = 20.25 p^2 or so (101441 at p = 71), and the prime families' table of
+#: B mod 9 is two theta blocks, a Newton inverse at length N/4 and one
+#: packed product of four classes, whose cost grows a little faster than N:
+#: 0.16-0.18 s at p = 71 and 0.31-0.33 s at p = 100 (N = 202500), against
+#: 0.21-0.22 s and 0.42-0.56 s for B mod 630, cold, wall time of three runs
+#: each (shared 2-core x86-64, Python 3.11)
 MAX_SAMPLED_PRIME = 100
 
 
@@ -305,10 +340,15 @@ def get_claim(name):
 
 def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
     """Reports for the named families of ``theorem_names()``: the plain
-    congruences first, then the claim families, all read from one table of
-    B modulo the lcm of their moduli.  ``n_max`` overrides every family's
-    own range.  A report that FAILs is recomputed from the exact table, so
-    the B values and sums it shows are exact.
+    congruences first, then the claim families, read from the tables of B
+    that ``_plan_tables`` plans: one modulo the lcm of their moduli (630 for
+    all nine at the defaults), or, when the prime families reach much
+    further than the rest (B mod 9 through q^101441 at p = 71, the rest mod
+    70 through q^10004), one for the families sharing a prime with the
+    longest-reaching one and one for the rest.  Each family reads a table
+    whose modulus its own divides.  ``n_max`` overrides every family's own
+    range.  A report that FAILs is recomputed from the exact table, so the
+    B values and sums it shows are exact.
 
     The largest B-argument of the claims is announced before any table is
     built.
@@ -326,9 +366,11 @@ def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
     jobs = plain + sums
     if not jobs:
         return []
-    table = b_table(max(need for _, need, _ in jobs),
-                    _ring(m for _, _, m in jobs))
-    reports = [check(table=table) for check, _, _ in jobs]
+    reports = [None] * len(jobs)
+    for ring, reach, group in _plan_tables([(need, m) for _, need, m in jobs]):
+        table = b_table(reach, ring)
+        for i in group:
+            reports[i] = jobs[i][0](table=table)
     failed = [i for i, r in enumerate(reports) if not r.passed]
     if failed:
         exact = b_table(max(jobs[i][1] for i in failed))

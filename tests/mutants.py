@@ -182,6 +182,24 @@ MUTANTS = (
            "if total % claim.modulus and n:",
            ("tests/test_theorems.py::test_claim_report_violation_schema",
             "tests/test_theorems.py::test_failing_family_reports_exact_values")),
+    Mutant("plan-rest-in-the-long-groups-ring", "src/qcong/theorems.py",
+           "two = [table(long), table(rest)] if rest else one",
+           "two = [table(long), (table(long)[0], *table(rest)[1:])] if rest else one",
+           ("tests/test_theorems.py::test_plan_covers_every_check_in_a_ring_it_divides",
+            "tests/test_theorems.py::test_plan_pins_its_tables",
+            "tests/test_theorems.py::test_failing_family_under_two_tables_reports_exact_values")),
+    Mutant("plan-cost-comparison-inverted", "src/qcong/theorems.py",
+           "plan = two if cost(two) < cost(one) else one",
+           "plan = two if cost(two) > cost(one) else one",
+           ("tests/test_theorems.py::test_plan_pins_its_tables",
+            "tests/test_theorems.py::test_families_share_one_residue_table_and_an_exact_prefix",
+            "tests/test_theorems.py::test_residue_table_disagreeing_with_the_exact_one_raises")),
+    Mutant("plan-long-group-coprime-to-the-longest", "src/qcong/theorems.py",
+           "if gcd(m, top) > 1]",
+           "if gcd(m, top) == 1]",
+           ("tests/test_theorems.py::test_plan_covers_every_check_in_a_ring_it_divides",
+            "tests/test_theorems.py::test_plan_pins_its_tables",
+            "tests/test_theorems.py::test_residue_table_disagreeing_with_the_exact_one_raises")),
     Mutant("prefix-cache-key-drops-the-modulus", "src/qcong/products.py",
            "key = (*args[:at], args[-1])",
            "key = (*args[:at],)",

@@ -1,12 +1,15 @@
 """Congruence families: hand-enumerated term sets, sum/series agreement,
 prime-parameter integrality, scanner behavior."""
 
+import json
 import os
 import subprocess
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qcong
 from qcong import (SeriesError, b_table, count_triples, default_claims,
@@ -378,7 +381,84 @@ def test_residue_table_disagreeing_with_the_exact_one_raises(monkeypatch):
         expand(factors, W) if modulus is None else
         expand(factors, W, modulus).scale(2)))
     with pytest.raises(SeriesError, match="mod 630 disagrees with the exact"):
+        theorems.verify_families(theorem_names())
+    # at n_max = 1 the plan splits, and the mod-9 table is built first
+    with pytest.raises(SeriesError, match="mod 9 disagrees with the exact"):
         theorems.verify_families(theorem_names(), n_max=1)
+
+
+# -- the planned tables ------------------------------------------------------------
+
+def _one_table(needs):
+    """The plan before tables were planned: one table mod the lcm of every
+    modulus, through the largest reach."""
+    return [(theorems._ring(m for _, m in needs), max(r for r, _ in needs),
+             range(len(needs)))]
+
+
+@pytest.mark.parametrize("n_max", [None, 1, 30])
+@pytest.mark.parametrize("primes", [(7, 11, 19, 23), (7, 11, 19, 71),
+                                    (11, 23, 43, 71)])
+def test_planned_tables_report_as_one_table_does(monkeypatch, primes, n_max):
+    got = theorems.verify_families(theorem_names(), n_max, primes)
+    monkeypatch.setattr(theorems, "_plan_tables", _one_table)
+    want = theorems.verify_families(theorem_names(), n_max, primes)
+    assert got == want
+    assert [str(r) for r in got] == [str(r) for r in want]
+    assert (json.dumps([vars(r) for r in got])
+            == json.dumps([vars(r) for r in want]))
+
+
+needs_lists = st.lists(st.tuples(
+    st.integers(0, 10 ** 6),
+    st.one_of(st.integers(2, 12), st.integers(2, 2 ** 33))), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(needs_lists)
+def test_plan_covers_every_check_in_a_ring_it_divides(needs):
+    plan = theorems._plan_tables(needs)
+    assert 1 <= len(plan) <= 2
+    assert sorted(i for _, _, group in plan for i in group) == list(range(len(needs)))
+    assert plan[0][1] == max(r for r, _ in needs)  # the longest table is first
+    for ring, reach, group in plan:
+        M = lcm(*(needs[i][1] for i in group))
+        assert ring == (None if M >= 2 ** 31 else M)
+        for i in group:
+            assert ring is None or ring % needs[i][1] == 0
+            assert reach >= needs[i][0]
+
+
+@pytest.mark.parametrize("primes, tables", [
+    ((7, 11, 19, 23), [(630, 12221)]),
+    ((7, 11, 19, 71), [(9, 101442), (70, 10005)]),
+])
+def test_plan_pins_its_tables(monkeypatch, primes, tables):
+    seen = _spy_b_table(monkeypatch)
+    reports = theorems.verify_families(theorem_names(), primes=primes)
+    assert all(r.passed for r in reports)
+    assert [t for t in seen if t[0] is not None] == tables
+    # each residue table's prefix was checked against an exact one
+    assert seen.count((None, 401)) == len(tables)
+
+
+def test_failing_family_under_two_tables_reports_exact_values(monkeypatch):
+    names, claims = theorem_names(), theorems.default_claims
+    monkeypatch.setattr(theorems, "default_claims", lambda primes: tuple(
+        type(c)(**{**vars(c), "modulus": 49}) if c.name == "hexweight-49n-mod7"
+        else c for c in claims(primes)))
+    seen = _spy_b_table(monkeypatch)
+    reports = theorems.verify_families(names, primes=(7, 11, 19, 71))
+    assert [t for t in seen if t[0] is not None] == [(9, 101442), (490, 10005)]
+    [bad] = [r for r in reports if not r.passed]
+    assert bad.name == "hexweight-49n-mod7" and bad.modulus == 49
+    exact = b_table(bad.max_argument)
+    for v in bad.violations:
+        assert all(value == exact[arg] for _, arg, value, _ in v["k_terms"])
+        assert v["sum"] == sum(w * value for _, _, value, w in v["k_terms"])
+        assert v["sum"] % 49
+    assert max(value for v in bad.violations
+               for _, _, value, _ in v["k_terms"]) >= 490
 
 
 # -- scanner ------------------------------------------------------------------------
