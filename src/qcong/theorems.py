@@ -68,6 +68,14 @@ def _ring(moduli):
     return M if M < MAX_MODULUS else None
 
 
+#: a table's exact prefix check (``b_table(400)`` with its
+#: ``count_triples(400)`` oracle, about 5.8 ms) in the units of
+#: ``_plan_tables``' score: tables mod 630 and mod 9 through q^10505,
+#: q^12220 and q^101441 differed by 0.15 to 0.20 us a unit of score, and
+#: 5.8 ms is 38000 units at 0.153 us
+TABLE_FIXED_COST = 38000
+
+
 def _plan_tables(needs):
     """The B tables that checks needing B mod m_i through q^(R_i), given as
     ``needs = [(R_i, m_i), ...]``, read: a list of (ring, reach, indices).
@@ -77,8 +85,11 @@ def _plan_tables(needs):
     moduli share a prime with the longest-reaching one, and the rest, each
     mod the lcm of its own moduli through its own reach.  A table (M, R) is
     scored R * len(str(R * (M - 1)^2)), its length times the digits of the
-    packed kernel's L1 slot, and the plan with the lower total is built
-    (one table on a tie)."""
+    packed kernel's L1 slot, plus ``TABLE_FIXED_COST``, and the plan with
+    the lower total is built (one table on a tie).  So at the default
+    primes both ``n_max=None`` and ``n_max=1`` build one table mod 630, and
+    a prime set with 71 builds B mod 9 through q^101441 and B mod 70
+    through q^10004."""
     top = max(needs)[1]
     long = [i for i, (_, m) in enumerate(needs) if gcd(m, top) > 1]
     rest = [i for i in range(len(needs)) if i not in long]
@@ -88,7 +99,8 @@ def _plan_tables(needs):
                 max(needs[i][0] for i in group), group)
 
     def cost(plan):
-        return sum(R * len(str(R * (M - 1) ** 2)) for M, R, _ in plan)
+        return sum(R * len(str(R * (M - 1) ** 2)) + TABLE_FIXED_COST
+                   for M, R, _ in plan)
 
     one = [table(range(len(needs)))]
     two = [table(long), table(rest)] if rest else one

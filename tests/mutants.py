@@ -194,6 +194,10 @@ MUTANTS = (
            ("tests/test_theorems.py::test_plan_pins_its_tables",
             "tests/test_theorems.py::test_families_share_one_residue_table_and_an_exact_prefix",
             "tests/test_theorems.py::test_residue_table_disagreeing_with_the_exact_one_raises")),
+    Mutant("plan-cost-drops-the-fixed-cost", "src/qcong/theorems.py",
+           "R * len(str(R * (M - 1) ** 2)) + TABLE_FIXED_COST",
+           "R * len(str(R * (M - 1) ** 2))",
+           ("tests/test_theorems.py::test_plan_pins_its_tables",)),
     Mutant("plan-long-group-coprime-to-the-longest", "src/qcong/theorems.py",
            "if gcd(m, top) > 1]",
            "if gcd(m, top) == 1]",
