@@ -8,13 +8,14 @@ dissection machinery in the identity catalog, so a bug in one route cannot
 hide in the other.  ``verify_families`` plans its tables: one modulo the
 lcm of every modulus, or two when the families sharing a prime with the
 longest-reaching one (the prime families mod 3 and 9) reach much further
-than the rest.
+than the rest.  Every table's [0, 400] must equal an exact prefix checked
+against the triple-counting oracle, which a ``verify_families`` call asks once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
+from functools import cache, partial
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -39,26 +40,29 @@ def b_table(N, modulus=None):
     cache keeps the big series of B alive after the table is read; the
     inverse of f_1^3 mod m stays in the planner's cache of denominator
     inverses.
-    Every call is cross-checked on the prefix [0, 400]: an exact table is
-    expanded through at least q^400 and compared with the combinatorial
-    triple-counting oracle, a residue table with the exact ``b_table(400)``
-    reduced mod m.  A mismatch raises SeriesError.  ``verify_families``
-    calls this function by its module-level name once per planned table, so
-    each of its tables gets its own check.
+    Every call asks the oracle: ``_checked_b`` checks an exact table against
+    the triple-counting oracle's [0, 400], a residue table against the exact
+    ``b_table(400)`` reduced mod m, and raises SeriesError on a mismatch.
     """
     if N < 0:
         raise ValueError("table size must be >= 0")
-    T = N if modulus is not None else max(N, 400)
-    ser = expand_factors(FAMILIES["B"].gf.factors, T, modulus)
-    table = ser.coeff_window(0, T)
+    exact = (partial(partitions.count_triples, 400) if modulus is None
+             else partial(b_table, 400))
+    return _checked_b(N, modulus, exact)[:N + 1]
+
+
+def _checked_b(N, modulus, exact):
+    """B(0..max(N, 400)) over Z or Z/modulus.  Once it is expanded, its first
+    401 coefficients must equal ``exact()``, B(0..400) over Z, reduced mod
+    the modulus; otherwise SeriesError is raised."""
+    T = max(N, 400)
+    table = expand_factors(FAMILIES["B"].gf.factors, T, modulus).coeff_window(0, T)
     if modulus is None:
-        if table[:401] != partitions.count_triples(400):
-            raise SeriesError("series engine disagrees with the "
-                              "combinatorial B oracle")
-    elif table[:401] != [b % modulus for b in b_table(400)[:T + 1]]:
-        raise SeriesError(f"the B table mod {modulus} disagrees with the "
-                          f"exact table")
-    return table[:N + 1]
+        if table[:401] != exact():
+            raise SeriesError("series engine disagrees with the combinatorial B oracle")
+    elif table[:401] != [b % modulus for b in exact()]:
+        raise SeriesError(f"the B table mod {modulus} disagrees with the exact table")
+    return table
 
 
 def _ring(moduli):
@@ -66,14 +70,6 @@ def _ring(moduli):
     (Z): every residue mod one of the moduli can be read over that ring."""
     M = lcm(*moduli)
     return M if M < MAX_MODULUS else None
-
-
-#: a table's exact prefix check (``b_table(400)`` with its
-#: ``count_triples(400)`` oracle, about 5.8 ms) in the units of
-#: ``_plan_tables``' score: tables mod 630 and mod 9 through q^10505,
-#: q^12220 and q^101441 differed by 0.15 to 0.20 us a unit of score, and
-#: 5.8 ms is 38000 units at 0.153 us
-TABLE_FIXED_COST = 38000
 
 
 def _plan_tables(needs):
@@ -85,11 +81,10 @@ def _plan_tables(needs):
     moduli share a prime with the longest-reaching one, and the rest, each
     mod the lcm of its own moduli through its own reach.  A table (M, R) is
     scored R * len(str(R * (M - 1)^2)), its length times the digits of the
-    packed kernel's L1 slot, plus ``TABLE_FIXED_COST``, and the plan with
-    the lower total is built (one table on a tie).  So at the default
-    primes both ``n_max=None`` and ``n_max=1`` build one table mod 630, and
-    a prime set with 71 builds B mod 9 through q^101441 and B mod 70
-    through q^10004."""
+    packed kernel's L1 slot, and the plan with the lower total is built
+    (one table on a tie).  So the default primes build one table mod 630,
+    while ``n_max=1`` (B mod 9 and 70 through q^10505 and q^653) and a
+    prime set with 71 (through q^101441 and q^10004) build two."""
     top = max(needs)[1]
     long = [i for i, (_, m) in enumerate(needs) if gcd(m, top) > 1]
     rest = [i for i in range(len(needs)) if i not in long]
@@ -99,13 +94,23 @@ def _plan_tables(needs):
                 max(needs[i][0] for i in group), group)
 
     def cost(plan):
-        return sum(R * len(str(R * (M - 1) ** 2)) + TABLE_FIXED_COST
-                   for M, R, _ in plan)
+        return sum(R * len(str(R * (M - 1) ** 2)) for M, R, _ in plan)
 
     one = [table(range(len(needs)))]
     two = [table(long), table(rest)] if rest else one
     plan = two if cost(two) < cost(one) else one
     return [(_ring([M]), R, group) for M, R, group in plan]
+
+
+def _table_through(need, table):
+    """``table``, or the exact B table through q^need when it is None; a
+    table that stops below q^need raises ValueError."""
+    if table is None:
+        return b_table(need)
+    if len(table) <= need:
+        raise ValueError(f"table too small: need B through {need}, "
+                         f"have {len(table) - 1}")
+    return table
 
 
 # -- simple congruences B(An + r) = 0 (mod m) ---------------------------------
@@ -139,12 +144,7 @@ def verify_simple(stride, residue, modulus, n_max, table=None):
     if stride < 1 or not 0 <= residue < stride or modulus < 2 or n_max < 0:
         raise ValueError("need stride >= 1, 0 <= residue < stride, modulus >= 2, "
                          "n_max >= 0")
-    need = stride * n_max + residue
-    if table is None:
-        table = b_table(need)
-    elif len(table) <= need:
-        raise ValueError(f"table too small: need B through {need}, "
-                         f"have {len(table) - 1}")
+    table = _table_through(stride * n_max + residue, table)
     for n in range(n_max + 1):
         arg = stride * n + residue
         if table[arg] % modulus:
@@ -225,11 +225,7 @@ def verify_weighted(claim, table=None, n_max=None):
     in k order for its report."""
     n_max = claim.n_max if n_max is None else n_max
     max_base = claim.max_argument(n_max)
-    if table is None:
-        table = b_table(max_base)
-    elif len(table) <= max_base:
-        raise ValueError(f"table too small: need B through {max_base}, "
-                         f"have {len(table) - 1}")
+    table = _table_through(max_base, table)
     terms = claim.terms(max_base)
     by_offset = sorted(terms, key=itemgetter(1))
     offs = [off for _, off, _ in by_offset]
@@ -358,9 +354,10 @@ def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
     further than the rest (B mod 9 through q^101441 at p = 71, the rest mod
     70 through q^10004), one for the families sharing a prime with the
     longest-reaching one and one for the rest.  Each family reads a table
-    whose modulus its own divides.  ``n_max`` overrides every family's own
-    range.  A report that FAILs is recomputed from the exact table, so the
-    B values and sums it shows are exact.
+    whose modulus its own divides, checked against one exact ``b_table(400)``
+    built once the first table is expanded, so the oracle is asked once.
+    ``n_max`` overrides every family's own range.  A report that FAILs is
+    recomputed from the exact table, so its B values and sums are exact.
 
     The largest B-argument of the claims is announced before any table is
     built.
@@ -379,8 +376,9 @@ def verify_families(names, n_max=None, primes=SAMPLED_PRIMES, out=None):
     if not jobs:
         return []
     reports = [None] * len(jobs)
+    prefix = cache(partial(b_table, 400))
     for ring, reach, group in _plan_tables([(need, m) for _, need, m in jobs]):
-        table = b_table(reach, ring)
+        table = _checked_b(reach, ring, prefix)
         for i in group:
             reports[i] = jobs[i][0](table=table)
     failed = [i for i, r in enumerate(reports) if not r.passed]

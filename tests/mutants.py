@@ -169,9 +169,26 @@ MUTANTS = (
            'm.end("d"), text)',
            ("tests/test_cli.py::test_parse_errors_carry_position",)),
     Mutant("b-table-oracle-reads-a-short-prefix", "src/qcong/theorems.py",
-           "if table[:401] != partitions.count_triples(400):",
-           "if table[:7] != partitions.count_triples(400)[:7]:",
+           "if table[:401] != exact():",
+           "if table[:7] != exact()[:7]:",
            ("tests/test_theorems.py::test_b_table_oracle_check",)),
+    Mutant("residue-table-compared-on-a-short-prefix", "src/qcong/theorems.py",
+           "elif table[:401] != [b % modulus for b in exact()]:",
+           "elif table[:7] != [b % modulus for b in exact()[:7]]:",
+           ("tests/test_theorems.py::test_residue_table_disagreeing_past_its_first_terms_raises",)),
+    Mutant("shared-prefix-skips-the-oracle", "src/qcong/theorems.py",
+           "prefix = cache(partial(b_table, 400))",
+           'prefix = lambda: expand_factors(FAMILIES["B"].gf.factors, 400).coeff_window(0, 400)',
+           ("tests/test_theorems.py::test_verify_families_asks_the_oracle_once",
+            "tests/test_theorems.py::test_plan_pins_its_tables",
+            "tests/test_theorems.py::test_families_share_one_residue_table_and_an_exact_prefix")),
+    Mutant("planned-tables-checked-against-the-prefix-mod-the-first-ring",
+           "src/qcong/theorems.py",
+           "table = _checked_b(reach, ring, prefix)",
+           "table = _checked_b(reach, ring, prefix)\n"
+           "        prefix = lambda p=[b % ring for b in prefix()]: p",
+           ("tests/test_theorems.py::test_plan_pins_its_tables",
+            "tests/test_theorems.py::test_verify_families_asks_the_oracle_once")),
     Mutant("identity-compares-lhs-with-itself", "src/qcong/identities.py",
            "e = lhs.first_mismatch(rhs, T)",
            "e = lhs.first_mismatch(lhs, T)",
@@ -194,10 +211,6 @@ MUTANTS = (
            ("tests/test_theorems.py::test_plan_pins_its_tables",
             "tests/test_theorems.py::test_families_share_one_residue_table_and_an_exact_prefix",
             "tests/test_theorems.py::test_residue_table_disagreeing_with_the_exact_one_raises")),
-    Mutant("plan-cost-drops-the-fixed-cost", "src/qcong/theorems.py",
-           "R * len(str(R * (M - 1) ** 2)) + TABLE_FIXED_COST",
-           "R * len(str(R * (M - 1) ** 2))",
-           ("tests/test_theorems.py::test_plan_pins_its_tables",)),
     Mutant("plan-long-group-coprime-to-the-longest", "src/qcong/theorems.py",
            "if gcd(m, top) > 1]",
            "if gcd(m, top) == 1]",

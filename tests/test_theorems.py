@@ -334,16 +334,26 @@ def test_b_table_builds_no_long_series_through_the_constructor(monkeypatch):
 # -- one residue table for every family --------------------------------------------
 
 def _spy_b_table(monkeypatch):
-    """Record (modulus, length) of every table built through theorems.b_table."""
+    """Record (modulus, length) of every exact table built through
+    theorems.b_table, where the benchmark's oracle gate reads them, and of
+    every residue table built through the checked expansion under it."""
     seen = []
-    inner = theorems.b_table
+    b_table, checked = theorems.b_table, theorems._checked_b
 
-    def spy(N, modulus=None):
-        table = inner(N, modulus)
-        seen.append((modulus, len(table)))
+    def spy_exact(N, modulus=None):
+        table = b_table(N, modulus)
+        if modulus is None:
+            seen.append((modulus, len(table)))
         return table
 
-    monkeypatch.setattr(theorems, "b_table", spy)
+    def spy_residue(N, modulus, exact):
+        table = checked(N, modulus, exact)
+        if modulus is not None:
+            seen.append((modulus, len(table)))
+        return table
+
+    monkeypatch.setattr(theorems, "b_table", spy_exact)
+    monkeypatch.setattr(theorems, "_checked_b", spy_residue)
     return seen
 
 
@@ -431,10 +441,7 @@ def test_plan_covers_every_check_in_a_ring_it_divides(needs):
 
 @pytest.mark.parametrize("primes, n_max, tables", [
     ((7, 11, 19, 23), None, [(630, 12221)]),
-    # two tables, mod 9 through q^10505 and mod 70 through q^653, timed
-    # level with this one: a second exact prefix check costs what the
-    # narrower slots save
-    ((7, 11, 19, 23), 1, [(630, 10506)]),
+    ((7, 11, 19, 23), 1, [(9, 10506), (70, 654)]),
     ((7, 11, 19, 71), None, [(9, 101442), (70, 10005)]),
 ])
 def test_plan_pins_its_tables(monkeypatch, primes, n_max, tables):
@@ -442,8 +449,41 @@ def test_plan_pins_its_tables(monkeypatch, primes, n_max, tables):
     reports = theorems.verify_families(theorem_names(), n_max, primes)
     assert all(r.passed for r in reports)
     assert [t for t in seen if t[0] is not None] == tables
-    # each residue table's prefix was checked against an exact one
-    assert seen.count((None, 401)) == len(tables)
+    # every residue table's prefix was checked against one exact prefix
+    assert [t for t in seen if t[0] is None] == [(None, 401)]
+
+
+@pytest.mark.parametrize("primes, n_max", [
+    ((7, 11, 19, 23), None), ((7, 11, 19, 23), 1), ((7, 11, 19, 71), None)])
+def test_verify_families_asks_the_oracle_once(monkeypatch, primes, n_max):
+    real, asked = partitions.count_triples, []
+    monkeypatch.setattr(partitions, "count_triples",
+                        lambda N: asked.append(N) or real(N))
+    reports = theorems.verify_families(theorem_names(), n_max, primes)
+    assert all(r.passed for r in reports)
+    assert asked == [400]
+
+
+def test_residue_table_disagreeing_past_its_first_terms_raises(monkeypatch):
+    """One residue coefficient wrong at q^400, the last the prefix check
+    reads, is caught in a standalone table and in every planned one."""
+    expand = theorems.expand_factors
+
+    def corrupted(factors, W, modulus=None):
+        ser = expand(factors, W, modulus)
+        if modulus is None:
+            return ser
+        return ser.add(qcong.LaurentSeries([0] * 400 + [1] + [0] * (W - 400),
+                                           modulus=modulus))
+
+    monkeypatch.setattr(theorems, "expand_factors", corrupted)
+    for N, m in ((5, 3), (400, 63), (1000, 630)):
+        with pytest.raises(SeriesError, match=f"mod {m} disagrees with the exact"):
+            b_table(N, m)
+    with pytest.raises(SeriesError, match="mod 630 disagrees with the exact"):
+        theorems.verify_families(theorem_names())
+    with pytest.raises(SeriesError, match="mod 9 disagrees with the exact"):
+        theorems.verify_families(theorem_names(), 1)
 
 
 def test_failing_family_under_two_tables_reports_exact_values(monkeypatch):
