@@ -9,7 +9,7 @@ knapsack.  ``FAMILIES`` is the one table of the named counting families.
 
 from __future__ import annotations
 
-from .products import FQuotientSpec, fquotient
+from .products import FQuotientSpec
 from .records import FrozenRecord
 from .series import _check_window
 
@@ -58,11 +58,11 @@ def count_triples(N):
 class Family(FrozenRecord):
     """A counting family: its generating function, given as ``{d: r_d}``
     and held as its ``FQuotientSpec``, the part lists its oracle table is
-    folded from (None: no oracle, counted from the series) and the
-    literature congruences ``(A, r, m)``, coefficient(An + r) = 0 (mod m)."""
+    folded from, and the literature congruences ``(A, r, m)``,
+    coefficient(An + r) = 0 (mod m)."""
 
     gf: FQuotientSpec
-    parts: tuple | None
+    parts: tuple
     known: frozenset = frozenset()
 
     def __post_init__(self):
@@ -84,15 +84,14 @@ FAMILIES = {
     # cubic partitions: every part, plus the even parts in a second color
     "a": Family({1: -1, 2: -1}, (Parts(), Parts(2))),
     # overcubic partitions: cubic partitions whose first occurrences may be
-    # overlined; that bookkeeping is error-prone, so they are counted from
-    # their quotient expansion only
-    "abar": Family({4: 1, 1: -2, 2: -1}, None),
+    # overlined; f_4/(f_1^2 f_2) = (1/f_1^2) prod (1 + q^(2n)), so two
+    # unrestricted lists and one list of distinct even parts
+    "abar": Family({4: 1, 1: -2, 2: -1}, (Parts(), Parts(), Parts(2, distinct=True))),
 }
 
 
 def count_family(name, N):
-    """table[n] for 0 <= n <= N of a family in FAMILIES, from its oracle,
-    or from its series when it has none (abar)."""
+    """table[n] for 0 <= n <= N of a family in FAMILIES, from its oracle."""
     try:
         family = FAMILIES[name]
     except KeyError:
@@ -100,6 +99,4 @@ def count_family(name, N):
                          f"known: {list(FAMILIES)}") from None
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
-    if family.parts is None:
-        return fquotient(family.gf, N).coeff_window(0, N)
     return count_table(family.parts, N)

@@ -20,8 +20,13 @@ of nonzero positions.  Over Z every quotient runs the sparse sequential
 kernel ``_divide_block`` of the same cost, which walks only the divisor
 terms in reach of each output and adds a +-1 term without a multiply.
 Over Z/mZ a quotient is a product by the inverse, and an inverse is taken
-by Newton doubling on ``_product`` (``_inverse``) when twice the same kind
-of bound on its ``_divide_block`` cost is above the crossover.  A caller
+by Newton doubling (``_inverse``) when twice the same kind of bound on its
+``_divide_block`` cost is above the crossover.  Newton's first product,
+by the sparse divisor and read only from the half length on, is a middle
+product (Hanrot, Quercia and Zimmermann, 2004): ``_shifted`` packs the
+half inverse once and adds one shifted window of it per divisor term,
+unless the divisor is dense or very long (``SHIFT_CROSSOVER``), when
+``_product`` takes it as it takes the second product.  A caller
 that knows a factor is a series in q^d keeps it at scale 1 and passes d,
 as the theta planner of ``products`` does over Z/m: ``a.mul(b, d)`` is
 a b(q^d), whose class j mod d is b times the class a[j::d] of a, so
@@ -103,6 +108,17 @@ PACKED_CROSSOVER = 12
 #: 0.44 of the decimal time up to 2^15 bits, 0.68 up to 2^16, 0.95 up to
 #: 10^5 and 1.56 above (measured in CHANGES.md)
 BINARY_CROSSOVER = 1 << 16
+
+#: big-int passes of ``_shifted`` (two a term of weight +-1, a shift and
+#: an add; three another, with a multiply) whose cube, at or below this
+#: times the length n, takes Newton's first product by shifted adds and
+#: above it by ``_product``: the product's cost per slot grows about as
+#: the cube root of n between n = 10^2 and 10^6, and the shifted adds'
+#: as their passes (measured in CHANGES.md)
+SHIFT_CROSSOVER = 20000
+
+#: the ``struct`` code of a slot of 1, 2, 4 or 8 bytes
+SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class SeriesError(Exception):
@@ -264,34 +280,49 @@ def _binary(classes, bc, b, sizes, lo, wb, signed):
     slot of the window, which puts each in [0, 2^(8 wb)) with no borrow
     from the slot below, and subtracted from each slot read."""
     bits = 8 * wb
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(wb)
     half = 1 << (bits - 1) if signed else 0
     if half:
-        halves = int.from_bytes(half.to_bytes(wb, "little") * sizes[0], "little")
+        halves = _halves(sizes[0], wb)
 
     def pack(cs):
         k = len(cs)
-        if half:
-            cs = map(half.__add__, cs)
-        x = int.from_bytes(Struct(f"<{k}{code}").pack(*cs) if code else b"".join(
-            map(int.to_bytes, cs, repeat(wb), repeat("little"))), "little")
+        x = _to_slots(map(half.__add__, cs) if half else cs, k, wb)
         return x - (halves & ((1 << k * bits) - 1)) if half else x
 
     pb = pack(b)
     d = len(classes)
     for j, (a, k) in enumerate(zip(classes, sizes)):
-        window = (1 << k * bits) - 1
         x = pb * (pb if a is bc else pack(_head(a, k)))
         if half:
             x += halves  # the slots above the window are not read
-        buf = (x & window).to_bytes(k * wb, "little")
-        s = len(range(j, lo, d))  # the class's slots below lo
-        if code:
-            cs = Struct(f"<{s * wb}x{k - s}{code}").unpack(buf)
-        else:
-            cs = map(int.from_bytes, Struct(f"{s * wb}x" + f"{wb}s" * (k - s)).unpack(buf),
-                     repeat("little"))
+        cs = _from_slots(x, len(range(j, lo, d)), k, wb)  # skips the slots below lo
         yield map(half.__rsub__, cs) if half else cs
+
+
+def _to_slots(cs, k, wb):
+    """The ``k`` ints ``cs``, each in [0, 2^(8 wb)), as one int with a slot
+    of ``wb`` bytes each, little-endian: ``struct`` packs slots of 1, 2, 4
+    or 8 bytes and ``int.to_bytes`` the others."""
+    code = SLOT_CODES.get(wb)
+    return int.from_bytes(Struct(f"<{k}{code}").pack(*cs) if code else b"".join(
+        map(int.to_bytes, cs, repeat(wb), repeat("little"))), "little")
+
+
+def _from_slots(x, s, k, wb):
+    """Slots ``s`` to ``k`` - 1 of the low ``k`` slots of ``wb`` bytes of
+    ``x``, as ints in [0, 2^(8 wb)): one ``Struct`` skips the slots below
+    ``s`` as pad bytes."""
+    buf = (x & ((1 << 8 * wb * k) - 1)).to_bytes(k * wb, "little")
+    code = SLOT_CODES.get(wb)
+    if code:
+        return Struct(f"<{s * wb}x{k - s}{code}").unpack(buf)
+    return map(int.from_bytes, Struct(f"{s * wb}x" + f"{wb}s" * (k - s)).unpack(buf),
+               repeat("little"))
+
+
+def _halves(k, wb):
+    """Half a slot of ``wb`` bytes in each of ``k`` slots."""
+    return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * k, "little")
 
 
 def _decimal(classes, bc, b, sizes, lo, w, residues):
@@ -416,16 +447,71 @@ def _divide_block(uc, dc, n, m):
     return c
 
 
+def _terms(dc, n, m):
+    """The positions s, 1 <= s < n, of the nonzero entries of ``dc`` over
+    Z/m, and their weights balanced in (-m/2, m/2]."""
+    ss = list(compress(range(1, n), islice(dc, 1, n)))
+    return ss, [w - m if 2 * w > m else w for w in map(dc.__getitem__, ss)]
+
+
+def _shifted(ss, ws, g, n, m):
+    """Coefficients h to n - 1 of dc g over Z/m, h = len(g) <= n and the
+    entries of g in [0, m), where dc has the terms w q^s of ``_terms`` and
+    a unit dc[0] (which reaches no coefficient >= h): the middle product
+    of Newton's first step, by shifted adds of one packed int.
+
+    g is packed once into slots of wb bytes, pg = sum g_i 2^(8 wb i).  A
+    term w q^s adds w g_i to coefficient s + i, slot s + i - h of the
+    window [h, n).  The part of pg that lands in the window is
+    pg >> 8 wb (h - s) when s < h, and the low n - s slots of pg shifted
+    up by s - h slots when s >= h.  Each part goes into one of three
+    accumulators: the +1 terms' (m = 2 puts its terms there), the -1
+    terms', and w times the part for every other weight.  A slot of
+    plus - minus + other then holds an integer of absolute value at most
+    sum |w| (m - 1), below half a slot, so adding half a slot to each, as
+    ``_binary`` does, puts every slot in [0, 2^(8 wb)) with no borrow, and
+    one ``Struct`` unpacks the window.  That bound is at least m - 1, so
+    every entry of g fits its slot, unless dc has no term, and then the
+    window is 0."""
+    h = len(g)
+    k = n - h
+    if not ws:
+        return [0] * k
+    wb = ((m - 1) * sum(map(abs, ws))).bit_length() // 8 + 1  # and a sign bit
+    bits = 8 * wb
+    pg = _to_slots(g, h, wb)
+    plus = minus = other = 0
+    for s, w in zip(ss, ws):
+        part = pg >> bits * (h - s) if s < h else (
+            pg & ((1 << bits * (n - s)) - 1)) << bits * (s - h)
+        if w == 1:
+            plus += part
+        elif w == -1:
+            minus += part
+        else:
+            other += w * part
+    half = 1 << (bits - 1)
+    cs = _from_slots(plus - minus + other + _halves(k, wb), 0, k, wb)
+    return list(map(m.__rmod__, map(half.__rsub__, cs)))
+
+
 def _inverse(dc, n, m):
     """First ``n`` coefficients of 1/dc; dc[0] must be a unit.
 
-    Over Z/m, when twice the bound (nnz(dc[:h]) - 1) (n - h), h = ceil(n/2),
+    Over Z/m, while twice the bound nnz(dc[1:h]) (n - h), h = ceil(n/2),
     is above PACKED_CROSSOVER multiply-adds per coefficient, by Newton
     doubling: each nonzero d_j, 1 <= j < h, costs ``_divide_block`` at
-    least the n - h outputs k >= h.  With g = 1/dc through q^(h-1), the
-    error e = dc g - 1 vanishes below q^h and 1/dc = g - g e through
-    q^(n-1), two products by ``_product``, the first read from q^h on
-    (``lo``), since its h low coefficients are known.  Both come back
+    least the n - h outputs k >= h.  The nonzero terms of dc are found
+    once, by ``_terms``, and each step's length halves the last until the
+    bound is not above the crossover, where ``_divide_block`` starts.
+    With g = 1/dc through q^(h-1), the error e = dc g - 1 vanishes below
+    q^h and 1/dc = g - g e through q^(n-1), two products, the first read
+    from q^h on, since its h low coefficients are known.  The first is
+    ``_shifted``'s shifted adds of g packed once, one per nonzero d_s,
+    1 <= s < n, when the cube of their big-int passes (two a +-1 weight,
+    three another) is at most SHIFT_CROSSOVER n, and otherwise
+    ``_product`` from ``lo`` = h: a dense dc, or a long one with many
+    weights other than +-1 (f_1^3 mod 630 at n = 500001).  Both come back
     reduced; the short e is negated before the second product, since
     -(g e) = g (-e), so the second half of 1/dc is ``_product``'s output
     itself, with no pass of its own (read from the shared residues of
@@ -433,12 +519,26 @@ def _inverse(dc, n, m):
     dense inverse would make every later product dense) and below the
     crossover, by ``_divide_block``.
     """
-    h = (n + 1) // 2
-    if m is None or 2 * (_nonzeros(dc, h) - 1) * (n - h) <= PACKED_CROSSOVER * n:
+    if m is None:
         return _divide_block((1,), dc, n, m)
-    g = _inverse(dc, h, m)
-    e = _product(dc, g, n, m, lo=h)
-    g.extend(_product(g, list(map(m.__rmod__, map(neg, e))), n - h, m))
+    ss, ws = _terms(dc, n, m)
+    lengths = [n]  # each Newton step's length, the longest first
+    while True:
+        k = lengths[-1]
+        h = (k + 1) // 2
+        if 2 * bisect_left(ss, h) * (k - h) <= PACKED_CROSSOVER * k:
+            break
+        lengths.append(h)
+    g = _divide_block((1,), dc, lengths.pop(), m)
+    for k in reversed(lengths):
+        h = len(g)
+        t = bisect_left(ss, k)  # the terms below q^k
+        below = ws[:t]
+        if (3 * t - below.count(1) - below.count(-1)) ** 3 <= SHIFT_CROSSOVER * k:
+            e = _shifted(ss[:t], below, g, k, m)
+        else:
+            e = _product(dc, g, k, m, lo=h)
+        g.extend(_product(g, list(map(m.__rmod__, map(neg, e))), k - h, m))
     return g
 
 

@@ -33,10 +33,12 @@ def b_table(N, modulus=None):
     Expands B's f-quotient through the theta planner: the plan is
     (f_2^2/f_1)^2 / f_4^3, two sparse theta blocks over a sparse divisor.
     Over Z every pass is sparse and sequential, O(N^1.5) coefficient
-    operations.  Over Z/m the planner inverts f_1^3 at length N/4 (Newton
-    doubling on the packed product of ``series``) and multiplies the square
-    of f_2^2/f_1 by it under q -> q^4, one packed product of four classes
-    of N/4 coefficients.  The uncached ``expand_factors`` is used, so no
+    operations.  Over Z/m the planner inverts f_1^3 at length N/4 by
+    Newton doubling, each step's product by f_1^3 a middle product of
+    shifted adds (``series._shifted``, up to N/4 of about 70000 mod 630)
+    and its product by the error packed, and multiplies the square of
+    f_2^2/f_1 by it under q -> q^4, one packed product of four classes of
+    N/4 coefficients.  The uncached ``expand_factors`` is used, so no
     cache keeps the big series of B alive after the table is read; the
     inverse of f_1^3 mod m stays in the planner's cache of denominator
     inverses.
@@ -266,9 +268,9 @@ SAMPLED_PRIMES = (7, 11, 19, 23)
 #: N = 20.25 p^2 or so (101441 at p = 71), and the prime families' table of
 #: B mod 9 is two theta blocks, a Newton inverse at length N/4 and one
 #: packed product of four classes, whose cost grows a little faster than N:
-#: 0.16-0.18 s at p = 71 and 0.31-0.33 s at p = 100 (N = 202500), against
-#: 0.21-0.22 s and 0.42-0.56 s for B mod 630, cold, wall time of three runs
-#: each (shared 2-core x86-64, Python 3.11)
+#: 0.21-0.22 s at p = 71 and 0.33-0.45 s at p = 100 (N = 202500), against
+#: 0.19-0.29 s and 0.60-0.64 s for B mod 630, cold, wall time of three runs
+#: each on a loaded shared 2-core x86-64 host (Python 3.11)
 MAX_SAMPLED_PRIME = 100
 
 

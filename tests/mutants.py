@@ -28,8 +28,8 @@ MUTANTS = (
            "return h - operator.countOf(islice(x, h), 0)",
            ("tests/test_series.py::test_nonzero_bound_sends_dense_products_packed_without_supports",)),
     Mutant("inverse-bound-counts-n-outputs", "src/qcong/series.py",
-           "(_nonzeros(dc, h) - 1) * (n - h) <= PACKED_CROSSOVER * n",
-           "(_nonzeros(dc, h) - 1) * n <= PACKED_CROSSOVER * n",
+           "2 * bisect_left(ss, h) * (k - h) <= PACKED_CROSSOVER * k",
+           "2 * bisect_left(ss, h) * k <= PACKED_CROSSOVER * k",
            ("tests/test_series.py::test_newton_inverse_routes_by_the_nonzero_bound",)),
     Mutant("slot-one-digit-short", "src/qcong/series.py",
            "lo, len(str(bound)), residues)",
@@ -63,6 +63,22 @@ MUTANTS = (
            "yield cs",
            ("tests/test_series.py::test_packed_over_z_matches_convolve",
             "tests/test_series.py::test_packed_kernel_on_both_rings_above_the_crossover")),
+    Mutant("shifted-window-one-slot-low", "src/qcong/series.py",
+           "part = pg >> bits * (h - s) if s < h else (",
+           "part = pg >> bits * (h - s - 1) if s < h else (",
+           ("tests/test_series.py::test_shifted_is_the_windowed_product",
+            "tests/test_series.py::test_newton_inverse_of_theta_blocks_on_both_sides_of_each_level")),
+    Mutant("shifted-half-slot-offset-dropped", "src/qcong/series.py",
+           "cs = _from_slots(plus - minus + other + _halves(k, wb), 0, k, wb)",
+           "cs = _from_slots(plus - minus + other, 0, k, wb)",
+           ("tests/test_series.py::test_shifted_is_the_windowed_product",
+            "tests/test_series.py::test_shifted_slot_holds_the_fullest_slot",
+            "tests/test_series.py::test_newton_inverse_of_theta_blocks_on_both_sides_of_each_level")),
+    Mutant("shifted-weights-unbalanced-in-the-same-slot", "src/qcong/series.py",
+           "for s, w in zip(ss, ws):",
+           "for s, w in zip(ss, map(m.__rmod__, ws)):",
+           ("tests/test_series.py::test_shifted_is_the_windowed_product",
+            "tests/test_series.py::test_shifted_slot_holds_the_fullest_slot")),
     Mutant("packed-residues-not-shared", "src/qcong/series.py",
            "out[(j - lo) % d::d] = map(residues.__getitem__, cs) if shared else cs",
            "out[(j - lo) % d::d] = cs",

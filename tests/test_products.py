@@ -466,14 +466,15 @@ def product_lengths():
 #: makes, in call order, as the nonzero bound routes them: ψ² (sparse,
 #: sequential), 1/f_1^3 through q^25360 by Newton doubling from a
 #: sequential inverse at length 100 (each step's product by f_1^3 at
-#: length n and by the error at n - ceil(n/2), all packed), the product of
-#: four classes, and the exact ``b_table(400)`` of the prefix check
+#: length n by shifted adds, under SHIFT_CROSSOVER at every step, and by
+#: the error at n - ceil(n/2), packed), the product of four classes, and
+#: the exact ``b_table(400)`` of the prefix check
 B_MOD_630_KERNELS = [
-    ("_convolve", 101442), ("_divide_block", 100), ("_packed", 199),
-    ("_packed", 99), ("_packed", 397), ("_packed", 198), ("_packed", 793),
-    ("_packed", 396), ("_packed", 1586), ("_packed", 793), ("_packed", 3171),
-    ("_packed", 1585), ("_packed", 6341), ("_packed", 3170),
-    ("_packed", 12681), ("_packed", 6340), ("_packed", 25361),
+    ("_convolve", 101442), ("_divide_block", 100), ("_shifted", 199),
+    ("_packed", 99), ("_shifted", 397), ("_packed", 198), ("_shifted", 793),
+    ("_packed", 396), ("_shifted", 1586), ("_packed", 793), ("_shifted", 3171),
+    ("_packed", 1585), ("_shifted", 6341), ("_packed", 3170),
+    ("_shifted", 12681), ("_packed", 6340), ("_shifted", 25361),
     ("_packed", 12680), ("_packed", 101442), ("_convolve", 401),
     ("_divide_block", 401)]
 
@@ -481,12 +482,13 @@ B_MOD_630_KERNELS = [
 def test_b_table_mod_630_takes_the_same_kernels():
     calls = []
 
-    def counted(name):
+    def counted(name, at=2):
         kernel = getattr(series_module, name)
-        return lambda *args: calls.append((name, args[2])) or kernel(*args)
+        return lambda *args: calls.append((name, args[at])) or kernel(*args)
 
     with cold_divisor_cache(), \
             patch.object(series_module, "_packed", counted("_packed")), \
+            patch.object(series_module, "_shifted", counted("_shifted", 3)), \
             patch.object(series_module, "_convolve", counted("_convolve")), \
             patch.object(series_module, "_divide_block", counted("_divide_block")):
         theorems.b_table(101441, 630)
@@ -495,13 +497,11 @@ def test_b_table_mod_630_takes_the_same_kernels():
 
 #: the multiply route of each ``_packed`` call of B_MOD_630_KERNELS, by its
 #: length n: binary while the longest class's operand is at most
-#: BINARY_CROSSOVER bits (3 or 4 bytes a slot, Newton's products through
-#: lengths 1586 and 1585), decimal from Newton's product at 3171 on
+#: BINARY_CROSSOVER bits (3 or 4 bytes a slot, Newton's products by the
+#: error through length 1585), decimal from the one at 3170 on
 B_MOD_630_ROUTES = [
-    ("_binary", 199), ("_binary", 99), ("_binary", 397), ("_binary", 198),
-    ("_binary", 793), ("_binary", 396), ("_binary", 1586), ("_binary", 793),
-    ("_decimal", 3171), ("_binary", 1585), ("_decimal", 6341), ("_decimal", 3170),
-    ("_decimal", 12681), ("_decimal", 6340), ("_decimal", 25361),
+    ("_binary", 99), ("_binary", 198), ("_binary", 396), ("_binary", 793),
+    ("_binary", 1585), ("_decimal", 3170), ("_decimal", 6340),
     ("_decimal", 12680), ("_decimal", 101442)]
 
 

@@ -9,11 +9,12 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qcong import (CUBE, InsufficientPrecision, LaurentSeries, NotInvertible,
-                   RingMismatch, bilateral, euler_f)
+from qcong import (CUBE, PENTAGONAL, TRIANGULAR, InsufficientPrecision, LaurentSeries,
+                   NotInvertible, RingMismatch, bilateral, euler_f)
 from qcong import series as series_module
-from qcong.series import (BINARY_CROSSOVER, PACKED_CROSSOVER, _convolve, _divide_block,
-                          _inverse, _packed, _product, _slot_bound)
+from qcong.series import (BINARY_CROSSOVER, PACKED_CROSSOVER, SHIFT_CROSSOVER, _convolve,
+                          _divide_block, _inverse, _packed, _product, _shifted, _slot_bound,
+                          _terms)
 
 
 def series(coeffs, v=0, mod=None):
@@ -933,6 +934,161 @@ def test_newton_inverse_rejects_a_non_unit_leading_coefficient(n):
         LaurentSeries(d, 0, 9).invert()
     with pytest.raises(NotInvertible):
         LaurentSeries([1] * n, 0, 9).divide(LaurentSeries(d, 0, 9))
+
+
+#: the moduli of the shifted-add tests: 1-, 2-, 4- and 8-byte slots and
+#: wider ones, and m = 2, where 1 = -1
+SHIFT_MODULI = [2, 3, 9, 70, 210, 630, 2 ** 31 - 1]
+
+
+def newton_levels(dc, top):
+    """The lengths n <= ``top`` at which ``_inverse`` takes one Newton step
+    more than at n - 1, by the bound it routes with."""
+    count = [0, 0]  # count[i]: the nonzero entries among dc[1:i]
+    for x in dc[1:top]:
+        count.append(count[-1] + bool(x))
+
+    def steps(n):
+        k = 0
+        while 2 * count[(n + 1) // 2] * (n // 2) > PACKED_CROSSOVER * n:
+            n, k = (n + 1) // 2, k + 1
+        return k
+
+    return [n for n in range(2, top + 1) if steps(n) > steps(n - 1)]
+
+
+@pytest.mark.parametrize("m", SHIFT_MODULI)
+@pytest.mark.parametrize("spec", [PENTAGONAL, CUBE, TRIANGULAR], ids=lambda s: s.name)
+def test_newton_inverse_of_theta_blocks_on_both_sides_of_each_level(spec, m):
+    """f_1, f_1^3 and psi inverted by Newton doubling, whose first products
+    go by shifted adds, equal the sequential recurrence at each length
+    where the doubling takes one more step, and one below it."""
+    top = 2500
+    dc = list(bilateral(spec, top - 1, m).coeffs)
+    levels = newton_levels(dc, top)
+    assert len(levels) >= 3
+    for n in levels:
+        for k in (n - 1, n):
+            assert _inverse(dc, k, m) == _divide_block((1,), dc, k, m), (n, k)
+
+
+@st.composite
+def weighted(draw, n, m):
+    """n entries in [0, m): zeros and, from a drawn set of kinds, weights
+    +1, -1 (m - 1; the same as +1 when m = 2) and any other residue."""
+    kinds = sorted(draw(st.sets(st.sampled_from(["+1", "-1", "other"]), min_size=1)))
+    pool = {"+1": st.just(1), "-1": st.just(m - 1),
+            "other": st.integers(2, m - 2) if m > 3 else st.just(1)}
+    entry = st.one_of(st.just(0), *(pool[k] for k in kinds))
+    return draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(SHIFT_MODULI))
+def test_shifted_is_the_windowed_product(data, m):
+    """The shifted adds give coefficients h to n - 1 of dc g, as
+    ``_product`` from ``lo`` = h does, for weights 0, +-1 and other, and
+    for any split 1 <= h <= n (Newton's is h = ceil(n/2))."""
+    n = data.draw(st.integers(1, 300))
+    h = data.draw(st.integers(1, n))
+    dc = data.draw(weighted(n, m))
+    g = data.draw(blocks(h, m))
+    got = _shifted(*_terms(dc, n, m), g, n, m)
+    assert got == _product(dc, g, n, m, lo=h)
+    assert all(0 <= x < m for x in got)
+
+
+def test_shifted_without_a_term_is_zero():
+    """A divisor with no term past its unit adds nothing to the window,
+    whatever g holds (no slot is sized by the terms' bound then)."""
+    g = [629, 256]
+    assert _shifted(*_terms([1, 0, 0], 3, 630), g, 3, 630) == [0]
+    assert _product([1, 0, 0], g, 3, 630, lo=2) == [0]
+
+
+@pytest.mark.parametrize("m,weight,t,wb", [
+    (3, 1, 40, 1), (9, 8, 40, 2), (630, 315, 300, 4),
+    (2 ** 31 - 1, 1 << 25, 1, 8), (2 ** 31 - 1, 2 ** 31 - 2, 5, 5),
+    (2 ** 31 - 1, 1 << 30, 40, 9)])
+def test_shifted_slot_widths(m, weight, t, wb):
+    """Slots of 1, 2, 4 and 8 bytes, unpacked by ``struct`` codes, and of 5
+    and 9, unpacked by ``int.from_bytes``, each with t terms of the given
+    weight past a unit, times g all m - 1 at n = 2t + 2."""
+    n = 2 * t + 2
+    dc = [1] + [weight] * t + [0] * (n - t - 1)
+    g = [m - 1] * (n // 2)
+    widths = []
+    to_slots = series_module._to_slots
+    with patch.object(series_module, "_to_slots",
+                      lambda cs, k, w: widths.append(w) or to_slots(cs, k, w)):
+        got = _shifted(*_terms(dc, n, m), g, n, m)
+    assert widths == [wb]
+    assert got == _product(dc, g, n, m, lo=n // 2)
+
+
+def byte_steps(m, w):
+    """The term counts t <= 400 at which t |w| (m - 1), w balanced, needs
+    one more byte of slot (with its sign bit) than at t - 1."""
+    w = min(w, m - w)
+    wb = [((m - 1) * w * t).bit_length() // 8 + 1 for t in range(401)]
+    return [t for t in range(2, 401) if wb[t] > wb[t - 1]]
+
+
+@pytest.mark.parametrize("m", SHIFT_MODULI)
+def test_shifted_slot_holds_the_fullest_slot(m):
+    """t terms of one weight on q^h .. q^(n-1), all in reach of the top
+    slot, times g all m - 1 fill that slot to t |w| (m - 1), the bound the
+    slot is sized by; at each t where the bound takes one more byte, and
+    one below it, for weights +1, -1 and the largest balanced ones."""
+    for weight in sorted({1, m - 1, m // 2, (m + 1) // 2}):
+        for step in byte_steps(m, weight)[:2]:
+            for t in (step - 1, step):
+                n, h = 2 * t, t
+                dc = [1] + [0] * (h - 1) + [weight] * t
+                g = [m - 1] * h
+                got = _shifted(*_terms(dc, n, m), g, n, m)
+                assert got == _product(dc, g, n, m, lo=h), (weight, t)
+                assert got[-1] == t * weight * (m - 1) % m
+
+
+def first_products(dc, n, m):
+    """The kernel of each Newton step's first product when ``_inverse``
+    inverts dc through q^(n-1), by its length, and the inverse."""
+    kernels = {}
+    shifted, product = series_module._shifted, series_module._product
+
+    def product_from(ac, bc, k, m, d=1, lo=0):
+        if lo:
+            kernels[k] = "_product"
+        return product(ac, bc, k, m, d, lo)
+
+    with patch.object(series_module, "_shifted", lambda ss, ws, g, k, m: kernels.update(
+            {k: "_shifted"}) or shifted(ss, ws, g, k, m)), \
+            patch.object(series_module, "_product", product_from):
+        got = _inverse(dc, n, m)
+    assert got == _divide_block((1,), dc, n, m)
+    return kernels
+
+
+def test_first_newton_product_takes_shifts_up_to_the_crossover():
+    """At n = 400 mod 630, a divisor whose shifted adds take P passes, P^3
+    at most SHIFT_CROSSOVER n < (P + 1)^3 (two a +-1 term, three any other
+    weight), takes them; one more pass, a +1 term made a 2, or one more
+    term, sends the first product to ``_product``."""
+    n, m = 400, 630
+    P = round((SHIFT_CROSSOVER * n) ** (1 / 3))
+    P -= P ** 3 > SHIFT_CROSSOVER * n
+    assert P ** 3 <= SHIFT_CROSSOVER * n < (P + 1) ** 3
+    other = P % 2  # 2 (a + 1) + 3 other = P
+    plus = (P - 3 * other) // 2
+    dc = [1] + [1] * plus + [2] * other + [0] * (n - 1 - plus - other)
+    assert first_products(dc, n, m)[n] == "_shifted"
+    heavier = list(dc)
+    heavier[1] = 2
+    assert first_products(heavier, n, m)[n] == "_product"
+    longer = list(dc)
+    longer[plus + other + 1] = m - 1
+    assert first_products(longer, n, m)[n] == "_product"
 
 
 def test_packed_kernel_on_both_rings_above_the_crossover(monkeypatch):
